@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on input/validation errors, 2 when a
 theorem precondition fails (a diagram with births at -inf fed to the
-Morse-inequality checker).
+Morse-inequality checker) or a Morse identity or inequality fails.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .diagram import diagram_of
 from .filtration import ComplexValidationError, betti_at, compute_persistence
 from .gallery import DouglasInput, HawaiianSpec, douglas_eval, hawaiian_complex, hawaiian_rank_sweep, product_family
 from .linalg import GF2, PrimeField
-from .morse import PreconditionViolated, cap_number, cap_number_at, morse_check
+from .morse import MorseCheckFailed, PreconditionViolated, cap_number, cap_number_at, morse_check
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _run(args)
-    except PreconditionViolated as exc:
+    except (PreconditionViolated, MorseCheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (io.FormatError, ComplexValidationError, ValueError, OSError) as exc:

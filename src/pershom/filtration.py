@@ -5,19 +5,20 @@ value; the complex must be face-closed and the values monotone under
 inclusion.  Persistence is computed by left-to-right column reduction of
 the boundary matrix over a prime field, with simplices ordered by
 (value, dimension, lexicographic vertices) so faces always precede
-cofaces and the output is independent of the input listing.
+cofaces and the output is independent of the input listing.  That one
+reduction is the only homology engine: the Betti numbers of a complex
+are the counts of its essential bars.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from .barcode import Barcode, Interval
 from .extreal import POS_INF
-from .linalg import GF2, PrimeField, gf_rank
+from .linalg import GF2, PrimeField
 
 Simplex = Tuple[int, ...]
 
@@ -192,55 +193,45 @@ def compute_persistence(
     return Barcode(bars)
 
 
-def _boundary_matrix(simplices: Sequence[Simplex], dim: int) -> np.ndarray:
-    """Signed incidence matrix from dim-simplices into their facets."""
-    rows = sorted(s for s in simplices if len(s) == dim)
-    cols = sorted(s for s in simplices if len(s) == dim + 1)
-    row_index = {s: i for i, s in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, simplex in enumerate(cols):
-        for i, face in enumerate(facets(simplex)):
-            mat[row_index[face], j] = 1 if i % 2 == 0 else -1
-    return mat
-
-
 def betti_numbers(simplices: Sequence[Simplex], field: PrimeField = GF2) -> Tuple[int, ...]:
-    """Unreduced Betti numbers of a face-closed simplex set by rank-nullity."""
+    """Unreduced Betti numbers of a face-closed simplex set over F_p.
+
+    Every simplex is born at 0, so every pairing has zero persistence and
+    the barcode holds exactly the essential bars, one per homology class.
+    """
     if not simplices:
         return (0,)
-    top = max(len(s) for s in simplices) - 1
-    counts = [sum(1 for s in simplices if len(s) == d + 1) for d in range(top + 1)]
-    ranks = [gf_rank(_boundary_matrix(simplices, d + 1), field) for d in range(top + 1)]
-    out = []
-    for d in range(top + 1):
-        boundary_in = ranks[d] if d < top else 0
-        boundary_out = ranks[d - 1] if d > 0 else 0
-        out.append(counts[d] - boundary_out - boundary_in)
-    return tuple(out)
+    betti = [0] * max(len(s) for s in simplices)
+    for d, _ in compute_persistence(FilteredComplex((s, 0.0) for s in simplices), field):
+        betti[d] += 1
+    return tuple(betti)
 
 
 def betti_at(complex_: FilteredComplex, t: float, d: int, field: PrimeField = GF2) -> int:
     """dim H_d of the sublevel complex at value t, over F_p.
 
-    Computed directly by rank-nullity on the sublevel boundary matrices,
-    independently of the persistence reduction.
+    The whole complex is validated, then only the sublevel complex is
+    reduced.  A NaN value raises ValueError.
     """
+    if math.isnan(t):
+        raise ValueError("betti_at requires a value that is not NaN")
     validate(complex_)
-    sub = complex_.sublevel(t)
     if d < 0:
         return 0
-    betti = betti_numbers(sub, field)
-    if not sub:
-        return 0
+    betti = betti_numbers(complex_.sublevel(t), field)
     return betti[d] if d < len(betti) else 0
 
 
 def euler_profile(complex_: FilteredComplex) -> Tuple[Tuple[float, int], ...]:
     """Euler characteristic of the sublevel complex at each distinct value."""
     validate(complex_)
+    steps: Dict[float, int] = {}
+    for simplex, value in complex_.simplices:
+        steps[value] = steps.get(value, 0) + (-1) ** (len(simplex) - 1)
     out = []
-    for t in complex_.values():
-        chi = sum((-1) ** (len(s) - 1) for s in complex_.sublevel(t))
+    chi = 0
+    for t in sorted(steps):
+        chi += steps[t]
         out.append((t, chi))
     return tuple(out)
 

@@ -119,10 +119,12 @@ def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex
             raise FormatError(source, lineno, f"expected 'simplex <value> <v0> [v1 ...]', got {line!r}")
         try:
             value = float(fields[1])
-            verts = [int(v) for v in fields[2:]]
-            if any(v < 0 for v in verts):
+            verts = sorted(map(int, fields[2:]))
+            if verts[0] < 0:
                 raise ValueError("vertex ids must be nonnegative")
-            entries.append((tuple(sorted(verts)), value))
+            if len(set(verts)) != len(verts):
+                raise ValueError(f"repeated vertex in {verts}")
+            entries.append((tuple(verts), value))
         except ValueError as exc:
             raise FormatError(source, lineno, str(exc)) from exc
     try:

@@ -1,10 +1,8 @@
-"""Prime fields and exact linear algebra mod p used by the homology kernels."""
+"""Prime fields: the coefficient rings of the persistence reduction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)  # deterministic below 3.4e14
 
@@ -57,34 +55,4 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
 
-def gf_rank(matrix: np.ndarray, field: PrimeField) -> int:
-    """Rank of an integer matrix over F_p by fraction-free row elimination."""
-    if matrix.size == 0:
-        return 0
-    p = field.p
-    a = np.array(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = a[rank] * field.inv(int(a[rank, col])) % p
-        below = a[rank + 1 :, col] != 0
-        if below.any():
-            a[rank + 1 :][below] = (
-                a[rank + 1 :][below] - np.outer(a[rank + 1 :, col][below], a[rank])
-            ) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-__all__ = ["PrimeField", "GF2", "GF3", "is_prime", "gf_rank"]
+__all__ = ["PrimeField", "GF2", "GF3", "is_prime"]

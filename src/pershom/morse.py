@@ -31,6 +31,14 @@ class PreconditionViolated(Exception):
         super().__init__(f"degree {degree} has a -inf birth at {point}")
 
 
+class MorseCheckFailed(Exception):
+    """An identity or inequality the theorem guarantees fails at a degree."""
+
+    def __init__(self, degree: int, message: str):
+        self.degree = degree
+        super().__init__(f"degree {degree}: {message}")
+
+
 def _items(diagram: PersistenceDiagram, d: int):
     if d < 0:
         return ()
@@ -121,9 +129,10 @@ def morse_check(diagram: PersistenceDiagram, eps: float, n_max: int) -> MorseRep
     For each degree 0 <= d <= n_max the report carries the aggregated cap
     number, the essential dimension, and the finite-lifetime count nu; the
     exact identity ``m_eps(d) - p(d) = nu(d-1) + nu(d)`` and the
-    nonnegativity of every alternating partial sum are asserted.
+    nonnegativity of every alternating partial sum are checked.
 
-    Raises PreconditionViolated if any degree contains a point born at -inf.
+    Raises PreconditionViolated if any degree contains a point born at -inf,
+    and MorseCheckFailed, naming the degree, if a check fails.
     """
     eps = _check_eps(eps)
     n_max = int(n_max)
@@ -147,8 +156,15 @@ def morse_check(diagram: PersistenceDiagram, eps: float, n_max: int) -> MorseRep
         )
 
     for d, m_eps, p_d, nu_d in rows:
-        assert m_eps - p_d == nus[d - 1] + nu_d, (d, m_eps, p_d, nus[d - 1], nu_d)
-    assert all(s >= 0 for s in partial_sums), partial_sums
+        if m_eps - p_d != nus[d - 1] + nu_d:
+            raise MorseCheckFailed(
+                d,
+                f"m_eps - p = {m_eps} - {p_d} differs from "
+                f"nu({d - 1}) + nu({d}) = {nus[d - 1]} + {nu_d}",
+            )
+    for n, s in enumerate(partial_sums):
+        if s < 0:
+            raise MorseCheckFailed(n, f"partial sum {s} < 0 in {tuple(partial_sums)}")
     return MorseReport(eps, tuple(rows), tuple(partial_sums))
 
 
@@ -180,6 +196,7 @@ def cap_finiteness_bound(
 
 __all__ = [
     "PreconditionViolated",
+    "MorseCheckFailed",
     "MorseReport",
     "cap_number_at",
     "cap_number",

@@ -1,4 +1,8 @@
-"""Shared random generators and independent oracles for the test suite."""
+"""Shared random generators and independent oracles for the test suite.
+
+The oracles are dense linear algebra over F_p (row elimination, kernels,
+rank-nullity) and never call the library's sparse column reduction.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from pershom import FilteredComplex, PersistenceDiagram
+from pershom.filtration import facets
 
 
 def random_diagram(
@@ -135,6 +140,69 @@ def grid_module_rank(bars, s: float, t: float) -> int:
     return int(np.linalg.matrix_rank(mat))
 
 
+def gf_rank(matrix: np.ndarray, field) -> int:
+    """Rank of an integer matrix over F_p by row elimination."""
+    if matrix.size == 0:
+        return 0
+    p = field.p
+    a = np.array(matrix, dtype=np.int64) % p
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if a[r, col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank] = a[rank] * field.inv(int(a[rank, col])) % p
+        below = a[rank + 1 :, col] != 0
+        if below.any():
+            a[rank + 1 :][below] = (
+                a[rank + 1 :][below] - np.outer(a[rank + 1 :, col][below], a[rank])
+            ) % p
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def boundary_matrix(simplices, dim: int) -> np.ndarray:
+    """Signed incidence matrix from dim-simplices into their facets."""
+    rows = sorted(s for s in simplices if len(s) == dim)
+    cols = sorted(s for s in simplices if len(s) == dim + 1)
+    row_index = {s: i for i, s in enumerate(rows)}
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, simplex in enumerate(cols):
+        for i, face in enumerate(facets(simplex)):
+            mat[row_index[face], j] = 1 if i % 2 == 0 else -1
+    return mat
+
+
+def betti_numbers_oracle(simplices, field) -> Tuple[int, ...]:
+    """Dense rank-nullity Betti numbers of a face-closed simplex set, in the
+    shape of ``betti_numbers``: one entry per degree up to the top one, or
+    ``(0,)`` when empty."""
+    if not simplices:
+        return (0,)
+    top = max(len(s) for s in simplices) - 1
+    counts = [sum(1 for s in simplices if len(s) == d + 1) for d in range(top + 1)]
+    ranks = [gf_rank(boundary_matrix(simplices, d + 1), field) for d in range(top + 1)]
+    return tuple(
+        counts[d] - (ranks[d - 1] if d > 0 else 0) - (ranks[d] if d < top else 0)
+        for d in range(top + 1)
+    )
+
+
+def betti_oracle_at(complex_, t: float, d: int, field) -> int:
+    """Dense dim H_d of the sublevel complex at t, the oracle for ``betti_at``."""
+    betti = betti_numbers_oracle(complex_.sublevel(t), field)
+    return betti[d] if 0 <= d < len(betti) else 0
+
+
 def gf_nullspace(mat: np.ndarray, field) -> np.ndarray:
     """Kernel basis (as columns) of an integer matrix over F_p, via RREF."""
     p = field.p
@@ -171,21 +239,18 @@ def persistent_rank_oracle(complex_, d: int, s: float, t: float, field) -> int:
     Computes dim Z_d(K_s) - dim(Z_d(K_s) & B_d(K_t)) directly from kernel
     and image linear algebra, with no reference to the reduction pairing.
     """
-    from pershom.filtration import _boundary_matrix
-    from pershom.linalg import gf_rank
-
     sub_s = complex_.sublevel(s)
     sub_t = complex_.sublevel(t)
     cols_s = sorted(x for x in sub_s if len(x) == d + 1)
     cols_t = sorted(x for x in sub_t if len(x) == d + 1)
     if not cols_s:
         return 0
-    kernel = gf_nullspace(_boundary_matrix(sub_s, d), field)
+    kernel = gf_nullspace(boundary_matrix(sub_s, d), field)
     index_t = {x: i for i, x in enumerate(cols_t)}
     embedded = np.zeros((len(cols_t), kernel.shape[1]), dtype=np.int64)
     for row_s, simplex in enumerate(cols_s):
         embedded[index_t[simplex]] = kernel[row_s]
-    boundaries = _boundary_matrix(sub_t, d + 1)
+    boundaries = boundary_matrix(sub_t, d + 1)
     dim_z = int(gf_rank(embedded, field))
     rank_b = int(gf_rank(boundaries, field))
     dim_sum = int(gf_rank(np.hstack([embedded, boundaries % field.p]), field))

@@ -7,6 +7,7 @@ import pytest
 
 from pershom import (
     Barcode,
+    Cover,
     DuplicateSimplexError,
     FilteredComplex,
     GF2,
@@ -15,14 +16,25 @@ from pershom import (
     MissingFaceError,
     MissingVertexValueError,
     NonMonotoneError,
+    PrimeField,
+    SimplicialComplex,
     betti_at,
     compute_persistence,
     euler_profile,
+    homology_ranks,
     lower_star,
+    nerve,
     validate,
+    vietoris,
 )
 
-from helpers import alive_bars, random_filtered_complex
+from helpers import (
+    alive_bars,
+    betti_numbers_oracle,
+    betti_oracle_at,
+    random_cover_sets,
+    random_filtered_complex,
+)
 
 
 def hollow_triangle(value=0.0):
@@ -45,6 +57,19 @@ def sphere_boundary(value=0.0):
     for size in (1, 2, 3):
         simplices.extend((s, value) for s in combinations(range(4), size))
     return FilteredComplex(simplices)
+
+
+def projective_plane(value=0.0):
+    """The minimal 6-vertex triangulation of the real projective plane."""
+    triangles = [
+        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+    ]
+    simplices = {(v,) for v in range(6)}
+    for t in triangles:
+        simplices.add(t)
+        simplices.update([(t[0], t[1]), (t[0], t[2]), (t[1], t[2])])
+    return FilteredComplex([(s, value) for s in sorted(simplices)])
 
 
 # ------------------------------------------------------------------ validation
@@ -146,24 +171,17 @@ def test_persistence_field_independent_on_torsion_free():
 
 
 def test_torsion_separates_fields():
-    # minimal 6-vertex projective plane: H_1 has 2-torsion, so mod-2 and
-    # mod-3 homology genuinely disagree
-    triangles = [
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-    ]
-    simplices = {(v,) for v in range(6)}
-    for t in triangles:
-        simplices.add(t)
-        simplices.update([(t[0], t[1]), (t[0], t[2]), (t[1], t[2])])
-    k = FilteredComplex([(s, 0.0) for s in sorted(simplices)])
+    # the projective plane's H_1 has 2-torsion, so mod-2 and mod-3
+    # homology genuinely disagree
+    k = projective_plane()
 
     assert [betti_at(k, 0.0, d, GF2) for d in (0, 1, 2)] == [1, 1, 1]
     assert [betti_at(k, 0.0, d, GF3) for d in (0, 1, 2)] == [1, 0, 0]
     for field in (GF2, GF3):
         barcode = compute_persistence(k, field)
         for d in (0, 1, 2):
-            assert alive_bars(barcode, d, 0.0) == betti_at(k, 0.0, d, field)
+            dense = betti_oracle_at(k, 0.0, d, field)
+            assert alive_bars(barcode, d, 0.0) == dense == betti_at(k, 0.0, d, field)
 
 
 # ----------------------------------------------------------------------- betti
@@ -179,6 +197,57 @@ def test_betti_sphere():
     assert betti_at(sphere_boundary(), 0.0, 0) == 1
     assert betti_at(sphere_boundary(), 0.0, 1) == 0
     assert betti_at(sphere_boundary(), 0.0, 2) == 1
+
+
+def test_betti_at_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        betti_at(hollow_triangle(), math.nan, 0)
+
+
+# ------------------------------------------ sparse engine against dense oracle
+
+CROSS_CHECK_FIELDS = (GF2, GF3, PrimeField(5))
+
+
+def test_betti_at_matches_dense_oracle_on_random_filtrations():
+    rng = random.Random(27182)
+    for trial in range(60):
+        k = random_filtered_complex(rng)
+        field = CROSS_CHECK_FIELDS[trial % len(CROSS_CHECK_FIELDS)]
+        for t in k.values():
+            for d in (0, 1, 2):
+                assert betti_at(k, t, d, field) == betti_oracle_at(k, t, d, field), (k, t, d, field)
+
+
+def test_cover_complexes_match_dense_oracle():
+    # nerves and Vietoris complexes of random covers reach degree >= 3; the
+    # lower-star filtration by random vertex values exercises betti_at there
+    rng = random.Random(16180)
+    top = 0
+    for _ in range(30):
+        sets, ground = random_cover_sets(rng)
+        cover = Cover(sets, ground=ground)
+        for complex_ in (nerve(cover), vietoris(cover)):
+            top = max(top, complex_.dim)
+            simplices = sorted(complex_.simplices)
+            vertices = {s[0] for s in simplices if len(s) == 1}
+            k = lower_star({v: rng.uniform(0.0, 1.0) for v in vertices}, simplices)
+            for field in CROSS_CHECK_FIELDS:
+                assert homology_ranks(complex_, field) == betti_numbers_oracle(simplices, field)
+                for t in k.values()[::2]:
+                    for d in range(complex_.dim + 1):
+                        assert betti_at(k, t, d, field) == betti_oracle_at(k, t, d, field)
+    assert top >= 3
+
+
+def test_projective_plane_matches_dense_oracle():
+    k = projective_plane()
+    plane = SimplicialComplex(s for s, _ in k.simplices)
+    expected = {2: (1, 1, 1), 3: (1, 0, 0), 5: (1, 0, 0)}
+    for field in CROSS_CHECK_FIELDS:
+        dense = betti_numbers_oracle(sorted(plane.simplices), field)
+        assert homology_ranks(plane, field) == dense == expected[field.p]
+        assert tuple(betti_at(k, 0.0, d, field) for d in (0, 1, 2)) == dense
 
 
 # ----------------------------------------------------------------------- euler
@@ -221,6 +290,6 @@ def test_bars_alive_equal_betti_and_euler():
             alternating = 0
             for d in range(0, 3):
                 alive = alive_bars(barcode, d, t)
-                assert alive == betti_at(k, t, d), (k, t, d)
+                assert alive == betti_oracle_at(k, t, d, GF2) == betti_at(k, t, d), (k, t, d)
                 alternating += (-1) ** d * alive
             assert alternating == chi

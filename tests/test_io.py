@@ -86,6 +86,14 @@ def test_filtration_parse_and_sorting():
         parse_filtration("simplex 0.0 -1")
 
 
+def test_filtration_repeated_vertex_is_located():
+    text = "simplex 0.0 0\nsimplex 0.0 1\n# comment\nsimplex 0.5 0 1 1\n"
+    with pytest.raises(FormatError, match="repeated vertex") as err:
+        parse_filtration(text, source="x.flt")
+    assert err.value.lineno == 4
+    assert str(err.value).startswith("x.flt:4: ")
+
+
 def test_cover_parsing():
     cover = parse_cover("ground 1 2 3 4\nset A 1 2\nset B 2 3\n")
     assert cover.ground == frozenset([1, 2, 3, 4])

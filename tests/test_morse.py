@@ -1,11 +1,17 @@
 """Cap numbers, essential dimensions, and the Morse-inequality report."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pershom.morse
 from pershom import (
+    MorseCheckFailed,
     PersistenceDiagram,
     PreconditionViolated,
     cap_finiteness_bound,
@@ -103,6 +109,46 @@ def test_morse_report_renders_tables():
     text = morse_check(WORKED, 0.5, 2).render()
     assert "m_eps" in text and "partial_sum" in text
     assert len(text.splitlines()) == 1 + 3 + 1 + 1 + 3
+
+
+_BROKEN_NU_CLI = """
+import sys
+import pershom.morse
+from pershom.cli import main
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+pershom.morse.nu = lambda diagram, d, eps: 0
+sys.exit(main(["morse", "--dgm", sys.argv[1], "--epsilon", "0.5", "--max-degree", "1"]))
+"""
+
+
+def test_morse_identity_check_survives_optimize_flag(tmp_path):
+    # with nu broken the identity fails at degree 0; under -O an assert
+    # would vanish and the CLI would print an unchecked report
+    from pershom.io import write_diagram
+
+    dgm = tmp_path / "worked.dgm"
+    write_diagram(dgm, WORKED)
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_NU_CLI, str(dgm)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert "degree 0:" in run.stderr and "nu(-1) + nu(0) = 0 + 0" in run.stderr
+
+
+def test_morse_negative_partial_sum_is_reported(monkeypatch):
+    # consistent with the identity, yet the degree-0 partial sum is -1
+    monkeypatch.setattr(pershom.morse, "cap_number", lambda diagram, d, eps: 0)
+    monkeypatch.setattr(pershom.morse, "essential_dimension", lambda diagram, d: int(d == 0))
+    monkeypatch.setattr(pershom.morse, "nu", lambda diagram, d, eps: -1 if d == 0 else 1)
+    with pytest.raises(MorseCheckFailed, match="partial sum -1") as err:
+        morse_check(WORKED, 0.5, 1)
+    assert err.value.degree == 0
 
 
 # ------------------------------------------------------------------ invariants
