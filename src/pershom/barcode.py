@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-from .extreal import NEG_INF, POS_INF, ExtendedReal
+from .extreal import NEG_INF, POS_INF, ExtendedReal, query_value
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,10 @@ class Interval:
     def is_singleton(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, t: float) -> bool:
-        """Membership of a finite point, respecting openness flags."""
-        t = ExtendedReal(t)
+    def contains(self, t) -> bool:
+        """Membership of a point, respecting openness flags; -inf and +inf
+        belong to no interval, since closed endpoints are finite."""
+        t = ExtendedReal.wrap(t)
         if t < self.lo or (t == self.lo and not self.lo_closed):
             return False
         if t > self.hi or (t == self.hi and not self.hi_closed):
@@ -155,11 +156,13 @@ def barcode_rank(barcode: Barcode, d: int, s: float, t: float) -> int:
     """Rank of the degree-d structure map from value s to value t.
 
     The barcode module's map has one identity component per bar containing
-    both s and t, so the rank is that bar count.
+    both s and t, so the rank is that bar count.  Either value may be
+    infinite, where no bar lives; NaN raises ValueError.
     """
-    if s > t:
+    s_ext, t_ext = query_value(s, "s"), query_value(t, "t")
+    if s_ext > t_ext:
         raise ValueError(f"requires s <= t, got s={s}, t={t}")
-    return sum(1 for iv in barcode.in_degree(d) if iv.contains(s) and iv.contains(t))
+    return sum(1 for iv in barcode.in_degree(d) if iv.contains(s_ext) and iv.contains(t_ext))
 
 
 def radical(barcode: Barcode) -> Barcode:

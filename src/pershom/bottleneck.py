@@ -3,10 +3,17 @@
 Ground cost between points is the L-infinity distance, with like infinite
 coordinates at distance 0 and unlike ones at distance +inf; an unmatched
 point pays half its lifetime, its true sup-distance to the diagonal.
-Feasibility of a threshold is decided by maximum matching on the usual
-augmented bipartite graph (each point gets a private diagonal slot, and
-diagonal slots pair off freely), and the optimum is located by binary
-search over the finite set of realizable costs, so results are exact.
+
+The costs of each infinity class are built once, as a numpy matrix, by the
+same float expressions as the scalar helpers, and the optimum is located
+by binary search over their distinct values, so results are exact.
+Feasibility of a threshold delta is decided by a maximum matching on an
+augmented bipartite graph in which each point has a private diagonal slot.
+The slot block is mirrored: the slot of b_j joins the slot of a_i exactly
+when a_i and b_j are within delta of each other, in place of the complete
+block of the usual construction.  Feasibility is unchanged, because the
+two slots of a matched pair a_i, b_j can always pair off.  The matching is
+Hopcroft-Karp on plain adjacency lists.
 
 Points with an infinite coordinate can only be matched to points with the
 same infinity pattern; diagrams whose essential counts differ in a degree
@@ -18,11 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .barcode import Barcode
 from .diagram import DiagramPoint, PersistenceDiagram, diagram_of
@@ -77,64 +82,123 @@ def _split_classes(points: Sequence[DiagramPoint]) -> Dict[Tuple[bool, bool], Li
     return out
 
 
-def _match_class(
-    points_a: Sequence[DiagramPoint],
-    points_b: Sequence[DiagramPoint],
-    delta: float,
-    with_diagonal: bool,
-) -> Tuple[List[Tuple[int, int]], List[int], List[int], bool]:
-    """Maximum matching under threshold delta within one infinity class.
+def _class_costs(
+    points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint], cls: Tuple[bool, bool]
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Pair costs of one infinity class as an n x m matrix, by the float
+    expressions of `_pair_cost`, and the diagonal costs of each side by
+    those of `_diagonal_cost`; ``None`` for the classes with an infinite
+    coordinate, whose points cannot be left unmatched."""
+    pa = np.array([pt.p.float_value for pt in points_a], dtype=float)
+    qa = np.array([pt.q.float_value for pt in points_a], dtype=float)
+    pb = np.array([pt.p.float_value for pt in points_b], dtype=float)
+    qb = np.array([pt.q.float_value for pt in points_b], dtype=float)
+    cost = np.zeros((len(points_a), len(points_b)))
+    if cls[0]:
+        cost = np.abs(np.subtract.outer(pa, pb))
+    if cls[1]:
+        cost = np.maximum(cost, np.abs(np.subtract.outer(qa, qb)))
+    if cls != (True, True):
+        return cost, None, None
+    return cost, (qa - pa) / 2.0, (qb - pb) / 2.0
 
-    With the diagonal enabled (finite points), left vertices are A points
-    plus one private slot per B point, right vertices are B points plus one
-    private slot per A point, and slots pair off freely; feasibility means
-    a perfect matching.  Without it (essential points), feasibility means a
-    perfect matching between the two point lists themselves.
+
+def _hopcroft_karp(adjacency: List[List[int]], n_right: int) -> Tuple[List[int], int]:
+    """Maximum bipartite matching by Hopcroft-Karp.
+
+    ``adjacency[u]`` lists the right neighbours of left vertex u.  Returns
+    the right partner of every left vertex (-1 when unmatched) and the
+    matching's size.
     """
-    n, m = len(points_a), len(points_b)
-    if n + m == 0:
-        return [], [], [], True
-    if not with_diagonal and (n == 0 or m == 0):
-        return [], list(range(n)), list(range(m)), n == m
-    rows: List[int] = []
-    cols: List[int] = []
-    for i, a in enumerate(points_a):
-        for j, b in enumerate(points_b):
-            if _pair_cost(a, b) <= delta:
-                rows.append(i)
-                cols.append(j)
-    if with_diagonal:
-        size_left, size_right = n + m, m + n
-        for i, a in enumerate(points_a):
-            if _diagonal_cost(a) <= delta:
-                rows.append(i)
-                cols.append(m + i)
-        for j, b in enumerate(points_b):
-            if _diagonal_cost(b) <= delta:
-                rows.append(n + j)
-                cols.append(j)
-        for j in range(m):
-            for i in range(n):
-                rows.append(n + j)
-                cols.append(m + i)
-    else:
-        size_left, size_right = n, m
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-        shape=(size_left, size_right),
-    )
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    matched_pairs = [(i, int(match[i])) for i in range(n) if 0 <= match[i] < m]
-    matched_a = {i for i, _ in matched_pairs}
-    matched_b = {j for _, j in matched_pairs}
-    unmatched_a = [i for i in range(n) if i not in matched_a]
-    unmatched_b = [j for j in range(m) if j not in matched_b]
-    size = int((match >= 0).sum())
-    if with_diagonal:
-        feasible = size == n + m
-    else:
-        feasible = n == m and size == n
-    return matched_pairs, unmatched_a, unmatched_b, feasible
+    match_left = [-1] * len(adjacency)
+    match_right = [-1] * n_right
+    for u, neighbours in enumerate(adjacency):
+        for v in neighbours:
+            if match_right[v] < 0:
+                match_left[u], match_right[v] = v, u
+                break
+    while True:
+        # Layer the left vertices by alternating distance from the free
+        # ones, up to the first layer that reaches a free right vertex.
+        free = [u for u, v in enumerate(match_left) if v < 0]
+        layer = [-1] * len(adjacency)
+        for u in free:
+            layer[u] = 0
+        queue = list(free)
+        shortest = None
+        for u in queue:
+            if shortest is not None and layer[u] > shortest:
+                break
+            for v in adjacency[u]:
+                w = match_right[v]
+                if w < 0:
+                    shortest = layer[u]
+                elif layer[w] < 0:
+                    layer[w] = layer[u] + 1
+                    queue.append(w)
+        if shortest is None:
+            break
+        # Depth-first search along the layers from each free left vertex;
+        # next_edge[u] is the next neighbour of u to try, and a vertex with
+        # none left is retired for this phase.
+        next_edge = [0] * len(adjacency)
+        for root in free:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                if next_edge[u] == len(adjacency[u]):
+                    layer[u] = -1
+                    stack.pop()
+                    continue
+                v = adjacency[u][next_edge[u]]
+                next_edge[u] += 1
+                w = match_right[v]
+                if w < 0:
+                    for x in stack:
+                        y = adjacency[x][next_edge[x] - 1]
+                        match_left[x], match_right[y] = y, x
+                    break
+                if layer[w] == layer[u] + 1:
+                    stack.append(w)
+    return match_left, len(match_left) - match_left.count(-1)
+
+
+def _row_lists(mask: np.ndarray, offset: int) -> List[List[int]]:
+    """Per row of a boolean matrix, the column indices of its true entries
+    plus offset."""
+    rows, cols = np.nonzero(mask)
+    bounds = np.searchsorted(rows, np.arange(mask.shape[0] + 1)).tolist()
+    cols = (cols + offset).tolist()
+    return [cols[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def _match(
+    cost: np.ndarray, diag_a: Optional[np.ndarray], diag_b: Optional[np.ndarray], delta: float
+) -> Tuple[List[int], bool]:
+    """Maximum matching within one infinity class at threshold delta.
+
+    Returns the B partner of every A point (-1 when unmatched) and whether
+    the matching is feasible.  Without diagonal costs (essential points)
+    feasibility means a perfect matching between the two point lists.  With
+    them, left vertices are the n A points and then the m slots of the B
+    points, right vertices the m B points and then the n slots of the A
+    points; a point joins its own slot within delta of the diagonal, slot
+    b_j joins slot a_i exactly when a_i joins b_j, and feasibility means a
+    perfect matching.
+    """
+    n, m = cost.shape
+    within = cost <= delta
+    adjacency = _row_lists(within, 0)
+    if diag_a is None:
+        partner, size = _hopcroft_karp(adjacency, m)
+        return partner, n == m and size == n
+    for i in np.flatnonzero(diag_a <= delta).tolist():
+        adjacency[i].append(m + i)
+    slots = _row_lists(within.T, m)
+    for j in np.flatnonzero(diag_b <= delta).tolist():
+        slots[j].append(j)
+    partner, size = _hopcroft_karp(adjacency + slots, m + n)
+    return [j if j < m else -1 for j in partner[:n]], size == n + m
 
 
 def matching_at(
@@ -154,11 +218,11 @@ def matching_at(
     for cls in sorted(set(class_a) | set(class_b)):
         pts_a = class_a.get(cls, [])
         pts_b = class_b.get(cls, [])
-        with_diagonal = cls == (True, True)
-        pairs, left_a, left_b, ok = _match_class(pts_a, pts_b, delta, with_diagonal)
-        matched.extend((pts_a[i], pts_b[j]) for i, j in pairs)
-        unmatched_a.extend(pts_a[i] for i in left_a)
-        unmatched_b.extend(pts_b[j] for j in left_b)
+        partner, ok = _match(*_class_costs(pts_a, pts_b, cls), delta)
+        matched.extend((pts_a[i], pts_b[j]) for i, j in enumerate(partner) if j >= 0)
+        unmatched_a.extend(pts_a[i] for i, j in enumerate(partner) if j < 0)
+        taken = set(partner)
+        unmatched_b.extend(pt for j, pt in enumerate(pts_b) if j not in taken)
         feasible = feasible and ok
     return MatchingResult(tuple(matched), tuple(unmatched_a), tuple(unmatched_b), feasible)
 
@@ -187,25 +251,18 @@ def _finite_class_bottleneck(
 ) -> float:
     if not points_a and not points_b:
         return 0.0
-    candidates = {0.0}
-    candidates.update(_diagonal_cost(pt) for pt in points_a)
-    candidates.update(_diagonal_cost(pt) for pt in points_b)
-    candidates.update(_pair_cost(x, y) for x in points_a for y in points_b)
-    grid = sorted(candidates)
-
-    def feasible(delta: float) -> bool:
-        return _match_class(points_a, points_b, delta, with_diagonal=True)[3]
-
+    cost, diag_a, diag_b = _class_costs(points_a, points_b, (True, True))
+    grid = np.unique(np.concatenate(([0.0], diag_a, diag_b, cost.ravel())))
     lo, hi = 0, len(grid) - 1
     # Leaving every point unmatched is allowed at the largest diagonal cost,
     # so the top candidate is always feasible.
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(grid[mid]):
+        if _match(cost, diag_a, diag_b, grid[mid])[1]:
             hi = mid
         else:
             lo = mid + 1
-    return grid[lo]
+    return float(grid[lo])
 
 
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> ExtendedReal:

@@ -6,12 +6,11 @@ q != -inf; openness of the originating interval endpoints is forgotten.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 from .barcode import Barcode
-from .extreal import NEG_INF, POS_INF, ExtendedReal
+from .extreal import NEG_INF, POS_INF, ExtendedReal, query_value
 
 PointLike = Union["DiagramPoint", Tuple[float, float]]
 
@@ -137,12 +136,11 @@ def diagram_of(barcode: Barcode) -> PersistenceDiagram:
 def quadrant_count(diagram: PersistenceDiagram, d: int, x: float, y: float) -> int:
     """Total multiplicity of degree-d points in the open quadrant p < x, q > y.
 
-    Infinite endpoints compare through the extended order, so (-inf, inf)
-    lands in every quadrant.
+    Infinite endpoints and corners compare through the extended order, so
+    (-inf, inf) lands in every quadrant with finite corners.  A NaN corner
+    raises ValueError.
     """
-    if math.isnan(x) or math.isnan(y):
-        raise ValueError("quadrant corner must not be NaN")
-    ex, ey = ExtendedReal(x), ExtendedReal(y)
+    ex, ey = query_value(x, "x"), query_value(y, "y")
     return sum(m for pt, m in diagram.items(d) if pt.p < ex and ey < pt.q)
 
 

@@ -107,3 +107,11 @@ class ExtendedReal:
 
 NEG_INF = ExtendedReal._token(_NEG)
 POS_INF = ExtendedReal._token(_POS)
+
+
+def query_value(value, name: str) -> ExtendedReal:
+    """A query argument coerced by `ExtendedReal.wrap`, so IEEE infinities
+    are accepted; NaN raises ValueError naming the argument."""
+    if not isinstance(value, ExtendedReal) and math.isnan(value):
+        raise ValueError(f"{name} must not be NaN")
+    return ExtendedReal.wrap(value)

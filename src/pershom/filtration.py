@@ -76,8 +76,13 @@ class FilteredComplex:
     simplices: Tuple[Tuple[Simplex, float], ...]
 
     def __init__(self, simplices: Iterable[Tuple[Iterable[int], float]]):
-        entries = tuple((_as_simplex(v), float(t)) for v, t in simplices)
-        object.__setattr__(self, "simplices", entries)
+        entries = []
+        for verts, t in simplices:
+            simplex, value = _as_simplex(verts), float(t)
+            if math.isnan(value):
+                raise ValueError(f"simplex {simplex} has a NaN filtration value")
+            entries.append((simplex, value))
+        object.__setattr__(self, "simplices", tuple(entries))
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -149,6 +154,11 @@ def compute_persistence(
         Keep ``[v, v]`` singleton bars for same-value pairings.
     """
     validate(complex_)
+    return _reduce(complex_, field, keep_ephemeral)
+
+
+def _reduce(complex_: FilteredComplex, field: PrimeField, keep_ephemeral: bool) -> Barcode:
+    """The column reduction of `compute_persistence` on a validated complex."""
     order = complex_.sorted_simplices()
     index = {simplex: i for i, (simplex, _) in enumerate(order)}
     p = field.p
@@ -199,10 +209,17 @@ def betti_numbers(simplices: Sequence[Simplex], field: PrimeField = GF2) -> Tupl
     Every simplex is born at 0, so every pairing has zero persistence and
     the barcode holds exactly the essential bars, one per homology class.
     """
-    if not simplices:
+    complex_ = FilteredComplex((s, 0.0) for s in simplices)
+    validate(complex_)
+    return _betti(complex_, field)
+
+
+def _betti(complex_: FilteredComplex, field: PrimeField) -> Tuple[int, ...]:
+    """`betti_numbers` of a validated complex whose values are all 0."""
+    if not complex_.simplices:
         return (0,)
-    betti = [0] * max(len(s) for s in simplices)
-    for d, _ in compute_persistence(FilteredComplex((s, 0.0) for s in simplices), field):
+    betti = [0] * max(len(s) for s, _ in complex_.simplices)
+    for d, _ in _reduce(complex_, field, False):
         betti[d] += 1
     return tuple(betti)
 
@@ -211,14 +228,15 @@ def betti_at(complex_: FilteredComplex, t: float, d: int, field: PrimeField = GF
     """dim H_d of the sublevel complex at value t, over F_p.
 
     The whole complex is validated, then only the sublevel complex is
-    reduced.  A NaN value raises ValueError.
+    reduced; being a sublevel set of a valid complex, it is not validated
+    again.  A NaN value raises ValueError.
     """
     if math.isnan(t):
         raise ValueError("betti_at requires a value that is not NaN")
     validate(complex_)
     if d < 0:
         return 0
-    betti = betti_numbers(complex_.sublevel(t), field)
+    betti = _betti(FilteredComplex((s, 0.0) for s in complex_.sublevel(t)), field)
     return betti[d] if d < len(betti) else 0
 
 

@@ -8,6 +8,7 @@ bit-exactly, and infinite endpoints appear as ``inf`` / ``-inf``.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, List, Tuple
 
@@ -124,6 +125,8 @@ def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex
                 raise ValueError("vertex ids must be nonnegative")
             if len(set(verts)) != len(verts):
                 raise ValueError(f"repeated vertex in {verts}")
+            if math.isnan(value):
+                raise ValueError(f"simplex {tuple(verts)} has a NaN filtration value")
             entries.append((tuple(verts), value))
         except ValueError as exc:
             raise FormatError(source, lineno, str(exc)) from exc

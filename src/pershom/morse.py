@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .diagram import DiagramPoint, PersistenceDiagram, quadrant_count
-from .extreal import NEG_INF, ExtendedReal
+from .extreal import NEG_INF, ExtendedReal, query_value
 
 
 class PreconditionViolated(Exception):
@@ -57,10 +57,14 @@ def cap_number_at(diagram: PersistenceDiagram, d: int, t: float, eps: float) -> 
 
     Deaths at t of degree-(d-1) classes born more than eps earlier, plus
     births at t of degree-d classes dying more than eps later; only finite
-    companion endpoints participate.
+    companion endpoints participate.  No finite endpoint sits at an
+    infinite t, where the count is 0; a NaN t raises ValueError.
     """
     eps = _check_eps(eps)
-    t_ext = ExtendedReal(t)
+    t_ext = query_value(t, "t")
+    if not t_ext.is_finite:
+        return 0
+    t = t_ext.value
     total = 0
     for pt, mult in _items(diagram, d - 1):
         if pt.q == t_ext and pt.p.is_finite and t - pt.p.value > eps:

@@ -1,7 +1,10 @@
 """Shared random generators and independent oracles for the test suite.
 
-The oracles are dense linear algebra over F_p (row elimination, kernels,
-rank-nullity) and never call the library's sparse column reduction.
+The homology oracles are dense linear algebra over F_p (row elimination,
+kernels, rank-nullity) and never call the library's sparse column
+reduction.  The bottleneck oracle decides feasibility on the complete
+diagonal-slot graph with its own augmenting-path matcher and never calls
+the library's cost matrices or its Hopcroft-Karp matching.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from pershom import FilteredComplex, PersistenceDiagram
+from pershom.bottleneck import _diagonal_cost, _pair_cost
 from pershom.filtration import facets
 
 
@@ -256,3 +260,77 @@ def persistent_rank_oracle(complex_, d: int, s: float, t: float, field) -> int:
     dim_sum = int(gf_rank(np.hstack([embedded, boundaries % field.p]), field))
     dim_meet = dim_z + rank_b - dim_sum
     return dim_z - dim_meet
+
+
+def _expanded(diagram: PersistenceDiagram, d: int):
+    return [pt for pt, mult in diagram.items(d) for _ in range(mult)]
+
+
+def _kuhn_matching_size(adjacency, n_right: int) -> int:
+    """Maximum bipartite matching size by one augmenting-path search per
+    left vertex (Kuhn's algorithm)."""
+    match_right = [-1] * n_right
+
+    def augment(u, seen) -> bool:
+        for v in adjacency[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if match_right[v] < 0 or augment(match_right[v], seen):
+                match_right[v] = u
+                return True
+        return False
+
+    return sum(augment(u, set()) for u in range(len(adjacency)))
+
+
+def bottleneck_feasible_oracle(a: PersistenceDiagram, b: PersistenceDiagram, d: int, delta: float) -> bool:
+    """Whether every degree-d point can be matched or sent to the diagonal
+    within a finite delta, on the usual augmented graph: each point has a
+    private diagonal slot and every slot of b joins every slot of a.
+
+    Points of different infinity classes cost inf, so one graph covers all
+    classes as long as delta is finite.
+    """
+    if math.isinf(delta):
+        raise ValueError("the one-graph construction needs a finite delta")
+    points_a, points_b = _expanded(a, d), _expanded(b, d)
+    n, m = len(points_a), len(points_b)
+    adjacency = []
+    for i, x in enumerate(points_a):
+        row = [j for j, y in enumerate(points_b) if _pair_cost(x, y) <= delta]
+        if _diagonal_cost(x) <= delta:
+            row.append(m + i)
+        adjacency.append(row)
+    for j, y in enumerate(points_b):
+        row = [m + i for i in range(n)]
+        if _diagonal_cost(y) <= delta:
+            row.append(j)
+        adjacency.append(row)
+    return _kuhn_matching_size(adjacency, m + n) == n + m
+
+
+def bottleneck_candidates(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> List[float]:
+    """The finite realizable costs in degree d, sorted: 0, the diagonal
+    costs and the pair costs."""
+    points_a, points_b = _expanded(a, d), _expanded(b, d)
+    costs = {0.0}
+    costs.update(_diagonal_cost(pt) for pt in points_a + points_b)
+    costs.update(_pair_cost(x, y) for x in points_a for y in points_b)
+    return sorted(c for c in costs if math.isfinite(c))
+
+
+def bottleneck_oracle(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> float:
+    """Bottleneck distance in degree d: the least candidate the oracle finds
+    feasible, by binary search, or inf when even the largest is not."""
+    grid = bottleneck_candidates(a, b, d)
+    if not bottleneck_feasible_oracle(a, b, d, grid[-1]):
+        return math.inf
+    lo, hi = 0, len(grid) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bottleneck_feasible_oracle(a, b, d, grid[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return grid[lo]

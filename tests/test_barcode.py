@@ -92,6 +92,19 @@ def test_barcode_rank_examples():
         barcode_rank(b, 0, 2.0, 1.0)
 
 
+def test_barcode_rank_accepts_infinite_values_and_names_nan():
+    b = Barcode([(0, Interval.closed_open(0, math.inf)), (0, Interval.open_open(-math.inf, 1))])
+    # no bar lives at -inf or +inf, so every map from or to them is zero
+    assert barcode_rank(b, 0, -math.inf, 0.5) == 0
+    assert barcode_rank(b, 0, 0.5, math.inf) == 0
+    assert barcode_rank(b, 0, -math.inf, math.inf) == 0
+    assert barcode_rank(b, 0, 0.5, 0.5) == 2
+    with pytest.raises(ValueError, match="requires s <= t"):
+        barcode_rank(b, 0, math.inf, 0.5)
+    with pytest.raises(ValueError, match="t must not be NaN"):
+        barcode_rank(b, 0, 0.0, math.nan)
+
+
 def test_barcode_rank_matches_grid_oracle_on_random_barcodes():
     rng = random.Random(2024)
     for _ in range(200):

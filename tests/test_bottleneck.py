@@ -1,9 +1,14 @@
 """Bottleneck distance: examples, oracle agreement, metric axioms, stability."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pershom import (
     Barcode,
@@ -19,7 +24,14 @@ from pershom import (
     matching_at,
 )
 
-from helpers import perturb_filtration, random_diagram, random_filtered_complex
+from helpers import (
+    bottleneck_candidates,
+    bottleneck_feasible_oracle,
+    bottleneck_oracle,
+    perturb_filtration,
+    random_diagram,
+    random_filtered_complex,
+)
 
 
 def dgm(points, degree=0):
@@ -119,6 +131,51 @@ def test_bottleneck_matches_bruteforce_with_neg_inf_births():
         assert bottleneck(a, b, 0) == bottleneck_bruteforce(a, b, 0)
 
 
+_QUARTER = st.integers(-20, 20).map(lambda k: k / 4)
+_GAP = st.integers(1, 16).map(lambda k: k / 4)
+
+
+@st.composite
+def _quarter_grid_point(draw):
+    """A point on the quarter grid: mostly finite, sometimes essential or
+    born at -inf, so equal costs and every infinity class are common."""
+    kind = draw(st.sampled_from(["finite"] * 6 + ["essential", "neg_inf", "both_inf"]))
+    p = draw(_QUARTER)
+    if kind == "finite":
+        return (p, p + draw(_GAP))
+    if kind == "essential":
+        return (p, math.inf)
+    if kind == "neg_inf":
+        return (-math.inf, p)
+    return (-math.inf, math.inf)
+
+
+_QUARTER_GRID_DIAGRAMS = st.lists(_quarter_grid_point(), max_size=40).map(dgm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_QUARTER_GRID_DIAGRAMS, _QUARTER_GRID_DIAGRAMS)
+def test_feasibility_and_value_match_the_complete_slot_block_oracle(a, b):
+    # the oracle is the complete diagonal-slot graph with its own
+    # augmenting-path matcher; feasibility must agree at every candidate
+    for delta in bottleneck_candidates(a, b, 0):
+        assert matching_at(a, b, 0, delta).feasible == bottleneck_feasible_oracle(a, b, 0, delta), delta
+    value = bottleneck(a, b, 0)
+    assert value.float_value == bottleneck_oracle(a, b, 0)
+    if value.is_finite:
+        witness = matching_at(a, b, 0, value.value)
+        for x, y in witness.matched:
+            assert (x.p.is_finite, x.q.is_finite) == (y.p.is_finite, y.q.is_finite)
+            assert max(
+                abs(x.p.value - y.p.value) if x.p.is_finite else 0.0,
+                abs(x.q.value - y.q.value) if x.q.is_finite else 0.0,
+            ) <= value.value
+        for pt in witness.unmatched_a + witness.unmatched_b:
+            assert pt.gap / 2 <= value.value
+        assert len(witness.matched) + len(witness.unmatched_a) == a.count(0)
+        assert len(witness.matched) + len(witness.unmatched_b) == b.count(0)
+
+
 def test_metric_axioms_on_samples():
     rng = random.Random(777)
     for _ in range(40):
@@ -192,3 +249,15 @@ def test_interleaving_alias():
     a = Barcode([(0, Interval.closed_open(0, 2))])
     b = Barcode([(0, Interval.closed_open(0.5, 2.5))])
     assert interleaving_distance(a, b, 0).value == 0.5
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, pershom.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

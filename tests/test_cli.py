@@ -36,6 +36,14 @@ def test_compute_rejects_bad_filtration(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_compute_rejects_nan_value_at_its_line(tmp_path, capsys):
+    bad = tmp_path / "nan.flt"
+    bad.write_text("simplex 0 0\nsimplex nan 1\n")
+    out = tmp_path / "out.dgm"
+    assert main(["compute", "--input", str(bad), "--output", str(out)]) == 1
+    assert f"error: {bad}:2: " in capsys.readouterr().err
+
+
 def test_compute_rejects_composite_field(tmp_path, flt_file):
     out = tmp_path / "out.dgm"
     assert main(["compute", "--input", str(flt_file), "--field", "6", "--output", str(out)]) == 1

@@ -77,6 +77,18 @@ def test_quadrant_count_examples():
     assert quadrant_count(unbounded, 0, 0.0, 0.0) == 1
 
 
+def test_quadrant_count_accepts_infinite_corners_and_names_nan():
+    d = PersistenceDiagram({0: [(0, 1), (-math.inf, 2), (3, math.inf), (-math.inf, math.inf)]})
+    assert quadrant_count(d, 0, math.inf, -math.inf) == 4
+    assert quadrant_count(d, 0, math.inf, 1.5) == 3
+    assert quadrant_count(d, 0, 0.5, math.inf) == 0
+    assert quadrant_count(d, 0, -math.inf, -math.inf) == 0
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        quadrant_count(d, 0, math.nan, 0.0)
+    with pytest.raises(ValueError, match="y must not be NaN"):
+        quadrant_count(d, 0, 0.0, math.nan)
+
+
 def test_quadrant_count_against_enumeration():
     rng = random.Random(99)
     for _ in range(100):

@@ -100,6 +100,21 @@ def test_validate_duplicate():
         validate(k)
 
 
+def test_nan_filtration_value_is_rejected_naming_the_simplex():
+    with pytest.raises(ValueError, match=r"simplex \(0, 1\) has a NaN filtration value"):
+        FilteredComplex([((0,), 0.0), ((1,), 0.0), ((0, 1), math.nan)])
+
+
+def test_betti_at_validates_once(monkeypatch):
+    import pershom.filtration
+
+    calls = []
+    real = pershom.filtration.validate
+    monkeypatch.setattr(pershom.filtration, "validate", lambda k: calls.append(k) or real(k))
+    assert betti_at(filled_triangle(), 0.0, 0) == 1
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------------------ lower star
 
 def test_lower_star_max_rule():

@@ -94,6 +94,13 @@ def test_filtration_repeated_vertex_is_located():
     assert str(err.value).startswith("x.flt:4: ")
 
 
+def test_filtration_nan_value_is_located():
+    text = "simplex 0.0 0\nsimplex nan 1\n"
+    with pytest.raises(FormatError, match=r"simplex \(1,\) has a NaN filtration value") as err:
+        parse_filtration(text, source="x.flt")
+    assert err.value.lineno == 2
+
+
 def test_cover_parsing():
     cover = parse_cover("ground 1 2 3 4\nset A 1 2\nset B 2 3\n")
     assert cover.ground == frozenset([1, 2, 3, 4])

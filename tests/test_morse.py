@@ -38,6 +38,15 @@ def test_cap_number_at_examples():
         cap_number_at(TWO_FINITE, 0, 0.0, 0.0)
 
 
+def test_cap_number_at_infinite_values_is_zero_and_nan_is_named():
+    # no finite endpoint sits at an infinite value, essential points included
+    assert cap_number_at(WORKED, 1, math.inf, 0.5) == 0
+    assert cap_number_at(WORKED, 0, -math.inf, 0.5) == 0
+    assert cap_number_at(PersistenceDiagram({0: [(-math.inf, 1)]}), 0, -math.inf, 0.5) == 0
+    with pytest.raises(ValueError, match="t must not be NaN"):
+        cap_number_at(WORKED, 0, math.nan, 0.5)
+
+
 def test_cap_number_examples():
     assert cap_number(WORKED, 0, 0.5) == 2  # (0, inf) and (1, 2)
     assert cap_number(WORKED, 1, 0.5) == 2  # (1, 2) death + (3, 4) birth
