@@ -24,7 +24,7 @@ b = PersistenceDiagram({0: [(0.2, 4.1), (1.4, 3.2)]})
 dist = bottleneck(a, b, 0)
 print(f"bottleneck(A, B) = {dist}  (brute force: {bottleneck_bruteforce(a, b, 0)})")
 
-result = matching_at(a, b, 0, dist.value)
+result = matching_at(a, b, 0, dist)
 print(f"\nmatching at delta = {dist}:")
 for x, y in result.matched:
     print(f"  {x}  <->  {y}")
@@ -33,7 +33,7 @@ for pt in result.unmatched_a:
 for pt in result.unmatched_b:
     print(f"  diagonal <- {pt}  (cost {pt.gap / 2})")
 
-tight = max(0.0, math.nextafter(dist.value, -math.inf))
+tight = max(0.0, math.nextafter(dist, -math.inf))
 print(f"\njust below ({tight}): feasible = {matching_at(a, b, 0, tight).feasible}")
 
 # stability: perturb vertex heights by at most delta and watch the diagrams

@@ -39,10 +39,10 @@ for t, chi in euler_profile(complex_):
     b0 = betti_at(complex_, t, 0)
     b1 = betti_at(complex_, t, 1)
     alive0 = sum(
-        1 for d, iv in barcode if d == 0 and iv.lo.float_value <= t < iv.hi.float_value
+        1 for d, iv in barcode if d == 0 and iv.lo <= t < iv.hi
     )
     alive1 = sum(
-        1 for d, iv in barcode if d == 1 and iv.lo.float_value <= t < iv.hi.float_value
+        1 for d, iv in barcode if d == 1 and iv.lo <= t < iv.hi
     )
     status = "ok" if (alive0, alive1) == (b0, b1) and b0 - b1 == chi else "MISMATCH"
     print(f"  t={t:4.1f}  betti=({b0},{b1})  alive bars=({alive0},{alive1})  chi={chi:2d}  {status}")

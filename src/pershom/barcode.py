@@ -7,10 +7,54 @@ values here are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-from .extreal import NEG_INF, POS_INF, ExtendedReal, query_value
+
+class ExtendedReal(float):
+    """A point of the extended real line: a float that is never NaN.
+
+    The infinite endpoints are IEEE ``-inf`` / ``inf``, so order, hashing and
+    the ``str``/``float()`` text round trip are those of floats.  The three
+    properties serve existing callers; the library itself uses float idioms.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value):
+        self = float.__new__(cls, value)
+        if self != self:
+            raise ValueError("extended real cannot be NaN")
+        return self
+
+    @property
+    def is_finite(self) -> bool:
+        return math.isfinite(self)
+
+    @property
+    def value(self) -> float:
+        """The finite value; raises for -inf and inf."""
+        if not math.isfinite(self):
+            raise ValueError(f"{self} has no finite value")
+        return float(self)
+
+    @property
+    def float_value(self) -> float:
+        return float(self)
+
+
+NEG_INF = ExtendedReal(-math.inf)
+POS_INF = ExtendedReal(math.inf)
+
+
+def query_value(value, name: str, finite: bool = False) -> float:
+    """A query argument as a float; NaN, or an infinity where ``finite`` is
+    asked for, raises ValueError naming the argument."""
+    value = float(value)
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise ValueError(f"{name} must {'be finite' if finite else 'not be NaN'}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -27,33 +71,33 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", ExtendedReal.wrap(self.lo))
-        object.__setattr__(self, "hi", ExtendedReal.wrap(self.hi))
+        object.__setattr__(self, "lo", ExtendedReal(self.lo))
+        object.__setattr__(self, "hi", ExtendedReal(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self}")
-        if self.lo_closed and not self.lo.is_finite:
+        if self.lo_closed and not math.isfinite(self.lo):
             raise ValueError("closed left endpoint must be finite")
-        if self.hi_closed and not self.hi.is_finite:
+        if self.hi_closed and not math.isfinite(self.hi):
             raise ValueError("closed right endpoint must be finite")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise ValueError("an interval with equal endpoints must be a singleton [a,a]")
 
     @staticmethod
-    def closed_open(lo: float, hi) -> "Interval":
+    def closed_open(lo: float, hi: float) -> "Interval":
         """The half-open interval [lo, hi); ``hi`` may be +infinity."""
-        return Interval(ExtendedReal(lo), ExtendedReal.wrap(hi), True, False)
+        return Interval(lo, hi, True, False)
 
     @staticmethod
-    def open_open(lo, hi) -> "Interval":
-        return Interval(ExtendedReal.wrap(lo), ExtendedReal.wrap(hi), False, False)
+    def open_open(lo: float, hi: float) -> "Interval":
+        return Interval(lo, hi, False, False)
 
     @staticmethod
     def closed_closed(lo: float, hi: float) -> "Interval":
-        return Interval(ExtendedReal(lo), ExtendedReal(hi), True, True)
+        return Interval(lo, hi, True, True)
 
     @staticmethod
     def singleton(at: float) -> "Interval":
-        return Interval(ExtendedReal(at), ExtendedReal(at), True, True)
+        return Interval(at, at, True, True)
 
     @property
     def is_singleton(self) -> bool:
@@ -62,15 +106,12 @@ class Interval:
     def contains(self, t) -> bool:
         """Membership of a point, respecting openness flags; -inf and +inf
         belong to no interval, since closed endpoints are finite."""
-        t = ExtendedReal.wrap(t)
+        t = ExtendedReal(t)
         if t < self.lo or (t == self.lo and not self.lo_closed):
             return False
         if t > self.hi or (t == self.hi and not self.hi_closed):
             return False
         return True
-
-    def _key(self):
-        return (self.lo._key(), self.hi._key(), self.lo_closed, self.hi_closed)
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
@@ -91,8 +132,8 @@ class ConstancyWitness:
 
 
 def _bar_key(bar: Tuple[int, Interval]):
-    degree, interval = bar
-    return (degree, interval._key())
+    degree, iv = bar
+    return (degree, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
 
 
 class Barcode:
@@ -159,10 +200,10 @@ def barcode_rank(barcode: Barcode, d: int, s: float, t: float) -> int:
     both s and t, so the rank is that bar count.  Either value may be
     infinite, where no bar lives; NaN raises ValueError.
     """
-    s_ext, t_ext = query_value(s, "s"), query_value(t, "t")
-    if s_ext > t_ext:
+    s, t = query_value(s, "s"), query_value(t, "t")
+    if s > t:
         raise ValueError(f"requires s <= t, got s={s}, t={t}")
-    return sum(1 for iv in barcode.in_degree(d) if iv.contains(s_ext) and iv.contains(t_ext))
+    return sum(1 for iv in barcode.in_degree(d) if iv.contains(s) and iv.contains(t))
 
 
 def radical(barcode: Barcode) -> Barcode:
@@ -190,10 +231,7 @@ def constancy_witness(barcode: Barcode, d: int) -> ConstancyWitness:
     """
     finite = []
     for iv in barcode.in_degree(d):
-        if iv.lo.is_finite:
-            finite.append(iv.lo.value)
-        if iv.hi.is_finite:
-            finite.append(iv.hi.value)
+        finite += [x for x in (iv.lo, iv.hi) if math.isfinite(x)]
     if not finite:
         return ConstancyWitness(0.0, 0.0)
     return ConstancyWitness(min(finite) - 1.0, max(finite) + 1.0)

@@ -29,15 +29,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import Barcode
+from .barcode import POS_INF, Barcode, ExtendedReal
 from .diagram import DiagramPoint, PersistenceDiagram, diagram_of
-from .extreal import POS_INF, ExtendedReal
 
 BRUTE_FORCE_LIMIT = 8
 
 
 class TooLargeError(ValueError):
-    """The brute-force oracle only handles small diagrams."""
+    """An input too large for an exponential construction: the brute-force
+    oracle's diagrams, or the simplices of a Vietoris complex."""
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,20 @@ def _expand(diagram: PersistenceDiagram, d: int) -> List[DiagramPoint]:
 
 
 def _infinity_class(pt: DiagramPoint) -> Tuple[bool, bool]:
-    return (pt.p.is_finite, pt.q.is_finite)
+    return (math.isfinite(pt.p), math.isfinite(pt.q))
 
 
 def _pair_cost(a: DiagramPoint, b: DiagramPoint) -> float:
     if _infinity_class(a) != _infinity_class(b):
         return math.inf
-    dp = abs(a.p.value - b.p.value) if a.p.is_finite else 0.0
-    dq = abs(a.q.value - b.q.value) if a.q.is_finite else 0.0
+    dp = abs(a.p - b.p) if math.isfinite(a.p) else 0.0
+    dq = abs(a.q - b.q) if math.isfinite(a.q) else 0.0
     return max(dp, dq)
 
 
 def _diagonal_cost(pt: DiagramPoint) -> float:
-    if pt.p.is_finite and pt.q.is_finite:
-        return (pt.q.value - pt.p.value) / 2.0
+    if math.isfinite(pt.p) and math.isfinite(pt.q):
+        return (pt.q - pt.p) / 2.0
     return math.inf
 
 
@@ -89,10 +89,10 @@ def _class_costs(
     expressions of `_pair_cost`, and the diagonal costs of each side by
     those of `_diagonal_cost`; ``None`` for the classes with an infinite
     coordinate, whose points cannot be left unmatched."""
-    pa = np.array([pt.p.float_value for pt in points_a], dtype=float)
-    qa = np.array([pt.q.float_value for pt in points_a], dtype=float)
-    pb = np.array([pt.p.float_value for pt in points_b], dtype=float)
-    qb = np.array([pt.q.float_value for pt in points_b], dtype=float)
+    pa = np.array([pt.p for pt in points_a], dtype=float)
+    qa = np.array([pt.q for pt in points_a], dtype=float)
+    pb = np.array([pt.p for pt in points_b], dtype=float)
+    qb = np.array([pt.q for pt in points_b], dtype=float)
     cost = np.zeros((len(points_a), len(points_b)))
     if cls[0]:
         cost = np.abs(np.subtract.outer(pa, pb))
@@ -235,12 +235,12 @@ def _sorted_coordinate_bottleneck(
         return math.inf
     if not points_a:
         return 0.0
-    if points_a[0].p.is_finite:
-        xs = sorted(pt.p.value for pt in points_a)
-        ys = sorted(pt.p.value for pt in points_b)
-    elif points_a[0].q.is_finite:
-        xs = sorted(pt.q.value for pt in points_a)
-        ys = sorted(pt.q.value for pt in points_b)
+    if math.isfinite(points_a[0].p):
+        xs = sorted(pt.p for pt in points_a)
+        ys = sorted(pt.p for pt in points_b)
+    elif math.isfinite(points_a[0].q):
+        xs = sorted(pt.q for pt in points_a)
+        ys = sorted(pt.q for pt in points_b)
     else:
         return 0.0
     return max(abs(x - y) for x, y in zip(xs, ys))

@@ -14,8 +14,13 @@ from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
 
+from .bottleneck import TooLargeError
 from .filtration import Simplex, betti_numbers, facets
 from .linalg import GF2, PrimeField
+
+# Most simplices `vietoris` may enumerate, counted as the nonempty subsets of
+# each cover set; two 13-element sets count 16,382, one 30-element set 2^30 - 1.
+VIETORIS_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,14 @@ def nerve(cover: Cover) -> SimplicialComplex:
 
 def vietoris(cover: Cover) -> SimplicialComplex:
     """Simplices are the finite subsets of the ground set lying inside some
-    cover element."""
+    cover element.
+
+    Raises TooLargeError, before enumerating anything, when the cover sets
+    have more than VIETORIS_LIMIT nonempty subsets between them.
+    """
+    bound = sum(2 ** len(elems) - 1 for _, elems in cover.sets)
+    if bound > VIETORIS_LIMIT:
+        raise TooLargeError(f"the Vietoris complex could have up to {bound} simplices, over {VIETORIS_LIMIT}")
     simplices = set()
     for _, elems in cover.sets:
         verts = tuple(sorted(elems))
@@ -192,6 +204,7 @@ __all__ = [
     "SimplicialComplex",
     "nerve",
     "vietoris",
+    "VIETORIS_LIMIT",
     "homology_ranks",
     "dowker_check",
     "balls_cover",

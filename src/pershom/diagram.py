@@ -7,10 +7,10 @@ q != -inf; openness of the originating interval endpoints is forgotten.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
-from .barcode import Barcode
-from .extreal import NEG_INF, POS_INF, ExtendedReal, query_value
+from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, query_value
 
 PointLike = Union["DiagramPoint", Tuple[float, float]]
 
@@ -23,8 +23,8 @@ class DiagramPoint:
     q: ExtendedReal
 
     def __post_init__(self):
-        object.__setattr__(self, "p", ExtendedReal.wrap(self.p))
-        object.__setattr__(self, "q", ExtendedReal.wrap(self.q))
+        object.__setattr__(self, "p", ExtendedReal(self.p))
+        object.__setattr__(self, "q", ExtendedReal(self.q))
         if self.p == POS_INF:
             raise ValueError("birth coordinate cannot be +inf")
         if self.q == NEG_INF:
@@ -35,10 +35,7 @@ class DiagramPoint:
     @property
     def gap(self) -> float:
         """The lifetime q - p as a float (inf when an endpoint is infinite)."""
-        return self.q.float_value - self.p.float_value
-
-    def _key(self):
-        return (self.p._key(), self.q._key())
+        return self.q - self.p
 
     def __str__(self):
         return f"({self.p}, {self.q})"
@@ -48,7 +45,7 @@ def _as_point(value: PointLike) -> DiagramPoint:
     if isinstance(value, DiagramPoint):
         return value
     p, q = value
-    return DiagramPoint(ExtendedReal.wrap(p), ExtendedReal.wrap(q))
+    return DiagramPoint(p, q)
 
 
 class PersistenceDiagram:
@@ -89,7 +86,7 @@ class PersistenceDiagram:
     def items(self, d: int) -> Iterator[Tuple[DiagramPoint, int]]:
         """Deterministically ordered (point, multiplicity) pairs in degree d."""
         bucket = self._points.get(d, {})
-        for pt in sorted(bucket, key=DiagramPoint._key):
+        for pt in sorted(bucket, key=attrgetter("p", "q")):
             yield pt, bucket[pt]
 
     def multiplicity(self, d: int, point: PointLike) -> int:
@@ -140,8 +137,8 @@ def quadrant_count(diagram: PersistenceDiagram, d: int, x: float, y: float) -> i
     (-inf, inf) lands in every quadrant with finite corners.  A NaN corner
     raises ValueError.
     """
-    ex, ey = query_value(x, "x"), query_value(y, "y")
-    return sum(m for pt, m in diagram.items(d) if pt.p < ex and ey < pt.q)
+    x, y = query_value(x, "x"), query_value(y, "y")
+    return sum(m for pt, m in diagram.items(d) if pt.p < x and y < pt.q)
 
 
 __all__ = ["DiagramPoint", "PersistenceDiagram", "diagram_of", "quadrant_count"]

@@ -16,15 +16,21 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .barcode import Barcode, Interval
-from .extreal import POS_INF
+from .barcode import POS_INF, Barcode, Interval
 from .linalg import GF2, PrimeField
 
 Simplex = Tuple[int, ...]
 
 
 class ComplexValidationError(ValueError):
-    """Base for structural defects of a filtered complex."""
+    """Base for defects of a filtered complex; ``simplex`` names the offender."""
+
+
+class NonFiniteValueError(ComplexValidationError):
+    def __init__(self, simplex: Simplex, value: float):
+        self.simplex = simplex
+        kind = "a NaN" if math.isnan(value) else "an infinite"
+        super().__init__(f"simplex {simplex} has {kind} filtration value")
 
 
 class DuplicateSimplexError(ComplexValidationError):
@@ -71,7 +77,9 @@ def facets(simplex: Simplex) -> Tuple[Simplex, ...]:
 
 @dataclass(frozen=True)
 class FilteredComplex:
-    """A face-closed simplex list with monotone filtration values."""
+    """A face-closed simplex list with finite values, monotone under
+    inclusion.  Construction checks all of this, so every instance is valid;
+    defects raise a `ComplexValidationError` naming the first offender."""
 
     simplices: Tuple[Tuple[Simplex, float], ...]
 
@@ -79,10 +87,11 @@ class FilteredComplex:
         entries = []
         for verts, t in simplices:
             simplex, value = _as_simplex(verts), float(t)
-            if math.isnan(value):
-                raise ValueError(f"simplex {simplex} has a NaN filtration value")
+            if not math.isfinite(value):
+                raise NonFiniteValueError(simplex, value)
             entries.append((simplex, value))
         object.__setattr__(self, "simplices", tuple(entries))
+        validate(self)
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -128,9 +137,7 @@ def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[
             if v not in vertex_values:
                 raise MissingVertexValueError(v)
         entries.append((simplex, max(vertex_values[v] for v in simplex)))
-    out = FilteredComplex(entries)
-    validate(out)
-    return out
+    return FilteredComplex(entries)
 
 
 def compute_persistence(
@@ -147,19 +154,18 @@ def compute_persistence(
     Parameters
     ----------
     complex_ : FilteredComplex
-        Must validate; errors from `validate` propagate.
+        Valid by construction.
     field : PrimeField
         Coefficient field, default F_2.
     keep_ephemeral : bool
         Keep ``[v, v]`` singleton bars for same-value pairings.
     """
-    validate(complex_)
-    return _reduce(complex_, field, keep_ephemeral)
+    return _reduce(complex_.sorted_simplices(), field, keep_ephemeral)
 
 
-def _reduce(complex_: FilteredComplex, field: PrimeField, keep_ephemeral: bool) -> Barcode:
-    """The column reduction of `compute_persistence` on a validated complex."""
-    order = complex_.sorted_simplices()
+def _reduce(order: Sequence[Tuple[Simplex, float]], field: PrimeField, keep_ephemeral: bool) -> Barcode:
+    """The column reduction of `compute_persistence` over the entries of a
+    valid complex, listed in an order that puts faces first."""
     index = {simplex: i for i, (simplex, _) in enumerate(order)}
     p = field.p
 
@@ -210,16 +216,16 @@ def betti_numbers(simplices: Sequence[Simplex], field: PrimeField = GF2) -> Tupl
     the barcode holds exactly the essential bars, one per homology class.
     """
     complex_ = FilteredComplex((s, 0.0) for s in simplices)
-    validate(complex_)
-    return _betti(complex_, field)
+    return _betti([s for s, _ in complex_.simplices], field)
 
 
-def _betti(complex_: FilteredComplex, field: PrimeField) -> Tuple[int, ...]:
-    """`betti_numbers` of a validated complex whose values are all 0."""
-    if not complex_.simplices:
+def _betti(simplices: Sequence[Simplex], field: PrimeField) -> Tuple[int, ...]:
+    """`betti_numbers` of a face-closed simplex list, without checking it."""
+    if not simplices:
         return (0,)
-    betti = [0] * max(len(s) for s, _ in complex_.simplices)
-    for d, _ in _reduce(complex_, field, False):
+    order = sorted(((s, 0.0) for s in simplices), key=lambda e: (len(e[0]), e[0]))
+    betti = [0] * len(order[-1][0])
+    for d, _ in _reduce(order, field, False):
         betti[d] += 1
     return tuple(betti)
 
@@ -227,22 +233,20 @@ def _betti(complex_: FilteredComplex, field: PrimeField) -> Tuple[int, ...]:
 def betti_at(complex_: FilteredComplex, t: float, d: int, field: PrimeField = GF2) -> int:
     """dim H_d of the sublevel complex at value t, over F_p.
 
-    The whole complex is validated, then only the sublevel complex is
-    reduced; being a sublevel set of a valid complex, it is not validated
-    again.  A NaN value raises ValueError.
+    Only the sublevel complex is reduced; being a sublevel set of a valid
+    complex, it is valid too and is not checked again.  A NaN value raises
+    ValueError.
     """
     if math.isnan(t):
         raise ValueError("betti_at requires a value that is not NaN")
-    validate(complex_)
     if d < 0:
         return 0
-    betti = _betti(FilteredComplex((s, 0.0) for s in complex_.sublevel(t)), field)
+    betti = _betti(complex_.sublevel(t), field)
     return betti[d] if d < len(betti) else 0
 
 
 def euler_profile(complex_: FilteredComplex) -> Tuple[Tuple[float, int], ...]:
     """Euler characteristic of the sublevel complex at each distinct value."""
-    validate(complex_)
     steps: Dict[float, int] = {}
     for simplex, value in complex_.simplices:
         steps[value] = steps.get(value, 0) + (-1) ** (len(simplex) - 1)
@@ -258,6 +262,7 @@ __all__ = [
     "Simplex",
     "FilteredComplex",
     "ComplexValidationError",
+    "NonFiniteValueError",
     "DuplicateSimplexError",
     "MissingFaceError",
     "NonMonotoneError",

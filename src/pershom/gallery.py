@@ -17,7 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .barcode import Barcode, Interval
-from .filtration import FilteredComplex, betti_at, validate
+from .filtration import FilteredComplex, betti_at
 from .linalg import GF2
 
 
@@ -59,9 +59,7 @@ def hawaiian_complex(spec: HawaiianSpec) -> FilteredComplex:
                 if simplex == (0,):
                     continue
                 entries.append((simplex, 1.0))
-    out = FilteredComplex(entries)
-    validate(out)
-    return out
+    return FilteredComplex(entries)
 
 
 def hawaiian_rank_sweep(d: int, k_max: int) -> Tuple[Tuple[int, int], ...]:
@@ -98,8 +96,8 @@ class DouglasInput:
 
     ``curve_samples`` holds g(2*pi*i/K) for i = 0..K-1 as rows; ``phi``
     holds the reparametrization at the same grid points and must be
-    monotone with phi(t + 2*pi) = phi(t) + 2*pi.  ``quadrature_n`` sets the
-    integration grid.
+    monotone with phi(t + 2*pi) = phi(t) + 2*pi.  Every sample must be
+    finite.  ``quadrature_n`` sets the integration grid.
     """
 
     curve_samples: np.ndarray
@@ -122,6 +120,9 @@ class DouglasInput:
             )
         if curve.shape[0] == 0:
             raise ValueError("need at least one curve sample")
+        for name, samples in (("curve", curve), ("phi", phi)):
+            if not np.isfinite(samples).all():
+                raise ValueError(f"{name} samples must be finite (no NaN or inf)")
         if np.any(np.diff(phi) < 0) or phi[0] + 2 * math.pi < phi[-1]:
             raise ValueError("phi samples must be monotone over one period")
         if self.quadrature_n < 8:

@@ -8,17 +8,15 @@ bit-exactly, and infinite endpoints appear as ``inf`` / ``-inf``.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .barcode import Barcode, Interval
+from .barcode import Barcode, ExtendedReal, Interval
 from .covers import Cover
 from .diagram import DiagramPoint, PersistenceDiagram
-from .extreal import ExtendedReal
-from .filtration import FilteredComplex
+from .filtration import ComplexValidationError, FilteredComplex
 
 
 class FormatError(ValueError):
@@ -50,8 +48,8 @@ def parse_barcode(text: str, source: str = "<barcode>") -> Barcode:
             raise FormatError(source, lineno, f"expected '<degree> <[|(><lo>,<hi><)|]>', got {line!r}")
         try:
             interval = Interval(
-                ExtendedReal.parse(match["lo"]),
-                ExtendedReal.parse(match["hi"]),
+                ExtendedReal(match["lo"]),
+                ExtendedReal(match["hi"]),
                 match["left"] == "[",
                 match["right"] == "]",
             )
@@ -83,7 +81,7 @@ def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:
             raise FormatError(source, lineno, f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
         try:
             degree = int(fields[0])
-            point = DiagramPoint(ExtendedReal.parse(fields[1]), ExtendedReal.parse(fields[2]))
+            point = DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
             mult = int(fields[3])
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
@@ -113,7 +111,11 @@ def write_diagram(path, diagram: PersistenceDiagram) -> None:
 
 
 def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex:
+    """A defect of the complex as a whole (a non-finite value, a duplicate,
+    a missing face, a later-born face) is reported at the line of the
+    simplex it names."""
     entries = []
+    linenos = []
     for lineno, line in _content_lines(text):
         fields = line.split()
         if fields[0] != "simplex" or len(fields) < 3:
@@ -125,15 +127,16 @@ def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex
                 raise ValueError("vertex ids must be nonnegative")
             if len(set(verts)) != len(verts):
                 raise ValueError(f"repeated vertex in {verts}")
-            if math.isnan(value):
-                raise ValueError(f"simplex {tuple(verts)} has a NaN filtration value")
-            entries.append((tuple(verts), value))
         except ValueError as exc:
             raise FormatError(source, lineno, str(exc)) from exc
+        entries.append((tuple(verts), value))
+        linenos.append(lineno)
     try:
         return FilteredComplex(entries)
-    except ValueError as exc:
-        raise FormatError(source, 0, str(exc)) from exc
+    except ComplexValidationError as exc:
+        # The last line holding the simplex: for a duplicate, a repeat of it.
+        line_of = {simplex: lineno for (simplex, _), lineno in zip(entries, linenos)}
+        raise FormatError(source, line_of[exc.simplex], str(exc)) from exc
 
 
 def format_filtration(complex_: FilteredComplex) -> str:

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+from .barcode import NEG_INF, query_value
 from .diagram import DiagramPoint, PersistenceDiagram, quadrant_count
-from .extreal import NEG_INF, ExtendedReal, query_value
 
 
 class PreconditionViolated(Exception):
@@ -61,16 +61,15 @@ def cap_number_at(diagram: PersistenceDiagram, d: int, t: float, eps: float) -> 
     infinite t, where the count is 0; a NaN t raises ValueError.
     """
     eps = _check_eps(eps)
-    t_ext = query_value(t, "t")
-    if not t_ext.is_finite:
+    t = query_value(t, "t")
+    if not math.isfinite(t):
         return 0
-    t = t_ext.value
     total = 0
     for pt, mult in _items(diagram, d - 1):
-        if pt.q == t_ext and pt.p.is_finite and t - pt.p.value > eps:
+        if pt.q == t and math.isfinite(pt.p) and t - pt.p > eps:
             total += mult
     for pt, mult in _items(diagram, d):
-        if pt.p == t_ext and pt.q.is_finite and pt.q.value - t > eps:
+        if pt.p == t and math.isfinite(pt.q) and pt.q - t > eps:
             total += mult
     return total
 
@@ -85,7 +84,7 @@ def cap_number(diagram: PersistenceDiagram, d: int, eps: float) -> int:
     eps = _check_eps(eps)
     total = 0
     for pt, mult in _items(diagram, d - 1):
-        if pt.q.is_finite and pt.gap > eps:
+        if math.isfinite(pt.q) and pt.gap > eps:
             total += mult
     for pt, mult in _items(diagram, d):
         if pt.p != NEG_INF and pt.gap > eps:
@@ -95,7 +94,7 @@ def cap_number(diagram: PersistenceDiagram, d: int, eps: float) -> int:
 
 def essential_dimension(diagram: PersistenceDiagram, d: int) -> int:
     """Number of degree-d points with death at +inf (births at -inf included)."""
-    return sum(m for pt, m in _items(diagram, d) if not pt.q.is_finite)
+    return sum(m for pt, m in _items(diagram, d) if math.isinf(pt.q))
 
 
 def nu(diagram: PersistenceDiagram, d: int, eps: float) -> int:
@@ -104,7 +103,7 @@ def nu(diagram: PersistenceDiagram, d: int, eps: float) -> int:
     return sum(
         m
         for pt, m in _items(diagram, d)
-        if pt.p.is_finite and pt.q.is_finite and pt.gap > eps
+        if math.isfinite(pt.p) and math.isfinite(pt.q) and pt.gap > eps
     )
 
 
@@ -180,16 +179,13 @@ def cap_finiteness_bound(
     lhs counts degree-d points with t0 <= p < q <= t1 and lifetime >= eps;
     rhs sums the open-quadrant counts at corners (x_i, x_i + eps/2) for the
     grid x_i = t0 + i*eps/2.  The quadrants cover the band, so lhs <= rhs.
+    Both t0 and t1 must be finite; otherwise ValueError names the argument.
     """
     eps = _check_eps(eps)
+    t0, t1 = query_value(t0, "t0", finite=True), query_value(t1, "t1", finite=True)
     if t0 > t1:
         raise ValueError(f"requires t0 <= t1, got {t0} > {t1}")
-    lo, hi = ExtendedReal(t0), ExtendedReal(t1)
-    lhs = sum(
-        m
-        for pt, m in _items(diagram, d)
-        if lo <= pt.p and pt.q <= hi and pt.gap >= eps
-    )
+    lhs = sum(m for pt, m in _items(diagram, d) if t0 <= pt.p and pt.q <= t1 and pt.gap >= eps)
     steps = math.ceil(2 * (t1 - t0) / eps)
     rhs = sum(
         quadrant_count(diagram, d, t0 + i * eps / 2, t0 + i * eps / 2 + eps / 2)

@@ -29,16 +29,42 @@ def test_extended_real_total_order():
     assert not NEG_INF < NEG_INF
     assert ExtendedReal(2.0) == ExtendedReal(2.0)
     assert hash(ExtendedReal(2.0)) == hash(ExtendedReal(2.0))
+    # The infinite endpoints are the IEEE ones, so plain floats compare too.
+    assert NEG_INF == -math.inf and POS_INF == math.inf
+    assert -math.inf < ExtendedReal(0.0) < 1.0 < POS_INF
 
 
 def test_extended_real_rejects_nan_and_parses_tokens():
     with pytest.raises(ValueError):
         ExtendedReal(math.nan)
-    assert ExtendedReal.parse("inf") is POS_INF
-    assert ExtendedReal.parse("-inf") is NEG_INF
-    assert ExtendedReal.parse("2.5") == ExtendedReal(2.5)
-    assert ExtendedReal.wrap(math.inf) is POS_INF
+    with pytest.raises(ValueError):
+        ExtendedReal("nan")
+    assert ExtendedReal("inf") == POS_INF
+    assert ExtendedReal("-inf") == NEG_INF
+    assert ExtendedReal("2.5") == ExtendedReal(2.5)
+    assert ExtendedReal(math.inf) == POS_INF
+    assert str(POS_INF) == "inf" and str(NEG_INF) == "-inf"
     assert str(ExtendedReal(0.1)) == repr(0.1)  # bit-exact round trip
+
+
+def test_extended_real_is_a_float_with_its_compatibility_properties():
+    x = ExtendedReal(2.5)
+    assert isinstance(x, float) and x == 2.5
+    assert (x.is_finite, x.value, x.float_value) == (True, 2.5, 2.5)
+    assert (POS_INF.is_finite, POS_INF.float_value) == (False, math.inf)
+    with pytest.raises(ValueError, match="no finite value"):
+        NEG_INF.value
+    with pytest.raises(AttributeError):
+        x.tag = 1  # no instance dict
+
+
+def test_interval_rejects_nan_endpoints_and_queries():
+    with pytest.raises(ValueError, match="NaN"):
+        Interval(math.nan, 1.0, False, False)
+    with pytest.raises(ValueError, match="NaN"):
+        Interval.closed_open(0.0, 1.0).contains(math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        interval_module_rank(Interval.closed_open(0.0, 1.0), math.nan, 0.5)
 
 
 # ------------------------------------------------------------------- intervals

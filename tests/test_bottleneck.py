@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pershom import (
     Barcode,
+    ExtendedReal,
     Interval,
     POS_INF,
     PersistenceDiagram,
@@ -42,6 +43,7 @@ def dgm(points, degree=0):
 
 def test_bottleneck_examples():
     assert bottleneck(dgm([(0, 2)]), PersistenceDiagram(), 0).value == 1.0
+    assert type(bottleneck(dgm([(0, 2)]), PersistenceDiagram(), 0)) is ExtendedReal
     d = dgm([(0, 2), (1, 5)])
     assert bottleneck(d, d, 0).value == 0.0
     assert bottleneck(dgm([(0, math.inf)]), dgm([(1, math.inf)]), 0).value == 1.0

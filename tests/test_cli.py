@@ -44,6 +44,23 @@ def test_compute_rejects_nan_value_at_its_line(tmp_path, capsys):
     assert f"error: {bad}:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf"])
+def test_compute_rejects_infinite_value_at_its_line(tmp_path, capsys, token):
+    bad = tmp_path / "inf.flt"
+    bad.write_text(f"simplex 0 0\nsimplex {token} 1\n")
+    out = tmp_path / "out.dgm"
+    assert main(["compute", "--input", str(bad), "--output", str(out)]) == 1
+    assert f"error: {bad}:2: simplex (1,) has an infinite filtration value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compute_locates_a_missing_face(tmp_path, capsys):
+    bad = tmp_path / "bad.flt"
+    bad.write_text("simplex 0 0\nsimplex 0 1\nsimplex 1 0 2\n")
+    assert main(["compute", "--input", str(bad), "--output", str(tmp_path / "out.dgm")]) == 1
+    assert f"error: {bad}:3: simplex (0, 2) is missing its face (2,)" in capsys.readouterr().err
+
+
 def test_compute_rejects_composite_field(tmp_path, flt_file):
     out = tmp_path / "out.dgm"
     assert main(["compute", "--input", str(flt_file), "--field", "6", "--output", str(out)]) == 1
@@ -112,6 +129,13 @@ def test_dowker_command(tmp_path, capsys):
     assert "vietoris: 1 0" in out
 
 
+def test_dowker_refuses_an_oversized_vietoris_complex(tmp_path, capsys):
+    cov = tmp_path / "big.cov"
+    cov.write_text("set U " + " ".join(str(v) for v in range(30)) + "\n")
+    assert main(["dowker", "--cover", str(cov)]) == 1
+    assert "error: the Vietoris complex could have up to 1073741823 simplices" in capsys.readouterr().err
+
+
 def test_hawaiian_command(capsys):
     assert main(["hawaiian", "--k", "5"]) == 0
     assert "rank=4" in capsys.readouterr().out
@@ -142,6 +166,15 @@ def test_douglas_command(tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(value)
 
     assert main(["douglas", "--curve", str(curve), "--phi", "id", "--n", "4"]) == 1
+
+
+def test_douglas_rejects_nan_samples(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("1,0\nnan,1\n-1,0\n0,-1\n")
+    assert main(["douglas", "--curve", str(curve), "--phi", "id", "--n", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: curve samples must be finite" in captured.err
 
 
 def test_missing_file_is_a_validation_error(tmp_path):

@@ -10,12 +10,14 @@ from pershom import (
     GF2,
     GF3,
     SimplicialComplex,
+    TooLargeError,
     balls_cover,
     dowker_check,
     homology_ranks,
     nerve,
     vietoris,
 )
+from pershom.covers import VIETORIS_LIMIT
 
 from helpers import random_cover_sets
 
@@ -67,6 +69,23 @@ def test_vietoris_single_set_is_full_simplex():
     k = vietoris(Cover([("U", [1, 2, 3])]))
     assert len(k.simplices) == 7  # all nonempty subsets
     assert (1, 2, 3) in k
+
+
+def test_vietoris_refuses_oversized_cover_without_enumerating(monkeypatch):
+    import pershom.covers
+
+    def enumerate_nothing(*args):
+        raise AssertionError("vietoris enumerated subsets of an oversized cover")
+
+    monkeypatch.setattr(pershom.covers, "combinations", enumerate_nothing)
+    with pytest.raises(TooLargeError, match=str(2**30 - 1)):
+        vietoris(Cover([("U", range(30))]))
+
+
+def test_vietoris_limit_admits_the_thirteen_element_overlap():
+    sets = [("U", range(13)), ("V", range(10, 23))]
+    assert 2 * (2**13 - 1) <= VIETORIS_LIMIT
+    assert len(vietoris(Cover(sets))) == 2 * (2**13 - 1) - (2**3 - 1)
 
 
 def test_vietoris_empty_cover():

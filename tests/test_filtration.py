@@ -15,6 +15,7 @@ from pershom import (
     Interval,
     MissingFaceError,
     MissingVertexValueError,
+    NonFiniteValueError,
     NonMonotoneError,
     PrimeField,
     SimplicialComplex,
@@ -80,24 +81,22 @@ def test_validate_ok():
 
 
 def test_validate_non_monotone():
-    k = FilteredComplex([((0,), 0.0), ((1,), 0.5), ((0, 1), 0.2)])
     with pytest.raises(NonMonotoneError) as err:
-        validate(k)
+        FilteredComplex([((0,), 0.0), ((1,), 0.5), ((0, 1), 0.2)])
     assert err.value.simplex == (0, 1)
     assert err.value.face == (1,)
 
 
 def test_validate_missing_face():
-    k = FilteredComplex([((0,), 0.0), ((0, 1), 1.0)])
     with pytest.raises(MissingFaceError) as err:
-        validate(k)
+        FilteredComplex([((0,), 0.0), ((0, 1), 1.0)])
     assert err.value.face == (1,)
 
 
 def test_validate_duplicate():
-    k = FilteredComplex([((0,), 0.0), ((0,), 1.0)])
-    with pytest.raises(DuplicateSimplexError):
-        validate(k)
+    with pytest.raises(DuplicateSimplexError) as err:
+        FilteredComplex([((0,), 0.0), ((0,), 1.0)])
+    assert err.value.simplex == (0,)
 
 
 def test_nan_filtration_value_is_rejected_naming_the_simplex():
@@ -105,13 +104,25 @@ def test_nan_filtration_value_is_rejected_naming_the_simplex():
         FilteredComplex([((0,), 0.0), ((1,), 0.0), ((0, 1), math.nan)])
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_filtration_value_is_rejected_naming_the_simplex(value):
+    with pytest.raises(NonFiniteValueError, match=r"simplex \(1,\) has an infinite filtration value") as err:
+        FilteredComplex([((0,), 0.0), ((1,), value)])
+    assert err.value.simplex == (1,)
+
+
 def test_betti_at_validates_once(monkeypatch):
     import pershom.filtration
 
+    entries = filled_triangle().simplices
     calls = []
     real = pershom.filtration.validate
     monkeypatch.setattr(pershom.filtration, "validate", lambda k: calls.append(k) or real(k))
-    assert betti_at(filled_triangle(), 0.0, 0) == 1
+    complex_ = FilteredComplex(entries)  # the one check, at construction
+    assert betti_at(complex_, 0.0, 0) == 1
+    assert betti_at(complex_, 0.0, 1) == 0
+    assert euler_profile(complex_) == ((0.0, 1),)
+    assert compute_persistence(complex_) == compute_persistence(complex_)
     assert len(calls) == 1
 
 

@@ -141,6 +141,18 @@ def test_douglas_input_validation():
         DouglasInput.identity(curve, 4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_douglas_input_rejects_non_finite_samples_naming_the_array(bad):
+    curve = circle_samples(16)
+    curve[3, 0] = bad
+    with pytest.raises(ValueError, match="curve samples must be finite"):
+        DouglasInput.identity(curve, 64)
+    phi = np.arange(16) * (2 * math.pi / 16)
+    phi[7] = bad
+    with pytest.raises(ValueError, match="phi samples must be finite"):
+        DouglasInput(circle_samples(16), phi, 64)
+
+
 def test_douglas_reparametrization_still_finite_and_nonnegative():
     t = np.arange(128) * (2 * math.pi / 128)
     phi = t + 0.3 * np.sin(t)  # monotone degree-1 circle map

@@ -101,6 +101,30 @@ def test_filtration_nan_value_is_located():
     assert err.value.lineno == 2
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "+inf", "nan"])
+def test_filtration_non_finite_value_is_located(token):
+    text = f"simplex 0.0 0\n# comment\nsimplex {token} 1\n"
+    with pytest.raises(FormatError, match=r"simplex \(1,\) has an? (NaN|infinite) filtration value") as err:
+        parse_filtration(text, source="x.flt")
+    assert err.value.lineno == 3
+    assert str(err.value).startswith("x.flt:3: ")
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("simplex 0 0\nsimplex 0 1\nsimplex 1 0\n", 3, "duplicate simplex"),
+        ("simplex 0 0\nsimplex 1 0 1\nsimplex 0 2\n", 2, "missing its face"),
+        ("simplex 0 0\nsimplex 0.7 1\n\nsimplex 0.5 0 1\nsimplex 2 0 2\n", 4, "later-born face"),
+    ],
+)
+def test_filtration_structural_defect_is_located_at_its_simplex(text, lineno, message):
+    with pytest.raises(FormatError, match=message) as err:
+        parse_filtration(text, source="x.flt")
+    assert err.value.lineno == lineno
+    assert str(err.value).startswith(f"x.flt:{lineno}: ")
+
+
 def test_cover_parsing():
     cover = parse_cover("ground 1 2 3 4\nset A 1 2\nset B 2 3\n")
     assert cover.ground == frozenset([1, 2, 3, 4])
@@ -139,7 +163,9 @@ def test_extended_real_text_round_trip_extremes():
     from pershom import ExtendedReal
 
     for x in (1e-308, 5e-324, 1e308, -0.0, 1 / 3, math.pi):
-        assert ExtendedReal.parse(str(ExtendedReal(x))) == ExtendedReal(x)
+        assert ExtendedReal(str(ExtendedReal(x))) == ExtendedReal(x)
+        point = parse_diagram(f"0 {x!r} inf 1\n").items(0)
+        assert [str(pt.p) for pt, _ in point] == [repr(float(x))]
 
 
 def test_numeric_inputs(tmp_path):

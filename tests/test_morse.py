@@ -207,6 +207,15 @@ def test_cap_finiteness_bound_examples():
         cap_finiteness_bound(d, 0, 0.5, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_cap_finiteness_bound_names_a_non_finite_argument(bad):
+    d = PersistenceDiagram({0: [(0, 1)]})
+    with pytest.raises(ValueError, match="^t0 must"):
+        cap_finiteness_bound(d, 0, 0.5, bad, 1.0)
+    with pytest.raises(ValueError, match="^t1 must"):
+        cap_finiteness_bound(d, 0, 0.5, 0.0, bad)
+
+
 def test_cap_finiteness_bound_dominates():
     rng = random.Random(6)
     for _ in range(100):
