@@ -23,12 +23,23 @@ from .linalg import GF2, PrimeField
 VIETORIS_LIMIT = 100_000
 
 
+class CoverSetError(ValueError):
+    """A defective cover set: ``index`` is its position, ``name`` its id."""
+
+    def __init__(self, index: int, name: Hashable, message: str):
+        self.index = index
+        self.name = name
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Cover:
     """A finite ground set and a sequence of named subsets.
 
     The union of the subsets may miss part of the ground set; uncovered
-    elements are invisible to both the nerve and the Vietoris complex.
+    elements are invisible to both the nerve and the Vietoris complex.  The
+    first set with a repeated id or an element outside the ground set raises
+    `CoverSetError`.
     """
 
     ground: FrozenSet[int]
@@ -40,13 +51,12 @@ class Cover:
             ground_set = frozenset().union(*(elems for _, elems in entries)) if entries else frozenset()
         else:
             ground_set = frozenset(int(e) for e in ground)
-        for name, elems in entries:
-            if not elems <= ground_set:
-                raise ValueError(f"cover set {name!r} is not contained in the ground set")
         seen = set()
-        for name, _ in entries:
+        for index, (name, elems) in enumerate(entries):
             if name in seen:
-                raise ValueError(f"duplicate cover set id {name!r}")
+                raise CoverSetError(index, name, f"duplicate cover set id {name!r}")
+            if not elems <= ground_set:
+                raise CoverSetError(index, name, f"cover set {name!r} is not contained in the ground set")
             seen.add(name)
         object.__setattr__(self, "ground", ground_set)
         object.__setattr__(self, "sets", entries)
@@ -201,6 +211,7 @@ def balls_cover(distances: Sequence[Sequence[float]], delta: float) -> Cover:
 
 __all__ = [
     "Cover",
+    "CoverSetError",
     "SimplicialComplex",
     "nerve",
     "vietoris",

@@ -14,7 +14,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .barcode import Barcode, ExtendedReal, Interval
-from .covers import Cover
+from .covers import Cover, CoverSetError
 from .diagram import DiagramPoint, PersistenceDiagram
 from .filtration import ComplexValidationError, FilteredComplex
 
@@ -159,6 +159,7 @@ def write_filtration(path, complex_: FilteredComplex) -> None:
 def parse_cover(text: str, source: str = "<cover>") -> Cover:
     ground = None
     sets: List[Tuple[str, List[int]]] = []
+    linenos = []
     for lineno, line in _content_lines(text):
         fields = line.split()
         if fields[0] == "ground":
@@ -175,12 +176,13 @@ def parse_cover(text: str, source: str = "<cover>") -> Cover:
                 sets.append((fields[1], [int(v) for v in fields[2:]]))
             except ValueError as exc:
                 raise FormatError(source, lineno, str(exc)) from exc
+            linenos.append(lineno)
         else:
             raise FormatError(source, lineno, f"expected 'set' or 'ground' line, got {line!r}")
     try:
         return Cover(sets, ground=ground)
-    except ValueError as exc:
-        raise FormatError(source, 0, str(exc)) from exc
+    except CoverSetError as exc:
+        raise FormatError(source, linenos[exc.index], str(exc)) from exc
 
 
 def read_cover(path) -> Cover:
@@ -188,28 +190,41 @@ def read_cover(path) -> Cover:
         return parse_cover(handle.read(), source=str(path))
 
 
+def _numeric_rows(path, sep, expected: str) -> List[Tuple[int, List[float]]]:
+    """The (line number, numbers) rows of a file; a file without content
+    lines is reported at line 0."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    rows = []
+    for lineno, line in _content_lines(text):
+        try:
+            rows.append((lineno, [float(field) for field in line.split(sep)]))
+        except ValueError as exc:
+            raise FormatError(str(path), lineno, str(exc)) from exc
+    if not rows:
+        raise FormatError(str(path), 0, f"expected {expected}, got no rows")
+    return rows
+
+
 def read_distance_matrix(path) -> np.ndarray:
     """Square whitespace-separated matrix, one row per line."""
-    with open(path, encoding="utf-8") as handle:
-        rows = [
-            [float(field) for field in line.split()]
-            for _, line in _content_lines(handle.read())
-        ]
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise FormatError(str(path), 0, "expected a square whitespace-separated matrix")
-    return np.array(rows, dtype=float)
+    rows = _numeric_rows(path, None, "a square whitespace-separated matrix")
+    n = len(rows)
+    for lineno, row in rows:
+        if len(row) != n:
+            message = f"a square matrix of {n} rows needs {n} entries per row, got {len(row)}"
+            raise FormatError(str(path), lineno, message)
+    return np.array([row for _, row in rows], dtype=float)
 
 
 def read_csv_samples(path) -> np.ndarray:
     """One sample per line, comma-separated coordinates."""
-    with open(path, encoding="utf-8") as handle:
-        rows = [
-            [float(field) for field in line.split(",")]
-            for _, line in _content_lines(handle.read())
-        ]
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise FormatError(str(path), 0, "expected comma-separated rows of equal length")
-    return np.array(rows, dtype=float)
+    rows = _numeric_rows(path, ",", "comma-separated rows of equal length")
+    width = len(rows[0][1])
+    for lineno, row in rows:
+        if len(row) != width:
+            raise FormatError(str(path), lineno, f"expected {width} values as on the first row, got {len(row)}")
+    return np.array([row for _, row in rows], dtype=float)
 
 
 __all__ = [

@@ -1,8 +1,9 @@
 """Shared random generators and independent oracles for the test suite.
 
 The homology oracles are dense linear algebra over F_p (row elimination,
-kernels, rank-nullity) and never call the library's sparse column
-reduction.  The bottleneck oracle decides feasibility on the complete
+kernels, rank-nullity), plus the boundary-matrix column reduction that the
+library's cohomology engine replaced; none calls the library's reduction
+or reads the face table a complex keeps.  The bottleneck oracle decides feasibility on the complete
 diagonal-slot graph with its own augmenting-path matcher and never calls
 the library's cost matrices or its Hopcroft-Karp matching.
 """
@@ -16,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from pershom import FilteredComplex, PersistenceDiagram
+from pershom import POS_INF, Barcode, FilteredComplex, Interval, PersistenceDiagram
 from pershom.bottleneck import _diagonal_cost, _pair_cost
 from pershom.filtration import facets
 
@@ -205,6 +206,47 @@ def betti_oracle_at(complex_, t: float, d: int, field) -> int:
     """Dense dim H_d of the sublevel complex at t, the oracle for ``betti_at``."""
     betti = betti_numbers_oracle(complex_.sublevel(t), field)
     return betti[d] if 0 <= d < len(betti) else 0
+
+
+def persistence_oracle(complex_, field, keep_ephemeral: bool = False) -> Barcode:
+    """Barcode by left-to-right reduction of the boundary matrix (homology),
+    the oracle for the library's cohomology reduction with clearing."""
+    order = sorted(complex_.simplices, key=lambda e: (e[1], len(e[0]), e[0]))
+    index = {simplex: i for i, (simplex, _) in enumerate(order)}
+    p = field.p
+    columns = []
+    pivot_of_row = {}
+    paired = set()
+    bars = []
+    for j, (simplex, value) in enumerate(order):
+        col = {index[face]: (1 if i % 2 == 0 else p - 1) for i, face in enumerate(facets(simplex))}
+        while col:
+            low = max(col)
+            k = pivot_of_row.get(low)
+            if k is None:
+                break
+            factor = col[low] * field.inv(columns[k][low]) % p
+            for row, coeff in columns[k].items():
+                updated = (col.get(row, 0) - factor * coeff) % p
+                if updated:
+                    col[row] = updated
+                else:
+                    col.pop(row, None)
+        columns.append(col)
+        if col:
+            low = max(col)
+            pivot_of_row[low] = j
+            paired.add(low)
+            birth_simplex, birth = order[low]
+            degree = len(birth_simplex) - 1
+            if birth < value:
+                bars.append((degree, Interval.closed_open(birth, value)))
+            elif keep_ephemeral:
+                bars.append((degree, Interval.singleton(birth)))
+    for j, (simplex, value) in enumerate(order):
+        if not columns[j] and j not in paired:
+            bars.append((len(simplex) - 1, Interval.closed_open(value, POS_INF)))
+    return Barcode(bars)
 
 
 def gf_nullspace(mat: np.ndarray, field) -> np.ndarray:

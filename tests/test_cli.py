@@ -129,6 +129,15 @@ def test_dowker_command(tmp_path, capsys):
     assert "vietoris: 1 0" in out
 
 
+def test_dowker_locates_the_first_defective_cover_set(tmp_path, capsys):
+    cov = tmp_path / "dup.cov"
+    cov.write_text("ground 1 2\nset A 1\nset A 2\nset B 7\n")
+    assert main(["dowker", "--cover", str(cov)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cov}:3: duplicate cover set id 'A'\n"
+
+
 def test_dowker_refuses_an_oversized_vietoris_complex(tmp_path, capsys):
     cov = tmp_path / "big.cov"
     cov.write_text("set U " + " ".join(str(v) for v in range(30)) + "\n")
@@ -175,6 +184,22 @@ def test_douglas_rejects_nan_samples(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: curve samples must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("1,0\nx,1\n-1,0\n", 2, "could not convert string to float: 'x'"),
+        ("1,0\n0,1\n-1\n", 3, "expected 2 values as on the first row, got 1"),
+    ],
+)
+def test_douglas_locates_a_malformed_csv_line(tmp_path, capsys, text, lineno, message):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(text)
+    assert main(["douglas", "--curve", str(curve), "--phi", "id", "--n", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {curve}:{lineno}: {message}\n"
 
 
 def test_missing_file_is_a_validation_error(tmp_path):

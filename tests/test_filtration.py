@@ -2,8 +2,11 @@
 
 import math
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pershom import (
     Barcode,
@@ -33,6 +36,7 @@ from helpers import (
     alive_bars,
     betti_numbers_oracle,
     betti_oracle_at,
+    persistence_oracle,
     random_cover_sets,
     random_filtered_complex,
 )
@@ -124,6 +128,40 @@ def test_betti_at_validates_once(monkeypatch):
     assert euler_profile(complex_) == ((0.0, 1),)
     assert compute_persistence(complex_) == compute_persistence(complex_)
     assert len(calls) == 1
+
+
+def test_facets_run_once_per_simplex(monkeypatch):
+    # construction keeps each simplex's cofacets, so neither the reduction
+    # nor a sublevel query asks for faces again
+    import pershom.filtration
+
+    entries = random_filtered_complex(random.Random(5), max_simplices=30).simplices
+    calls = Counter()
+    real = pershom.filtration.facets
+    monkeypatch.setattr(pershom.filtration, "facets", lambda s: calls.update([s]) or real(s))
+    complex_ = FilteredComplex(entries)
+    values = complex_.values()
+    compute_persistence(complex_, GF3)
+    betti_at(complex_, values[len(values) // 2], 1)
+    betti_at(complex_, values[-1], 0)
+    assert calls == Counter(s for s, _ in entries)
+
+
+def test_validate_reports_the_first_offender_in_input_order():
+    # the canonical order meets the second offender first; the listing wins
+    with pytest.raises(MissingFaceError) as err:
+        FilteredComplex([((2,), 0.0), ((2, 3), 0.5), ((0,), 0.0), ((0, 1), 0.0)])
+    assert (err.value.simplex, err.value.face) == ((2, 3), (3,))
+    with pytest.raises(NonMonotoneError) as err:
+        FilteredComplex([((0,), 0.0), ((1,), 2.0), ((2,), 0.0), ((3,), 0.7), ((1, 2), 1.0), ((0, 3), 0.5)])
+    assert (err.value.simplex, err.value.face) == ((1, 2), (1,))
+
+
+def test_sorted_simplices_is_the_canonical_order():
+    k = random_filtered_complex(random.Random(8))
+    order = k.sorted_simplices()
+    assert order == tuple(sorted(k.simplices, key=lambda e: (e[1], len(e[0]), e[0])))
+    assert k.sorted_simplices() is order
 
 
 # ------------------------------------------------------------------ lower star
@@ -274,6 +312,74 @@ def test_projective_plane_matches_dense_oracle():
         dense = betti_numbers_oracle(sorted(plane.simplices), field)
         assert homology_ranks(plane, field) == dense == expected[field.p]
         assert tuple(betti_at(k, 0.0, d, field) for d in (0, 1, 2)) == dense
+
+
+# ---------------------------------- cohomology engine against homology oracle
+
+_GRID = st.integers(0, 4).map(lambda k: k / 2)
+
+
+@st.composite
+def _closed_simplex_sets(draw, max_vertices=6):
+    """A face-closed simplex set of dimension up to 3 on a few vertices."""
+    n = draw(st.integers(1, max_vertices))
+    candidates = [s for size in range(2, 5) for s in combinations(range(n), size)]
+    chosen = draw(st.lists(st.sampled_from(candidates), max_size=10)) if candidates else []
+    closure = {(v,) for v in range(n)}
+    for s in chosen:
+        closure.update(f for size in range(1, len(s) + 1) for f in combinations(s, size))
+    return sorted(closure, key=lambda s: (len(s), s))
+
+
+@st.composite
+def _tied_filtrations(draw):
+    """Values on a half-integer grid, each simplex at or above its faces, so
+    values tie within and across dimensions; listed in a drawn order."""
+    values = {}
+    for s in draw(_closed_simplex_sets()):
+        faces = combinations(s, len(s) - 1) if len(s) > 1 else ()
+        values[s] = max((values[f] for f in faces), default=0.0) + draw(_GRID)
+    return FilteredComplex(draw(st.permutations(list(values.items()))))
+
+
+@st.composite
+def _lower_star_filtrations(draw):
+    simplices = draw(_closed_simplex_sets())
+    vertices = [s[0] for s in simplices if len(s) == 1]
+    return lower_star({v: draw(_GRID) for v in vertices}, simplices)
+
+
+def _assert_engine_matches_oracles(k, field):
+    for keep in (False, True):
+        assert compute_persistence(k, field, keep) == persistence_oracle(k, field, keep)
+    for t in (-math.inf, *k.values(), math.inf):
+        for d in range(-1, 4):
+            assert betti_at(k, t, d, field) == betti_oracle_at(k, t, d, field), (t, d)
+    chi = [sum((-1) ** (len(s) - 1) for s in k.sublevel(t)) for t in k.values()]
+    assert euler_profile(k) == tuple(zip(k.values(), chi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tied_filtrations(), st.sampled_from(CROSS_CHECK_FIELDS))
+def test_persistence_matches_homology_oracle_with_ties(k, field):
+    _assert_engine_matches_oracles(k, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lower_star_filtrations(), st.sampled_from(CROSS_CHECK_FIELDS))
+def test_persistence_matches_homology_oracle_on_lower_star(k, field):
+    _assert_engine_matches_oracles(k, field)
+
+
+def test_persistence_matches_homology_oracle_on_projective_plane():
+    # torsion: the pairing itself differs between F2 and the odd fields
+    rng = random.Random(2)
+    plane = projective_plane()
+    vertices = {v: rng.choice([0.0, 0.5, 1.0]) for v in range(6)}
+    k = lower_star(vertices, [s for s, _ in plane.simplices])
+    for field in CROSS_CHECK_FIELDS:
+        _assert_engine_matches_oracles(plane, field)
+        _assert_engine_matches_oracles(k, field)
 
 
 # ----------------------------------------------------------------------- euler

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pershom import Barcode, Interval, PersistenceDiagram
 from pershom.io import (
@@ -180,3 +181,123 @@ def test_numeric_inputs(tmp_path):
     csv = tmp_path / "curve.csv"
     csv.write_text("1.0,0.0\n0.0,1.0\n-1.0,0.0\n0.0,-1.0\n")
     assert read_csv_samples(csv).shape == (4, 2)
+
+
+@pytest.mark.parametrize(
+    "reader, text, lineno, message",
+    [
+        (read_csv_samples, "1,0\nx,1\n", 2, "could not convert string to float: 'x'"),
+        (read_csv_samples, "1,0\n# note\n\n2,1,0\n", 4, "expected 2 values as on the first row, got 3"),
+        (read_csv_samples, "1,0\n1,\n", 2, "could not convert string to float: ''"),
+        (read_distance_matrix, "0 1\n1 y\n", 2, "could not convert string to float: 'y'"),
+        (read_distance_matrix, "0 1\n1\n", 2, "a square matrix of 2 rows needs 2 entries per row, got 1"),
+        (read_distance_matrix, "0 1 2\n1 0 2\n", 1, "a square matrix of 2 rows needs 2 entries per row, got 3"),
+    ],
+)
+def test_numeric_inputs_locate_their_defects(tmp_path, reader, text, lineno, message):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        reader(path)
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"{path}:{lineno}: {message}"
+
+
+@pytest.mark.parametrize("reader", [read_csv_samples, read_distance_matrix])
+def test_numeric_inputs_without_rows_are_reported_at_line_0(tmp_path, reader):
+    path = tmp_path / "empty.txt"
+    path.write_text("# nothing\n\n")
+    with pytest.raises(FormatError, match=r"empty\.txt:0: expected .* got no rows"):
+        reader(path)
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("ground 1 2\nset A 1\nset A 2\nset B 7\n", 3, "duplicate cover set id 'A'"),
+        ("ground 1 2\nset A 1\n\nset B 7\nset B 1\n", 4, "cover set 'B' is not contained in the ground set"),
+        ("ground 1\n# c\nset A 1\nset A 1\nset A 1\n", 4, "duplicate cover set id 'A'"),
+    ],
+)
+def test_cover_defects_are_located_at_the_first_defective_set(text, lineno, message):
+    with pytest.raises(FormatError) as err:
+        parse_cover(text, source="x.cov")
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"x.cov:{lineno}: {message}"
+
+
+def test_cover_set_error_names_the_set():
+    from pershom import Cover, CoverSetError
+
+    with pytest.raises(CoverSetError) as err:
+        Cover([("A", [1]), ("B", [9]), ("A", [2])], ground=[1, 2])
+    assert (err.value.index, err.value.name) == (1, "B")
+
+
+# ------------------------------------------------------------- text fuzzing
+#
+# Every parser either returns its object or raises a FormatError located at
+# a line of the input; only a numeric file without content lines is
+# reported at line 0.
+
+_NUMBERS = ["0", "1", "2", "3", "7", "-1", "0.5", "2.5", "1e999", "nan", "inf", "-inf", "x", "1_0", ""]
+_NUMBER = st.sampled_from(_NUMBERS)
+_WORD = st.sampled_from(["simplex", "set", "ground", "A", "B", "#", "# x"] + _NUMBERS)
+
+
+def _texts(line):
+    return st.lists(st.one_of(line, st.lists(_WORD, max_size=5).map(" ".join)), max_size=8).map("\n".join)
+
+
+def _has_content(text: str) -> bool:
+    return any(raw.split("#", 1)[0].strip() for raw in text.splitlines())
+
+
+def _assert_located(err: FormatError, text: str):
+    assert 1 <= err.lineno <= len(text.splitlines()), (err, text)
+
+
+_FLT_LINE = st.tuples(_NUMBER, st.lists(st.sampled_from(["0", "1", "2", "3"]), min_size=1, max_size=3)).map(
+    lambda parts: f"simplex {parts[0]} {' '.join(parts[1])}"
+)
+_COV_LINE = st.tuples(st.sampled_from(["set A", "set B", "set C", "ground"]), st.lists(_NUMBER, max_size=3)).map(
+    lambda parts: " ".join([parts[0], *parts[1]])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(_FLT_LINE))
+def test_fuzz_filtration_text(text):
+    try:
+        parse_filtration(text, source="f.flt")
+    except FormatError as err:
+        _assert_located(err, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(_COV_LINE))
+def test_fuzz_cover_text(text):
+    try:
+        parse_cover(text, source="c.cov")
+    except FormatError as err:
+        _assert_located(err, text)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from([(read_csv_samples, ","), (read_distance_matrix, " ")]),
+    st.lists(st.lists(_NUMBER, min_size=1, max_size=3), max_size=4),
+    st.lists(st.sampled_from(["", "# c", "  "]), max_size=2),
+)
+def test_fuzz_numeric_text(tmp_path, reader_sep, rows, extra):
+    reader, sep = reader_sep
+    text = "\n".join([sep.join(row) for row in rows] + extra)
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    try:
+        reader(path)
+    except FormatError as err:
+        if _has_content(text):
+            _assert_located(err, text)
+        else:
+            assert err.lineno == 0
