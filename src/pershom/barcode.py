@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Tuple
 
 
@@ -145,11 +146,17 @@ class Barcode:
     __slots__ = ("_bars",)
 
     def __init__(self, bars: Iterable[Tuple[int, Interval]] = ()):
-        bars = [(int(d), iv) for d, iv in bars]
-        for _, iv in bars:
+        runs = []  # [given bar, canonical bar, count] per run of one repeated bar object
+        for bar in bars:
+            if runs and bar is runs[-1][0]:
+                runs[-1][2] += 1
+                continue
+            d, iv = bar
             if not isinstance(iv, Interval):
                 raise TypeError(f"expected Interval, got {type(iv).__name__}")
-        object.__setattr__(self, "_bars", tuple(sorted(bars, key=_bar_key)))
+            runs.append([bar, (int(d), iv), 1])
+        runs.sort(key=lambda run: _bar_key(run[1]))
+        object.__setattr__(self, "_bars", tuple(chain.from_iterable(repeat(bar, m) for _, bar, m in runs)))
 
     @property
     def bars(self) -> Tuple[Tuple[int, Interval], ...]:

@@ -8,6 +8,7 @@ Morse-inequality checker) or a Morse identity or inequality fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io
@@ -21,7 +22,9 @@ from .linalg import GF2, PrimeField
 from .morse import MorseCheckFailed, PreconditionViolated, cap_number, cap_number_at, morse_check
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pershom",
         description="Persistent homology, cap numbers, Morse inequalities, "

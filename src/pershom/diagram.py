@@ -6,8 +6,8 @@ q != -inf; openness of the originating interval endpoints is forgotten.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from collections import namedtuple
+from itertools import groupby, repeat
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, query_value
@@ -15,22 +15,24 @@ from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, query_value
 PointLike = Union["DiagramPoint", Tuple[float, float]]
 
 
-@dataclass(frozen=True, order=False)
-class DiagramPoint:
-    """A birth/death pair (p, q) in the open half-plane p < q."""
+class DiagramPoint(namedtuple("DiagramPoint", "p q")):
+    """A birth/death pair (p, q) in the open half-plane p < q.
 
-    p: ExtendedReal
-    q: ExtendedReal
+    A pair of ExtendedReals, checked once when made; hashing and equality
+    are those of the pair."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", ExtendedReal(self.p))
-        object.__setattr__(self, "q", ExtendedReal(self.q))
-        if self.p == POS_INF:
+    __slots__ = ()
+
+    def __new__(cls, p, q):
+        p = p if type(p) is ExtendedReal else ExtendedReal(p)
+        q = q if type(q) is ExtendedReal else ExtendedReal(q)
+        if p == POS_INF:
             raise ValueError("birth coordinate cannot be +inf")
-        if self.q == NEG_INF:
+        if q == NEG_INF:
             raise ValueError("death coordinate cannot be -inf")
-        if not self.p < self.q:
-            raise ValueError(f"requires p < q, got ({self.p}, {self.q})")
+        if not p < q:
+            raise ValueError(f"requires p < q, got ({p}, {q})")
+        return super().__new__(cls, p, q)
 
     @property
     def gap(self) -> float:
@@ -60,21 +62,16 @@ class PersistenceDiagram:
         an iterable accumulate multiplicity.
         """
         table: Dict[int, Dict[DiagramPoint, int]] = {}
-        if points:
-            for degree, content in points.items():
-                degree = int(degree)
-                bucket = table.setdefault(degree, {})
-                if isinstance(content, Mapping):
-                    entries = [(pt, int(m)) for pt, m in content.items()]
-                else:
-                    entries = [(pt, 1) for pt in content]
-                for pt, mult in entries:
-                    if mult < 1:
-                        raise ValueError(f"multiplicity must be >= 1, got {mult}")
-                    pt = _as_point(pt)
-                    bucket[pt] = bucket.get(pt, 0) + mult
-                if not bucket:
-                    del table[degree]
+        for degree, content in (points or {}).items():
+            bucket = table.setdefault(int(degree), {})
+            for pt, mult in content.items() if isinstance(content, Mapping) else zip(content, repeat(1)):
+                mult = int(mult)
+                if mult < 1:
+                    raise ValueError(f"multiplicity must be >= 1, got {mult}")
+                pt = _as_point(pt)
+                bucket[pt] = bucket.get(pt, 0) + mult
+            if not bucket:
+                del table[int(degree)]
         object.__setattr__(self, "_points", table)
 
     def __setattr__(self, name, value):
@@ -86,7 +83,7 @@ class PersistenceDiagram:
     def items(self, d: int) -> Iterator[Tuple[DiagramPoint, int]]:
         """Deterministically ordered (point, multiplicity) pairs in degree d."""
         bucket = self._points.get(d, {})
-        for pt in sorted(bucket, key=attrgetter("p", "q")):
+        for pt in sorted(bucket):  # by p, then q
             yield pt, bucket[pt]
 
     def multiplicity(self, d: int, point: PointLike) -> int:
@@ -118,15 +115,14 @@ def diagram_of(barcode: Barcode) -> PersistenceDiagram:
     """The diagram of a barcode: group bars by (inf, sup), dropping singletons.
 
     Endpoint openness is invisible here, so the radical of a barcode has the
-    same diagram as the barcode itself.
+    same diagram as the barcode itself.  A barcode is sorted, so equal bars
+    are adjacent: each run is counted once, and each point is made once.
     """
-    table: Dict[int, Dict[DiagramPoint, int]] = {}
-    for d, iv in barcode:
-        if iv.is_singleton:
-            continue
-        pt = DiagramPoint(iv.lo, iv.hi)
-        bucket = table.setdefault(d, {})
-        bucket[pt] = bucket.get(pt, 0) + 1
+    table: Dict[int, Dict[Tuple[float, float], int]] = {}
+    for (d, iv), run in groupby(barcode):
+        if not iv.is_singleton:
+            bucket = table.setdefault(d, {})
+            bucket[iv.lo, iv.hi] = bucket.get((iv.lo, iv.hi), 0) + len(list(run))
     return PersistenceDiagram(table)
 
 

@@ -2,25 +2,26 @@
 
 Simplices are strictly increasing integer tuples carrying a filtration
 value; the complex must be face-closed and the values monotone under
-inclusion.  Construction sorts them once into the canonical order (value,
-dimension, lexicographic vertices), where faces precede cofaces whatever the
-input listing, and keeps each simplex's cofacets as positions in it.
-
-Persistence is persistent cohomology over a prime field, which has the
-pairs of homology (de Silva, Morozov & Vejdemo-Johansson, *Dualities in
-persistent (co)homology*, 2011), reduced with clearing as in Bauer's Ripser.
-That one reduction is the only homology engine: the Betti numbers of a
-complex are the counts of its essential bars.
+inclusion.  Construction codes each simplex as one integer, sorts them into
+the canonical order (value, dimension, lexicographic vertices), where faces
+precede cofaces, and keeps each simplex's cofacets as positions in it.
+Persistence is persistent cohomology over a prime field, which has the pairs
+of homology (de Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent
+(co)homology*, 2011), reduced with clearing as in Bauer's Ripser: the only
+homology engine here.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import ge
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from itertools import chain, combinations, repeat
+from operator import ge, itemgetter
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .barcode import POS_INF, Barcode, Interval
 from .linalg import GF2, PrimeField
@@ -35,8 +36,7 @@ class ComplexValidationError(ValueError):
 class NonFiniteValueError(ComplexValidationError):
     def __init__(self, simplex: Simplex, value: float):
         self.simplex = simplex
-        kind = "a NaN" if math.isnan(value) else "an infinite"
-        super().__init__(f"simplex {simplex} has {kind} filtration value")
+        super().__init__(f"simplex {simplex} has {'a NaN' if math.isnan(value) else 'an infinite'} filtration value")
 
 
 class DuplicateSimplexError(ComplexValidationError):
@@ -45,18 +45,18 @@ class DuplicateSimplexError(ComplexValidationError):
         super().__init__(f"duplicate simplex {simplex}")
 
 
-class MissingFaceError(ComplexValidationError):
+class _FaceError(ComplexValidationError):
     def __init__(self, simplex: Simplex, face: Simplex):
-        self.simplex = simplex
-        self.face = face
-        super().__init__(f"simplex {simplex} is missing its face {face}")
+        self.simplex, self.face = simplex, face
+        super().__init__(self.message.format(simplex, face))
 
 
-class NonMonotoneError(ComplexValidationError):
-    def __init__(self, simplex: Simplex, face: Simplex):
-        self.simplex = simplex
-        self.face = face
-        super().__init__(f"simplex {simplex} has a later-born face {face}")
+class MissingFaceError(_FaceError):
+    message = "simplex {} is missing its face {}"
+
+
+class NonMonotoneError(_FaceError):
+    message = "simplex {} has a later-born face {}"
 
 
 class MissingVertexValueError(ValueError):
@@ -65,21 +65,9 @@ class MissingVertexValueError(ValueError):
         super().__init__(f"no value for vertex {vertex}")
 
 
-def _as_simplex(verts: Iterable[int]) -> Simplex:
-    verts = tuple(map(int, verts))
-    if not verts:
-        raise ValueError("empty simplex")
-    if any(map(ge, verts, verts[1:])):
-        raise ValueError(f"vertices must be strictly increasing, got {verts}")
-    return verts
-
-
 def facets(simplex: Simplex) -> Tuple[Simplex, ...]:
-    """All codimension-1 faces, in vertex-omission order."""
-    if len(simplex) == 1:
-        return ()
-    # `combinations` lists them by omitting the last vertex first.
-    return tuple(combinations(simplex, len(simplex) - 1))[::-1]
+    """All codimension-1 faces, omitting vertex 0 first (`combinations` omits the last first)."""
+    return tuple(combinations(simplex, len(simplex) - 1))[::-1] if len(simplex) > 1 else ()
 
 
 @dataclass(frozen=True)
@@ -91,20 +79,12 @@ class FilteredComplex:
     simplices: Tuple[Tuple[Simplex, float], ...]
 
     def __init__(self, simplices: Iterable[Tuple[Iterable[int], float]]):
-        entries = []
-        for verts, t in simplices:
-            simplex, value = _as_simplex(verts), float(t)
-            if not math.isfinite(value):
-                raise NonFiniteValueError(simplex, value)
-            entries.append((simplex, value))
-        object.__setattr__(self, "simplices", tuple(entries))
-        object.__setattr__(self, "_table", validate(self))  # (canonical order, cofacets)
+        entries = tuple([(tuple(map(int, verts)), float(t)) for verts, t in simplices])
+        object.__setattr__(self, "simplices", entries)
+        object.__setattr__(self, "_table", validate(self))
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-    def value_of(self, simplex: Simplex) -> float:
-        return dict(self.simplices)[simplex]
 
     def values(self) -> Tuple[float, ...]:
         """Distinct filtration values, sorted."""
@@ -112,100 +92,136 @@ class FilteredComplex:
 
     def sorted_simplices(self) -> Tuple[Tuple[Simplex, float], ...]:
         """Canonical reduction order: (value, dimension, lexicographic)."""
-        return self._table[0]
+        if "_order" not in self.__dict__:  # built on first use
+            object.__setattr__(self, "_order", tuple(map(self.simplices.__getitem__, self._table[0])))
+        return self._order
 
     def sublevel(self, t: float) -> Tuple[Simplex, ...]:
         return tuple(s for s, v in self.simplices if v <= t)
 
 
-def validate(complex_: FilteredComplex) -> Tuple[Tuple[Tuple[Simplex, float], ...], List[List[int]]]:
-    """Check face-closure and monotonicity, naming the first offender in input
-    order; return the canonical order and each simplex's cofacets in it, coded
-    as position * 2 + parity of the omitted vertex (the boundary sign)."""
-    order = tuple(sorted(complex_.simplices, key=lambda e: (e[1], len(e[0]), e[0])))
-    index = {simplex: i for i, (simplex, _) in enumerate(order)}
-    if len(index) < len(order):
+def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, array, array]:
+    """Check every entry, then face-closure and monotonicity, naming the first
+    offender in input order.  Return the canonical order (entry indices,
+    sizes, values) and each simplex's cofacets, flat with offsets, coded as
+    position * 2 + parity of the omitted vertex (the boundary sign).  With
+    vertex ranks q_0 > ... > q_k from the largest vertex, a simplex is the
+    integer sum_i C(q_i, k-i+1) (the combinatorial number system, as in
+    Ripser); omitting vertex i subtracts C(q_i, k-i+1) and C(q_l, k-l+1) -
+    C(q_l, k-l) for each l < i, so one cumulative sum gives every facet.
+    Codes are int64 where they fit, else Python ints."""
+    entries = complex_.simplices
+    n, simplices = len(entries), list(map(itemgetter(0), entries))
+    sizes, values = np.fromiter(map(len, simplices), np.intp, n), np.fromiter(map(itemgetter(1), entries), float, n)
+    ids = sorted(set(chain.from_iterable(simplices)))
+    vertex_rank = dict(zip(ids, range(len(ids) - 1, -1, -1)))
+    q = np.fromiter(map(vertex_rank.__getitem__, chain.from_iterable(simplices)), np.intp, int(sizes.sum()))
+    seg = np.repeat(np.arange(n, dtype=np.int32), sizes)  # the entry of each vertex slot
+    defects = (sizes == 0) | ~np.isfinite(values)
+    defects[seg[1:][(seg[1:] == seg[:-1]) & (q[1:] >= q[:-1])]] = True  # ranks must fall
+    if defects.any():
+        simplex, value = entries[int(defects.argmax())]
+        if not simplex or any(map(ge, simplex, simplex[1:])):  # before the value, as listed
+            raise ValueError(f"vertices must be strictly increasing, got {simplex}" if simplex else "empty simplex")
+        raise NonFiniteValueError(simplex, value)
+    width = int(sizes.max(initial=0))
+    above = math.comb(len(ids), min(width, len(ids) // 2)) + 1  # above every code
+    binom = np.zeros((len(ids), width + 1), np.int64 if above * width < 2**63 else object)  # keys <= width * above
+    for j in range(width + 1):  # binom[r, j] = C(r, j), by Pascal's rule down each column
+        binom[j:, j] = np.cumsum(binom[j - 1:-1, j - 1]) if j else 1
+    ends = np.cumsum(sizes)
+    starts, e = ends - sizes, np.repeat(ends - 1, sizes) - np.arange(len(q))  # e = k - i
+    a, b = binom[q, e + 1], binom[q, e]
+    del q, e  # few arrays of this length live at once
+    key = sizes.astype(binom.dtype) * above - np.add.reduceat(a, starts)  # by size, then lexicographic
+    a -= b
+    face_key = np.cumsum(a)  # int64 may wrap here; the differences below are exact
+    face_key -= np.repeat(face_key[starts] - a[starts], sizes)
+    face_key += b  # code minus facet code
+    del a, b
+    face_key += np.repeat(key - above, sizes)
+    slots = np.flatnonzero(np.repeat(sizes > 1, sizes))
+    face_key = face_key[slots]
+    perm = np.argsort(key)
+    sorted_key = key[perm]
+    if (sorted_key[1:] == sorted_key[:-1]).any():
         seen: set = set()  # `seen.add` returns None, so this names the first repeat
-        raise DuplicateSimplexError(next(s for s, _ in complex_.simplices if s in seen or seen.add(s)))
-    cofacets: List[List[int]] = [()] * len(order)  # a list once a cofacet is found
-    for simplex, _ in complex_.simplices:
-        j = index[simplex]
-        code, other = 2 * j, 2 * j + 1  # the parity flips with each omitted vertex
-        for face in facets(simplex):
-            k = index.get(face)
-            if k is None:
-                raise MissingFaceError(simplex, face)
-            # A face sorts after its coface exactly when its value is larger.
-            if k > j:
-                raise NonMonotoneError(simplex, face)
-            if cofacets[k]:
-                cofacets[k].append(code)
-            else:
-                cofacets[k] = [code]
-            code, other = other, code
-    return order, cofacets
+        raise DuplicateSimplexError(next(s for s in simplices if s in seen or seen.add(s)))
+    by_key = np.argsort(face_key)  # sorted needles search fast
+    face_key = face_key[by_key]
+    slots = slots[by_key]
+    del by_key
+    hit = np.minimum(np.searchsorted(sorted_key, face_key), n - 1)
+    found = sorted_key[hit] == face_key
+    del face_key, sorted_key
+    rank = np.argsort(perm)  # by (size, lex)
+    canon = np.argsort(np.unique(values, return_inverse=True)[1] * n + rank)  # (value, size, lex)
+    rank[canon] = np.arange(n)  # now each entry's canonical position
+    face, owner = rank[perm[hit]], seg[slots]
+    del hit, seg
+    coface = rank[owner]
+    bad = ~found | (face > coface)  # a face sorts after its coface when its value is larger
+    if bad.any():
+        k = np.flatnonzero(bad)[slots[bad].argmin()]
+        simplex, omitted = simplices[owner[k]], slots[k] - starts[owner[k]]
+        raise (NonMonotoneError if found[k] else MissingFaceError)(simplex, facets(simplex)[omitted])
+    coface *= 2
+    slots -= starts[owner]  # the omitted vertex, whose parity is the boundary sign
+    coface += slots % 2
+    del slots, owner, found, bad
+    offsets = array("q", np.concatenate(([0], np.cumsum(np.bincount(face, minlength=n)))).tobytes())
+    coface = coface[np.argsort(face)]
+    return array("q", canon.tobytes()), sizes[canon], values[canon], array("q", coface.tobytes()), offsets
 
 
 def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[int]]) -> FilteredComplex:
-    """Sublevel filtration of a vertex function: each simplex gets the max
-    of its vertex values."""
+    """Sublevel filtration of a vertex function: each simplex gets the max of its vertex values."""
     vertex_values = {int(v): float(t) for v, t in vertex_values.items()}
-    entries = []
-    for raw in simplices:
-        simplex = _as_simplex(raw)
-        for v in simplex:
-            if v not in vertex_values:
-                raise MissingVertexValueError(v)
-        entries.append((simplex, max(vertex_values[v] for v in simplex)))
-    return FilteredComplex(entries)
+    simplices = [tuple(map(int, raw)) for raw in simplices]
+    for v in chain.from_iterable(simplices):
+        if v not in vertex_values:
+            raise MissingVertexValueError(v)
+    return FilteredComplex((s, max(map(vertex_values.__getitem__, s), default=math.nan)) for s in simplices)
 
 
-def compute_persistence(
-    complex_: FilteredComplex, field: PrimeField = GF2, keep_ephemeral: bool = False
-) -> Barcode:
+def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2,
+                        keep_ephemeral: bool = False) -> Barcode:
     """Barcode of the sublevel filtration's homology over F_p, all degrees.
-
     Finite bars are closed-left/open-right ``[b, e)``; unpaired cycles give
     essential bars ``[b, inf)``.  Zero-persistence pairings are dropped
-    unless ``keep_ephemeral`` retains them as ``[v, v]`` singleton bars.
-    """
-    order = complex_.sorted_simplices()
-    pairs, essential = _reduce(complex_, len(order), field)
-    shared: Dict[Tuple[float, float], Interval] = {}  # equal bars share one immutable Interval
-    bars = []
-    for j, death in [(j, order[k][1]) for j, k in pairs] + [(j, POS_INF) for j in essential]:
-        simplex, birth = order[j]
+    unless ``keep_ephemeral`` retains them as ``[v, v]`` singleton bars."""
+    _, sizes, values, _, _ = complex_._table
+    pairs, essential = _reduce(complex_, len(sizes), field)
+    dim, value = (sizes - 1).tolist(), values.tolist()
+    born, died = zip(*pairs) if pairs else ((), ())
+    counts = Counter(zip(map(dim.__getitem__, born), map(value.__getitem__, born), map(value.__getitem__, died)))
+    counts.update(zip(map(dim.__getitem__, essential), map(value.__getitem__, essential), repeat(POS_INF)))
+    bars = []  # counted first, so that each distinct bar is one Interval and one pair
+    for (degree, birth, death), multiplicity in counts.items():
         if birth < death or keep_ephemeral:
-            if (birth, death) not in shared:
-                shared[birth, death] = Interval(birth, death, True, birth == death)  # [b, e) or [b, b]
-            bars.append((len(simplex) - 1, shared[birth, death]))
+            bars += [(degree, Interval(birth, death, True, birth == death))] * multiplicity  # [b, e) or [b, b]
     return Barcode(bars)
 
 
 def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list, list]:
     """Cohomology reduction with clearing of the first n simplices of the
     canonical order: the (birth, death) position pairs and the unpaired
-    positions, which are the essential bars.
-
-    Column j is the coboundary of simplex j within the prefix, its pivot its
-    earliest cofacet.  Columns go by ascending dimension, each dimension in
-    reverse filtration order: the reduction of the anti-transposed boundary
-    matrix, which pairs j with its pivot as the boundary reduction pairs the
-    pivot with j (de Silva, Morozov & Vejdemo-Johansson).  The column of a
-    death reduces to zero, so it is skipped (clearing).  Stored columns are
-    scaled to pivot coefficient 1, so an elimination needs no inverse.
-    """
-    (order, cofacets), p = complex_._table, field.p
-    pairs, essential, deaths = [], [], set()
+    positions, which are the essential bars.  Column j is the coboundary of
+    simplex j within the prefix, its pivot its earliest cofacet; columns go
+    by ascending dimension, each in reverse filtration order.  This reduces
+    the anti-transposed boundary matrix, pairing j with its pivot as the
+    boundary reduction pairs the pivot with j (de Silva, Morozov &
+    Vejdemo-Johansson).  A death's column reduces to zero, so it is skipped
+    (clearing); columns are scaled to pivot 1, so eliminations need no inverse."""
+    (_, sizes, _, cofacets, offsets), p = complex_._table, field.p
+    pairs, essential, deaths, sizes = [], [], set(), sizes[:n]
     limit = 2 * n  # cofacet codes at positions >= n lie outside the prefix
-    # A stable sort keeps the reverse filtration order within each dimension.
-    by_size = sorted(range(n - 1, -1, -1), key=lambda j: len(order[j][0]))
-    for _, columns in groupby(by_size, key=lambda j: len(order[j][0])):
+    for size in range(1, int(sizes.max(initial=0)) + 1):
         pivots: Dict[int, Dict[int, int]] = {}  # reduced columns by pivot; no later dimension reads them
-        for j in columns:
+        for j in np.flatnonzero(sizes == size)[::-1].tolist():
             if j in deaths:
                 continue
-            col = {c >> 1: (p - 1 if c & 1 else 1) for c in cofacets[j] if c < limit}
+            col = {c >> 1: (p - 1 if c & 1 else 1) for c in cofacets[offsets[j]:offsets[j + 1]] if c < limit}
             while col:
                 low = min(col)
                 other = pivots.get(low)
@@ -232,11 +248,9 @@ def betti_numbers(simplices: Sequence[Simplex], field: PrimeField = GF2) -> Tupl
     """Unreduced Betti numbers of a face-closed simplex set over F_p: with
     every simplex valued 0, the counts of unpaired simplices by degree."""
     complex_ = FilteredComplex((s, 0.0) for s in simplices)
-    order = complex_.sorted_simplices()
-    betti = [0] * (len(order[-1][0]) if order else 1)
-    for j in _reduce(complex_, len(order), field)[1]:
-        betti[len(order[j][0]) - 1] += 1
-    return tuple(betti)
+    sizes = complex_._table[1]
+    essential = sizes[_reduce(complex_, len(sizes), field)[1]]
+    return tuple(np.bincount(essential - 1, minlength=int(sizes.max(initial=1))).tolist())
 
 
 def betti_at(complex_: FilteredComplex, t: float, d: int, field: PrimeField = GF2) -> int:
@@ -244,34 +258,20 @@ def betti_at(complex_: FilteredComplex, t: float, d: int, field: PrimeField = GF
     prefix of the canonical order.  NaN raises ValueError."""
     if math.isnan(t):
         raise ValueError("betti_at requires a value that is not NaN")
-    order = complex_.sorted_simplices()
-    n = bisect_right(order, t, key=lambda e: e[1])
-    return sum(1 for j in _reduce(complex_, n, field)[1] if len(order[j][0]) == d + 1)
+    _, sizes, values, _, _ = complex_._table
+    n = int(np.searchsorted(values, t, side="right"))
+    return int(np.count_nonzero(sizes[_reduce(complex_, n, field)[1]] == d + 1))
 
 
 def euler_profile(complex_: FilteredComplex) -> Tuple[Tuple[float, int], ...]:
     """Euler characteristic of the sublevel complex at each distinct value."""
-    chi, profile = 0, {}
-    for simplex, value in complex_.sorted_simplices():
-        chi += 1 if len(simplex) % 2 else -1
-        profile[value] = chi
-    return tuple(profile.items())
+    _, sizes, values, _, _ = complex_._table
+    chi = np.cumsum(2 * (sizes % 2) - 1)  # +1 per even-dimensional simplex, -1 per odd
+    return tuple(dict(zip(values.tolist(), chi.tolist())).items())  # the last chi at each value
 
 
 __all__ = [
-    "Simplex",
-    "FilteredComplex",
-    "ComplexValidationError",
-    "NonFiniteValueError",
-    "DuplicateSimplexError",
-    "MissingFaceError",
-    "NonMonotoneError",
-    "MissingVertexValueError",
-    "facets",
-    "validate",
-    "lower_star",
-    "compute_persistence",
-    "betti_numbers",
-    "betti_at",
-    "euler_profile",
+    "Simplex", "FilteredComplex", "ComplexValidationError", "NonFiniteValueError", "DuplicateSimplexError",
+    "MissingFaceError", "NonMonotoneError", "MissingVertexValueError", "facets", "validate", "lower_star",
+    "compute_persistence", "betti_numbers", "betti_at", "euler_profile",
 ]

@@ -9,7 +9,7 @@ bit-exactly, and infinite endpoints appear as ``inf`` / ``-inf``.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -110,12 +110,9 @@ def write_diagram(path, diagram: PersistenceDiagram) -> None:
         handle.write(format_diagram(diagram))
 
 
-def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex:
-    """A defect of the complex as a whole (a non-finite value, a duplicate,
-    a missing face, a later-born face) is reported at the line of the
-    simplex it names."""
-    entries = []
-    linenos = []
+def _simplices(text: str, source: str, linenos: List[int]) -> Iterator[Tuple[List[int], float]]:
+    """The (vertices, value) entry of each content line, its number appended
+    to ``linenos``; one pass, so a complex is built while the text is read."""
     for lineno, line in _content_lines(text):
         fields = line.split()
         if fields[0] != "simplex" or len(fields) < 3:
@@ -129,13 +126,21 @@ def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex
                 raise ValueError(f"repeated vertex in {verts}")
         except ValueError as exc:
             raise FormatError(source, lineno, str(exc)) from exc
-        entries.append((tuple(verts), value))
         linenos.append(lineno)
+        yield verts, value
+
+
+def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex:
+    """A defect of the complex as a whole (a non-finite value, a duplicate,
+    a missing face, a later-born face) is reported at the line of the
+    simplex it names."""
     try:
-        return FilteredComplex(entries)
+        return FilteredComplex(_simplices(text, source, []))
     except ComplexValidationError as exc:
+        linenos: List[int] = []
+        entries = list(_simplices(text, source, linenos))
         # The last line holding the simplex: for a duplicate, a repeat of it.
-        line_of = {simplex: lineno for (simplex, _), lineno in zip(entries, linenos)}
+        line_of = {tuple(verts): lineno for (verts, _), lineno in zip(entries, linenos)}
         raise FormatError(source, line_of[exc.simplex], str(exc)) from exc
 
 

@@ -3,9 +3,12 @@
 The homology oracles are dense linear algebra over F_p (row elimination,
 kernels, rank-nullity), plus the boundary-matrix column reduction that the
 library's cohomology engine replaced; none calls the library's reduction
-or reads the face table a complex keeps.  The bottleneck oracle decides feasibility on the complete
-diagonal-slot graph with its own augmenting-path matcher and never calls
-the library's cost matrices or its Hopcroft-Karp matching.
+or reads the face table a complex keeps.  The face-index oracle is the
+tuple-keyed validation that the integer-coded index replaced, and the
+diagram oracle makes one point per bar.  The bottleneck oracle decides
+feasibility on the complete diagonal-slot graph with its own
+augmenting-path matcher and never calls the library's cost matrices or its
+Hopcroft-Karp matching.
 """
 
 from __future__ import annotations
@@ -17,7 +20,18 @@ from typing import List, Tuple
 
 import numpy as np
 
-from pershom import POS_INF, Barcode, FilteredComplex, Interval, PersistenceDiagram
+from pershom import (
+    POS_INF,
+    Barcode,
+    DuplicateSimplexError,
+    FilteredComplex,
+    Interval,
+    MissingFaceError,
+    NonFiniteValueError,
+    NonMonotoneError,
+    PersistenceDiagram,
+    lower_star,
+)
 from pershom.bottleneck import _diagonal_cost, _pair_cost
 from pershom.filtration import facets
 
@@ -78,6 +92,91 @@ def random_filtered_complex(rng: random.Random, max_simplices: int = 40) -> Filt
         values[t] = value
         entries.append((t, value))
     return FilteredComplex(entries)
+
+
+def random_closed_entries(
+    rng: random.Random, max_dim: int = 8, tops: int = 3, extra_vertices: int = 0
+) -> List[Tuple[Tuple[int, ...], float]]:
+    """A face-closed monotone complex, shuffled, as (simplex, value) entries.
+
+    Vertex ids are sparse, up to 10**9.  One simplex of dimension ``max_dim``
+    and ``tops - 1`` random smaller ones come with all their faces, beside
+    ``extra_vertices`` further vertices; so the complex has exactly
+    max_dim + 1 + extra_vertices vertices.  Values come from a few ties,
+    -0.0 and 0.0 among them, raised to the max of the faces.
+    """
+    pool = rng.sample(range(10**9), max_dim + 1 + extra_vertices)
+    simplices = {(v,) for v in pool}
+    tops = [pool[: max_dim + 1]] + [rng.sample(pool, rng.randint(1, max_dim + 1)) for _ in range(tops - 1)]
+    for top in tops:
+        for size in range(2, len(top) + 1):
+            simplices.update(combinations(sorted(top), size))
+    values = {}
+    for simplex in sorted(simplices, key=len):
+        value = rng.choice([-0.0, 0.0, 0.5, 1.0])
+        for face in combinations(simplex, len(simplex) - 1) if len(simplex) > 1 else ():
+            value = max(value, values[face])
+        values[simplex] = value
+    entries = list(values.items())
+    rng.shuffle(entries)
+    return entries
+
+
+def validate_oracle(entries) -> Tuple[tuple, List[List[int]]]:
+    """The tuple-keyed validation that the integer-coded face index replaced.
+
+    Checks each entry (a nonempty strictly increasing simplex, a finite
+    value), then duplicates, then every facet in input order, raising what
+    ``FilteredComplex`` raises; returns the canonical order and each
+    simplex's cofacets as position * 2 + parity of the omitted vertex.
+    """
+    checked = []
+    for verts, t in entries:
+        simplex, value = tuple(map(int, verts)), float(t)
+        if not simplex:
+            raise ValueError("empty simplex")
+        if any(a >= b for a, b in zip(simplex, simplex[1:])):
+            raise ValueError(f"vertices must be strictly increasing, got {simplex}")
+        if not math.isfinite(value):
+            raise NonFiniteValueError(simplex, value)
+        checked.append((simplex, value))
+    order = tuple(sorted(checked, key=lambda e: (e[1], len(e[0]), e[0])))
+    index = {simplex: i for i, (simplex, _) in enumerate(order)}
+    if len(index) < len(order):
+        seen = set()
+        raise DuplicateSimplexError(next(s for s, _ in checked if s in seen or seen.add(s)))
+    cofacets: List[List[int]] = [[] for _ in order]
+    for simplex, _ in checked:
+        j = index[simplex]
+        for i in range(len(simplex) if len(simplex) > 1 else 0):
+            face = simplex[:i] + simplex[i + 1:]
+            k = index.get(face)
+            if k is None:
+                raise MissingFaceError(simplex, face)
+            if k > j:
+                raise NonMonotoneError(simplex, face)
+            cofacets[k].append(2 * j + i % 2)
+    return order, cofacets
+
+
+def diagram_oracle(barcode: Barcode) -> PersistenceDiagram:
+    """One point per non-singleton bar, counted into a table by (p, q)."""
+    table = {}
+    for d, iv in barcode:
+        if iv.lo != iv.hi:
+            bucket = table.setdefault(d, {})
+            bucket[float(iv.lo), float(iv.hi)] = bucket.get((float(iv.lo), float(iv.hi)), 0) + 1
+    return PersistenceDiagram(table)
+
+
+def grid_lower_star(rng: random.Random, n: int = 10, levels: int = 3) -> FilteredComplex:
+    """Lower-star filtration of a few integer levels on a triangulated
+    n x n grid, where many bars repeat."""
+    simplices = set()
+    for v in (i * n + j for i in range(n - 1) for j in range(n - 1)):
+        for triangle in ((v, v + 1, v + n), (v + 1, v + n, v + n + 1)):
+            simplices.update(s for size in (1, 2, 3) for s in combinations(triangle, size))
+    return lower_star({v: float(rng.randrange(levels)) for v in range(n * n)}, sorted(simplices))
 
 
 def perturb_filtration(

@@ -235,3 +235,13 @@ def test_constancy_witness_brackets_all_activity():
     # below t0 and above t1 the alive-set is frozen
     assert barcode_rank(b, 0, w.t0 - 5, w.t0) == barcode_rank(b, 0, w.t0 - 1e-9, w.t0)
     assert barcode_rank(b, 0, w.t1, w.t1 + 5) == barcode_rank(b, 0, w.t1, w.t1 + 1e-9)
+
+
+def test_barcode_keeps_each_given_bar_and_counts_repeats():
+    shared = Interval.closed_open(0.0, 1.0)
+    bars = [(1, shared)] * 4 + [(0, Interval.closed_open(-0.0, 1.0)), (0, Interval.closed_open(0.0, 1.0))]
+    barcode = Barcode(bars + [(True, shared)] * 2)
+    assert len(barcode) == 8
+    assert barcode == Barcode(reversed(bars + [(1, shared)] * 2))
+    assert "".join(f"{d} {iv}\n" for d, iv in barcode) == "0 [-0.0,1.0)\n0 [0.0,1.0)\n" + "1 [0.0,1.0)\n" * 6
+    assert all(type(d) is int for d, _ in barcode)

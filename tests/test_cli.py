@@ -233,3 +233,20 @@ def test_full_pipeline_through_files(tmp_path, capsys):
 
     assert main(["bottleneck", str(dgm), str(dgm), "--degree", "0"]) == 0
     assert capsys.readouterr().out.strip() == "0.0"
+
+
+def test_the_parser_is_built_once_and_reused(tmp_path, flt_file, capsys):
+    import pershom.cli
+
+    assert pershom.cli._build_parser() is pershom.cli._build_parser()
+    out = tmp_path / "out.dgm"
+    argv = ["compute", "--input", str(flt_file), "--field", "3", "--output", str(out)]
+    assert main(argv) == 0
+    first = out.read_text()
+    assert main(["caps", "--dgm", str(out), "--epsilon", "0.5", "--degree", "1"]) == 0
+    assert main(argv) == 0
+    assert out.read_text() == first
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--input", str(flt_file)])  # --output is required
+    assert exc.value.code == 2
+    assert main(["morse", "--dgm", str(out), "--epsilon", "0.5", "--max-degree", "1"]) == 0

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pershom import (
     Barcode,
@@ -18,7 +19,10 @@ from pershom import (
     radical,
 )
 
-from helpers import random_diagram
+from pershom.filtration import compute_persistence
+from pershom.io import format_diagram
+
+from helpers import diagram_oracle, grid_lower_star, random_diagram
 
 
 def test_diagram_point_validation():
@@ -117,3 +121,50 @@ def test_quadrant_dominates_long_gap_count():
             if pt.gap > y - x and pt.p.float_value < x and pt.q.float_value > y
         )
         assert quadrant_count(diagram, d, x, y) >= restricted
+
+
+def test_diagram_of_makes_one_point_per_distinct_point(monkeypatch):
+    import pershom.diagram
+
+    barcode = compute_persistence(grid_lower_star(random.Random(4)))
+    made = []
+
+    class Counted(pershom.diagram.DiagramPoint):
+        __slots__ = ()
+
+        def __new__(cls, p, q):
+            made.append((p, q))
+            return super().__new__(cls, p, q)
+
+    monkeypatch.setattr(pershom.diagram, "DiagramPoint", Counted)
+    diagram = diagram_of(barcode)
+    assert len(made) == sum(1 for d in diagram.degrees() for _ in diagram.items(d))
+    assert len(made) < diagram.total()  # points repeat
+    assert diagram == diagram_oracle(barcode)
+
+
+_ENDPOINTS = [-math.inf, -0.0, 0.0, 0.5, 1.0, math.inf]
+
+
+@st.composite
+def _equal_bars_apart(draw):
+    """Bars with repeats made as separate Interval objects, in any order."""
+    bars = []
+    for _ in range(draw(st.integers(0, 25))):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(_ENDPOINTS), min_size=2, max_size=2)))
+        if lo == hi and math.isinf(lo):
+            continue
+        lo_closed = lo == hi or (draw(st.booleans()) and math.isfinite(lo))
+        hi_closed = lo == hi or (draw(st.booleans()) and math.isfinite(hi))
+        d = draw(st.integers(0, 2))
+        bars += [(d, Interval(lo, hi, lo_closed, hi_closed)) for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(bars))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_equal_bars_apart())
+def test_diagram_of_matches_the_per_bar_oracle_on_equal_bars_apart(bars):
+    barcode = Barcode(bars)
+    diagram = diagram_of(barcode)
+    assert diagram == diagram_oracle(barcode)
+    assert format_diagram(diagram) == format_diagram(diagram_oracle(barcode))  # the same -0.0 or 0.0

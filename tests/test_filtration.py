@@ -2,7 +2,6 @@
 
 import math
 import random
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -36,9 +35,12 @@ from helpers import (
     alive_bars,
     betti_numbers_oracle,
     betti_oracle_at,
+    grid_lower_star,
     persistence_oracle,
+    random_closed_entries,
     random_cover_sets,
     random_filtered_complex,
+    validate_oracle,
 )
 
 
@@ -131,20 +133,20 @@ def test_betti_at_validates_once(monkeypatch):
 
 
 def test_facets_run_once_per_simplex(monkeypatch):
-    # construction keeps each simplex's cofacets, so neither the reduction
-    # nor a sublevel query asks for faces again
+    # construction codes every simplex and keeps its cofacets, so once a
+    # complex is built neither the reduction nor a sublevel query lists faces
     import pershom.filtration
 
-    entries = random_filtered_complex(random.Random(5), max_simplices=30).simplices
-    calls = Counter()
-    real = pershom.filtration.facets
-    monkeypatch.setattr(pershom.filtration, "facets", lambda s: calls.update([s]) or real(s))
-    complex_ = FilteredComplex(entries)
-    values = complex_.values()
-    compute_persistence(complex_, GF3)
-    betti_at(complex_, values[len(values) // 2], 1)
-    betti_at(complex_, values[-1], 0)
-    assert calls == Counter(s for s, _ in entries)
+    complex_ = FilteredComplex(random_filtered_complex(random.Random(5), max_simplices=30).simplices)
+
+    def refuse(simplex):
+        raise AssertionError(f"facets{simplex} called after construction")
+
+    monkeypatch.setattr(pershom.filtration, "facets", refuse)
+    middle, top = complex_.values()[len(complex_.values()) // 2], complex_.values()[-1]
+    assert compute_persistence(complex_, GF3) == persistence_oracle(complex_, GF3)
+    assert betti_at(complex_, middle, 1) == betti_oracle_at(complex_, middle, 1, GF2)
+    assert betti_at(complex_, top, 0) == betti_oracle_at(complex_, top, 0, GF2)
 
 
 def test_validate_reports_the_first_offender_in_input_order():
@@ -162,6 +164,100 @@ def test_sorted_simplices_is_the_canonical_order():
     order = k.sorted_simplices()
     assert order == tuple(sorted(k.simplices, key=lambda e: (e[1], len(e[0]), e[0])))
     assert k.sorted_simplices() is order
+
+
+# ------------------------------------------------------------------ face index
+
+DEFECTS = ["duplicate", "missing", "later", "nonfinite", "unsorted", "empty"]
+
+
+def _with_defects(entries, rng, defects):
+    entries = list(entries)
+    for defect in defects:
+        if not entries:
+            break
+        i = rng.randrange(len(entries))
+        simplex, value = entries[i]
+        if defect == "duplicate":
+            entries.insert(rng.randrange(len(entries) + 1), (simplex, rng.choice([value, 2.0])))
+        elif defect == "missing":
+            del entries[i]  # a missing face once the simplex has a coface
+        elif defect == "later":
+            entries[i] = (simplex, 2.0)  # above every other value
+        elif defect == "nonfinite":
+            entries[i] = (simplex, rng.choice([math.inf, -math.inf, math.nan]))
+        elif defect == "unsorted":
+            entries[i] = (simplex[::-1], value)
+        else:
+            entries.insert(i, ((), value))
+    return entries
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except ValueError as exc:
+        return None, exc
+
+
+def _assert_matches_validate_oracle(entries):
+    expected, expected_error = _outcome(lambda: validate_oracle(entries))
+    complex_, error = _outcome(lambda: FilteredComplex(entries))
+    assert type(error) is type(expected_error)
+    if error is not None:
+        assert str(error) == str(expected_error)
+        assert getattr(error, "simplex", None) == getattr(expected_error, "simplex", None)
+        assert getattr(error, "face", None) == getattr(expected_error, "face", None)
+        return
+    order, cofacets = expected
+    assert repr(complex_.sorted_simplices()) == repr(order)  # -0.0 and 0.0 stay apart
+    _, _, _, codes, offsets = validate(complex_)
+    for k, expected_codes in enumerate(cofacets):
+        got = [(c >> 1, c & 1) for c in codes[offsets[k]:offsets[k + 1]]]
+        assert len(got) == len(expected_codes)
+        assert set(got) == {(c >> 1, c & 1) for c in expected_codes}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_dim=st.integers(0, 8),
+    extra=st.integers(0, 480),
+    defects=st.lists(st.sampled_from(DEFECTS), max_size=2),
+)
+def test_face_index_matches_the_tuple_keyed_oracle(seed, max_dim, extra, defects):
+    rng = random.Random(seed)
+    entries = random_closed_entries(rng, max_dim, extra_vertices=extra)
+    _assert_matches_validate_oracle(_with_defects(entries, rng, defects))
+
+
+# A dimension-8 simplex on the largest vertices has the largest key; it fits
+# int64 over up to 419 vertices and needs exact Python ints from 420 on.
+# With all values tied, the canonical order is the key order itself.
+@pytest.mark.parametrize("extra", [410, 411])
+@pytest.mark.parametrize("defect", [None, "duplicate", "missing", "later"])
+def test_face_index_is_exact_on_both_sides_of_the_int64_edge(extra, defect):
+    rng = random.Random(extra)
+    vertices = sorted(rng.sample(range(10**9), 9 + extra))
+    top = [s for size in range(1, 10) for s in combinations(vertices[-9:], size)]
+    entries = [(s, rng.choice([-0.0, 0.0])) for s in [(v,) for v in vertices[:-9]] + top]
+    rng.shuffle(entries)
+    _assert_matches_validate_oracle(_with_defects(entries, rng, [defect] if defect else []))
+
+
+@pytest.mark.parametrize("keep_ephemeral", [False, True])
+def test_compute_persistence_makes_one_interval_per_distinct_bar(monkeypatch, keep_ephemeral):
+    import pershom.filtration
+
+    complex_ = grid_lower_star(random.Random(3))
+    made = []
+    real = pershom.filtration.Interval
+    monkeypatch.setattr(pershom.filtration, "Interval", lambda *args: made.append(args) or real(*args))
+    barcode = compute_persistence(complex_, GF2, keep_ephemeral)
+    distinct = {(d, iv.lo, iv.hi) for d, iv in barcode}
+    assert len(barcode) > len(distinct)  # the bars repeat
+    assert len(made) == len(distinct)
+    assert barcode == persistence_oracle(complex_, GF2, keep_ephemeral)
 
 
 # ------------------------------------------------------------------ lower star

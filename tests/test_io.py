@@ -78,6 +78,48 @@ def test_diagram_parse_errors():
         parse_diagram("0 0 1 0")  # zero multiplicity
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1 nan 2 1", "cannot be NaN"),
+        ("1 0 nan 1", "cannot be NaN"),
+        ("1 2 1 1", r"requires p < q, got \(2.0, 1.0\)"),
+        ("1 0.5 0.5 1", "requires p < q"),
+        ("1 inf inf 1", r"birth coordinate cannot be \+inf"),
+        ("1 -inf -inf 1", "death coordinate cannot be -inf"),
+        ("1 0 1 0", "multiplicity must be >= 1"),
+    ],
+)
+def test_diagram_parse_locates_each_bad_point(line, message):
+    with pytest.raises(FormatError, match=message) as err:
+        parse_diagram("0 0 1 2\n# a comment\n\n" + line + "\n0 1 2 1\n", source="d.dgm")
+    assert err.value.lineno == 4
+    assert str(err.value).startswith("d.dgm:4: ")
+
+
+def test_diagram_parse_builds_each_point_once(monkeypatch):
+    import pershom.diagram
+    import pershom.io
+
+    made = []
+
+    class Counted(pershom.diagram.DiagramPoint):
+        __slots__ = ()
+
+        def __new__(cls, p, q):
+            made.append((p, q))
+            return super().__new__(cls, p, q)
+
+    monkeypatch.setattr(pershom.io, "DiagramPoint", Counted)
+    monkeypatch.setattr(pershom.diagram, "DiagramPoint", Counted)
+    diagram = parse_diagram("0 0 1 2\n0 0 1 1\n1 -inf inf 1\n0 0.5 inf 3\n")
+    assert len(made) == 4  # one per line; the diagram keeps them as they are
+    assert [list(diagram.items(d)) for d in diagram.degrees()] == [
+        [((0.0, 1.0), 3), ((0.5, math.inf), 3)],
+        [((-math.inf, math.inf), 1)],
+    ]
+
+
 def test_filtration_parse_and_sorting():
     k = parse_filtration("simplex 0.0 0\nsimplex 0.0 1\nsimplex 1.0 1 0\n")
     assert ((0, 1), 1.0) in k.simplices
