@@ -72,8 +72,10 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", ExtendedReal(self.lo))
-        object.__setattr__(self, "hi", ExtendedReal(self.hi))
+        if type(self.lo) is not ExtendedReal:
+            object.__setattr__(self, "lo", ExtendedReal(self.lo))
+        if type(self.hi) is not ExtendedReal:
+            object.__setattr__(self, "hi", ExtendedReal(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self}")
         if self.lo_closed and not math.isfinite(self.lo):

@@ -2,7 +2,8 @@
 
 Simplices are strictly increasing integer tuples carrying a filtration
 value; the complex must be face-closed and the values monotone under
-inclusion.  Construction codes each simplex as one integer, sorts them into
+inclusion.  A complex keeps its entries as flat vertex, size and value
+arrays.  Construction codes each simplex as one integer, sorts them into
 the canonical order (value, dimension, lexicographic vertices), where faces
 precede cofaces, and keeps each simplex's cofacets as positions in it.
 Persistence is persistent cohomology over a prime field, which has the pairs
@@ -81,14 +82,40 @@ class FilteredComplex:
     def __init__(self, simplices: Iterable[Tuple[Iterable[int], float]]):
         entries = tuple([(tuple(map(int, verts)), float(t)) for verts, t in simplices])
         object.__setattr__(self, "simplices", entries)
+        n = len(entries)
+        sizes = np.fromiter(map(len, map(itemgetter(0), entries)), np.intp, n)
+        try:
+            vertices = np.fromiter(chain.from_iterable(map(itemgetter(0), entries)), np.int64, int(sizes.sum()))
+        except OverflowError:  # exact ids beyond int64
+            vertices = np.fromiter(chain.from_iterable(map(itemgetter(0), entries)), object, int(sizes.sum()))
+        self._validate(vertices, sizes, np.fromiter(map(itemgetter(1), entries), float, n))
+
+    @classmethod
+    def _from_arrays(cls, *arrays: np.ndarray) -> "FilteredComplex":
+        """The complex of flat (vertices, sizes, values) arrays; `simplices` is built on first use."""
+        self = object.__new__(cls)
+        self._validate(*arrays)
+        return self
+
+    def _validate(self, *arrays: np.ndarray) -> None:
+        object.__setattr__(self, "_arrays", arrays)
         object.__setattr__(self, "_table", validate(self))
 
+    def __getattr__(self, name: str):
+        if name != "simplices":
+            raise AttributeError(name)
+        vertices, sizes, values = self._arrays  # built on first use
+        ends = np.cumsum(sizes)
+        rows = map(tuple, map(vertices.tolist().__getitem__, map(slice, (ends - sizes).tolist(), ends.tolist())))
+        object.__setattr__(self, "simplices", tuple(zip(rows, values.tolist())))
+        return self.simplices
+
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self._arrays[1])
 
     def values(self) -> Tuple[float, ...]:
         """Distinct filtration values, sorted."""
-        return tuple(sorted({t for _, t in self.simplices}))
+        return tuple(sorted(set(self._arrays[2].tolist())))
 
     def sorted_simplices(self) -> Tuple[Tuple[Simplex, float], ...]:
         """Canonical reduction order: (value, dimension, lexicographic)."""
@@ -101,26 +128,25 @@ class FilteredComplex:
 
 
 def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, array, array]:
-    """Check every entry, then face-closure and monotonicity, naming the first
-    offender in input order.  Return the canonical order (entry indices,
-    sizes, values) and each simplex's cofacets, flat with offsets, coded as
-    position * 2 + parity of the omitted vertex (the boundary sign).  With
-    vertex ranks q_0 > ... > q_k from the largest vertex, a simplex is the
-    integer sum_i C(q_i, k-i+1) (the combinatorial number system, as in
-    Ripser); omitting vertex i subtracts C(q_i, k-i+1) and C(q_l, k-l+1) -
-    C(q_l, k-l) for each l < i, so one cumulative sum gives every facet.
-    Codes are int64 where they fit, else Python ints."""
-    entries = complex_.simplices
-    n, simplices = len(entries), list(map(itemgetter(0), entries))
-    sizes, values = np.fromiter(map(len, simplices), np.intp, n), np.fromiter(map(itemgetter(1), entries), float, n)
-    ids = sorted(set(chain.from_iterable(simplices)))
-    vertex_rank = dict(zip(ids, range(len(ids) - 1, -1, -1)))
-    q = np.fromiter(map(vertex_rank.__getitem__, chain.from_iterable(simplices)), np.intp, int(sizes.sum()))
+    """Check every entry of the complex's flat arrays, then face-closure and
+    monotonicity, naming the first offender in input order.  Return the
+    canonical order (entry indices, sizes, values) and each simplex's
+    cofacets, flat with offsets, coded as position * 2 + parity of the
+    omitted vertex (the boundary sign).  With vertex ranks q_0 > ... > q_k
+    from the largest vertex, a simplex is the integer sum_i C(q_i, k-i+1)
+    (the combinatorial number system, as in Ripser); omitting vertex i
+    subtracts C(q_i, k-i+1) and C(q_l, k-l+1) - C(q_l, k-l) for each l < i,
+    so one cumulative sum gives every facet.  Codes are int64 where they
+    fit, else Python ints."""
+    vertices, sizes, values = complex_._arrays
+    n = len(sizes)
+    ids, q = np.unique(vertices, return_inverse=True)
+    q = len(ids) - 1 - q  # ranks from the largest vertex
     seg = np.repeat(np.arange(n, dtype=np.int32), sizes)  # the entry of each vertex slot
     defects = (sizes == 0) | ~np.isfinite(values)
     defects[seg[1:][(seg[1:] == seg[:-1]) & (q[1:] >= q[:-1])]] = True  # ranks must fall
     if defects.any():
-        simplex, value = entries[int(defects.argmax())]
+        simplex, value = complex_.simplices[int(defects.argmax())]
         if not simplex or any(map(ge, simplex, simplex[1:])):  # before the value, as listed
             raise ValueError(f"vertices must be strictly increasing, got {simplex}" if simplex else "empty simplex")
         raise NonFiniteValueError(simplex, value)
@@ -146,7 +172,7 @@ def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, 
     sorted_key = key[perm]
     if (sorted_key[1:] == sorted_key[:-1]).any():
         seen: set = set()  # `seen.add` returns None, so this names the first repeat
-        raise DuplicateSimplexError(next(s for s in simplices if s in seen or seen.add(s)))
+        raise DuplicateSimplexError(next(s for s, _ in complex_.simplices if s in seen or seen.add(s)))
     by_key = np.argsort(face_key)  # sorted needles search fast
     face_key = face_key[by_key]
     slots = slots[by_key]
@@ -163,7 +189,7 @@ def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, 
     bad = ~found | (face > coface)  # a face sorts after its coface when its value is larger
     if bad.any():
         k = np.flatnonzero(bad)[slots[bad].argmin()]
-        simplex, omitted = simplices[owner[k]], slots[k] - starts[owner[k]]
+        simplex, omitted = complex_.simplices[owner[k]][0], slots[k] - starts[owner[k]]
         raise (NonMonotoneError if found[k] else MissingFaceError)(simplex, facets(simplex)[omitted])
     coface *= 2
     slots -= starts[owner]  # the omitted vertex, whose parity is the boundary sign

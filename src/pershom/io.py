@@ -9,7 +9,9 @@ bit-exactly, and infinite endpoints appear as ``inf`` / ``-inf``.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, List, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -110,37 +112,74 @@ def write_diagram(path, diagram: PersistenceDiagram) -> None:
         handle.write(format_diagram(diagram))
 
 
-def _simplices(text: str, source: str, linenos: List[int]) -> Iterator[Tuple[List[int], float]]:
-    """The (vertices, value) entry of each content line, its number appended
-    to ``linenos``; one pass, so a complex is built while the text is read."""
-    for lineno, line in _content_lines(text):
-        fields = line.split()
-        if fields[0] != "simplex" or len(fields) < 3:
-            raise FormatError(source, lineno, f"expected 'simplex <value> <v0> [v1 ...]', got {line!r}")
-        try:
-            value = float(fields[1])
-            verts = sorted(map(int, fields[2:]))
-            if verts[0] < 0:
-                raise ValueError("vertex ids must be nonnegative")
-            if len(set(verts)) != len(verts):
-                raise ValueError(f"repeated vertex in {verts}")
-        except ValueError as exc:
-            raise FormatError(source, lineno, str(exc)) from exc
-        linenos.append(lineno)
-        yield verts, value
+_BLOCK = 1024  # lines of a .flt text split at a time
+
+
+def _check_row(line: str, source: str, lineno: int) -> None:
+    """The checks of one content line, raising a FormatError located at it."""
+    fields = line.split()
+    if fields[0] != "simplex" or len(fields) < 3:
+        raise FormatError(source, lineno, f"expected 'simplex <value> <v0> [v1 ...]', got {line!r}")
+    try:
+        float(fields[1])
+        verts = sorted(map(int, fields[2:]))
+        if verts[0] < 0:
+            raise ValueError("vertex ids must be nonnegative")
+        if len(set(verts)) != len(verts):
+            raise ValueError(f"repeated vertex in {verts}")
+    except ValueError as exc:
+        raise FormatError(source, lineno, str(exc)) from exc
+
+
+def _filtration_arrays(rows: List[List[str]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat (vertices, sizes, values) of split content rows, each row's
+    vertices sorted and each distinct token converted once; any defect
+    raises a ValueError without a message."""
+    n = len(rows)
+    sizes = np.fromiter(map(len, rows), np.intp, n) - 2
+    if n and (sizes.min() < 1 or list(map(itemgetter(0), rows)).count("simplex") < n):
+        raise ValueError
+    tokens = list(map(itemgetter(1), rows))
+    value_of = {token: float(token) for token in set(tokens)}  # by text, so -0.0 and 0.0 stay apart
+    values = np.fromiter(map(value_of.__getitem__, tokens), float, n)
+    tokens = list(chain.from_iterable(map(itemgetter(slice(2, None)), rows)))
+    id_of = {token: int(token) for token in set(tokens)}
+    try:
+        vertices = np.fromiter(map(id_of.__getitem__, tokens), np.int64, len(tokens))
+    except OverflowError:  # exact ids beyond int64
+        vertices = np.fromiter(map(id_of.__getitem__, tokens), object, len(tokens))
+    row = np.repeat(np.arange(n), sizes)
+    inner = row[1:] == row[:-1]  # neighbouring slots of one row
+    if not (vertices[1:] > vertices[:-1])[inner].all():  # a row out of order: sort each row
+        vertices = vertices[np.lexsort((vertices, row))]
+        if (vertices[1:] == vertices[:-1])[inner].any():
+            raise ValueError
+    if (vertices < 0).any():
+        raise ValueError
+    return vertices, sizes, values
 
 
 def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex:
-    """A defect of the complex as a whole (a non-finite value, a duplicate,
-    a missing face, a later-born face) is reported at the line of the
-    simplex it names."""
+    """The lines are split and converted in blocks, so that the split text
+    of a large file never lives at once.  The first defective line is
+    reported, and a defect of the complex as a whole (a non-finite value, a
+    duplicate, a missing face, a later-born face) at the last line holding
+    the simplex it names."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
     try:
-        return FilteredComplex(_simplices(text, source, []))
+        blocks = [_filtration_arrays(list(filter(None, map(str.split, lines[i:i + _BLOCK]))))
+                  for i in range(0, len(lines), _BLOCK)] or [_filtration_arrays([])]
+    except ValueError:  # the row checks, in line order, name the first defective row
+        for lineno, line in _content_lines(text):
+            _check_row(line, source, lineno)
+        raise
+    del lines  # not kept through validation
+    try:
+        return FilteredComplex._from_arrays(*map(np.concatenate, zip(*blocks)))
     except ComplexValidationError as exc:
-        linenos: List[int] = []
-        entries = list(_simplices(text, source, linenos))
-        # The last line holding the simplex: for a duplicate, a repeat of it.
-        line_of = {tuple(verts): lineno for (verts, _), lineno in zip(entries, linenos)}
+        line_of = {tuple(sorted(map(int, line.split()[2:]))): lineno for lineno, line in _content_lines(text)}
         raise FormatError(source, line_of[exc.simplex], str(exc)) from exc
 
 

@@ -4,8 +4,9 @@ The homology oracles are dense linear algebra over F_p (row elimination,
 kernels, rank-nullity), plus the boundary-matrix column reduction that the
 library's cohomology engine replaced; none calls the library's reduction
 or reads the face table a complex keeps.  The face-index oracle is the
-tuple-keyed validation that the integer-coded index replaced, and the
-diagram oracle makes one point per bar.  The bottleneck oracle decides
+tuple-keyed validation that the integer-coded index replaced, the `.flt`
+oracle the per-line reader that the bulk one replaced, and the diagram
+oracle makes one point per bar.  The bottleneck oracle decides
 feasibility on the complete diagonal-slot graph with its own
 augmenting-path matcher and never calls the library's cost matrices or its
 Hopcroft-Karp matching.
@@ -23,6 +24,7 @@ import numpy as np
 from pershom import (
     POS_INF,
     Barcode,
+    ComplexValidationError,
     DuplicateSimplexError,
     FilteredComplex,
     Interval,
@@ -34,6 +36,7 @@ from pershom import (
 )
 from pershom.bottleneck import _diagonal_cost, _pair_cost
 from pershom.filtration import facets
+from pershom.io import FormatError
 
 
 def random_diagram(
@@ -157,6 +160,38 @@ def validate_oracle(entries) -> Tuple[tuple, List[List[int]]]:
                 raise NonMonotoneError(simplex, face)
             cofacets[k].append(2 * j + i % 2)
     return order, cofacets
+
+
+def parse_filtration_oracle(text: str, source: str = "<filtration>") -> FilteredComplex:
+    """The per-line `.flt` reader that the bulk one replaced: each content
+    line is split, checked and converted on its own, the first defective
+    line raising; the complex is built from (vertices, value) pairs, and a
+    defect of the complex is reported at the last line holding the simplex
+    it names."""
+    entries, linenos = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] != "simplex" or len(fields) < 3:
+            raise FormatError(source, lineno, f"expected 'simplex <value> <v0> [v1 ...]', got {line!r}")
+        try:
+            value = float(fields[1])
+            verts = sorted(map(int, fields[2:]))
+            if verts[0] < 0:
+                raise ValueError("vertex ids must be nonnegative")
+            if len(set(verts)) != len(verts):
+                raise ValueError(f"repeated vertex in {verts}")
+        except ValueError as exc:
+            raise FormatError(source, lineno, str(exc)) from exc
+        entries.append((verts, value))
+        linenos.append(lineno)
+    try:
+        return FilteredComplex(entries)
+    except ComplexValidationError as exc:
+        line_of = {tuple(verts): lineno for (verts, _), lineno in zip(entries, linenos)}
+        raise FormatError(source, line_of[exc.simplex], str(exc)) from exc
 
 
 def diagram_oracle(barcode: Barcode) -> PersistenceDiagram:

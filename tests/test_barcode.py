@@ -157,6 +157,22 @@ def test_radical_examples():
     assert radical(Barcode([(2, Interval.singleton(3.0))])) == Barcode()
 
 
+def test_intervals_wrap_each_endpoint_once(monkeypatch):
+    from pershom.io import parse_barcode
+
+    made = []
+    real = ExtendedReal.__new__
+    monkeypatch.setattr(ExtendedReal, "__new__", lambda cls, value: made.append(value) or real(cls, value))
+    barcode = parse_barcode("0 [0,1)\n0 [0,1)\n1 [2.5,inf)\n2 (-inf,3]\n3 [4,4]\n")
+    assert made == ["0", "1", "0", "1", "2.5", "inf", "-inf", "3", "4", "4"]  # two a line, none again
+    made.clear()
+    opened = radical(barcode)
+    assert made == []  # the endpoints are reused as they are
+    assert [str(iv) for _, iv in opened] == ["(0.0,1.0)", "(0.0,1.0)", "(2.5,inf)", "(-inf,3.0]"]
+    assert all(type(x) is ExtendedReal for _, iv in opened for x in (iv.lo, iv.hi))
+    assert made == []
+
+
 def _interval_strategy():
     endpoint = st.one_of(
         st.just(None),  # placeholder for infinities below

@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand plus the exit-code contract."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,38 @@ def test_compute_locates_a_missing_face(tmp_path, capsys):
     bad.write_text("simplex 0 0\nsimplex 0 1\nsimplex 1 0 2\n")
     assert main(["compute", "--input", str(bad), "--output", str(tmp_path / "out.dgm")]) == 1
     assert f"error: {bad}:3: simplex (0, 2) is missing its face (2,)" in capsys.readouterr().err
+
+
+def test_compute_accepts_vertex_ids_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.flt"
+    path.write_text("simplex 0 99999999999999999999\n")
+    out = tmp_path / "out.dgm"
+    assert main(["compute", "--input", str(path), "--output", str(out)]) == 0
+    assert out.read_text() == "0 0.0 inf 1\n"
+    assert capsys.readouterr().err == ""
+
+
+def test_compute_keeps_the_error_lines_of_the_defective_bench_inputs(tmp_path, monkeypatch, capsys):
+    """The two defective files of the benchmark's seed-1 `compute-rips2-f2`
+    schedule: its first 22 files, written with the generator's own random
+    stream, as `bench/gen.py` writes them for that workload."""
+    import numpy as np
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import gen
+
+    rng = np.random.default_rng([1, gen.WORKLOADS.index("compute-rips2-f2")])
+    jobs = gen._compute_jobs(rng, tmp_path, gen.FULL["rips2"][:22], 2, 2, True, gen.FULL["rips2_invalid"])
+    expected = {
+        "rips2_03_n107.flt": "610: simplex (8, 41, 43) has a later-born face (41, 43)",
+        "rips2_21_n160.flt": "1456: simplex (9, 36, 153) is missing its face (9, 153)",
+    }
+    assert [job["input"] for job in jobs if "invalid" in job] == list(expected)
+    for name, message in expected.items():
+        path = tmp_path / name
+        for field in ("2", "3"):
+            assert main(["compute", "--input", str(path), "--field", field, "--output", str(tmp_path / "o.dgm")]) == 1
+            assert capsys.readouterr() == ("", f"error: {path}:{message}\n")
 
 
 def test_compute_rejects_composite_field(tmp_path, flt_file):

@@ -1,6 +1,7 @@
 """Text-format round trips and parse errors."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -166,6 +167,68 @@ def test_filtration_structural_defect_is_located_at_its_simplex(text, lineno, me
         parse_filtration(text, source="x.flt")
     assert err.value.lineno == lineno
     assert str(err.value).startswith(f"x.flt:{lineno}: ")
+
+
+def test_filtration_vertex_ids_beyond_int64():
+    from pershom import compute_persistence
+
+    k = parse_filtration("simplex 0 99999999999999999999\n")
+    assert k.simplices == (((99999999999999999999,), 0.0),)
+    assert [str(iv) for _, iv in compute_persistence(k)] == ["[0.0,inf)"]
+    big = 2**64
+    k = parse_filtration(f"simplex 0 5\nsimplex 0 {big}\nsimplex 1 {big} 5\nsimplex 0 {2**63 - 1}\n")
+    assert k.sorted_simplices() == (((5,), 0.0), ((2**63 - 1,), 0.0), ((big,), 0.0), ((5, big), 1.0))
+    with pytest.raises(FormatError, match=f"missing its face \\({big},\\)") as err:
+        parse_filtration(f"simplex 0 5\nsimplex 1 {big} 5\n")
+    assert err.value.lineno == 2
+
+
+def test_filtration_keeps_signed_zeros_apart():
+    text = "simplex -0.0 1\nsimplex 0.0 0\nsimplex 0 0 1\nsimplex -0 2\n"
+    k = parse_filtration(text)
+    assert repr(k.sorted_simplices()) == "(((0,), 0.0), ((1,), -0.0), ((2,), -0.0), ((0, 1), 0.0))"
+    assert repr(k.simplices) == "(((1,), -0.0), ((0,), 0.0), ((0, 1), 0.0), ((2,), -0.0))"
+
+
+def test_filtration_whitespace_line_breaks_and_comments():
+    text = "# header\r\n\r\nsimplex\t0\t1\r\n  simplex 0  0 # note\x0csimplex 0.5 \t 1   0\n#\n\n"
+    k = parse_filtration(text)
+    assert k.simplices == (((1,), 0.0), ((0,), 0.0), ((0, 1), 0.5))
+    with pytest.raises(FormatError, match="duplicate simplex") as err:
+        parse_filtration("simplex 0 0\x0c# c\r\nsimplex\t0 0\n")
+    assert err.value.lineno == 3  # \x0c ends a line, as \r\n does
+
+
+def test_filtration_vertices_in_any_order():
+    text = "simplex 0 2\nsimplex 0 0\nsimplex 0 1\nsimplex 1 1 0\nsimplex 1 2 0\nsimplex 1 2 1\nsimplex 2 2 0 1\n"
+    k = parse_filtration(text)
+    assert [s for s, _ in k.simplices] == [(2,), (0,), (1,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    with pytest.raises(FormatError, match=r"simplex \(0, 1, 2\) is missing its face \(1, 2\)") as err:
+        parse_filtration(text.replace("simplex 1 2 1\n", ""))
+    assert err.value.lineno == 6
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("simplex 0 0\nsimplex 0 1 1\nsimplex x 2\nface 0 3\n", 2, "repeated vertex in [1, 1]"),
+        ("simplex 0 0\nface 0 1\nsimplex 0 1 1\nsimplex 0 -2\n", 2,
+         "expected 'simplex <value> <v0> [v1 ...]', got 'face 0 1'"),
+        ("simplex 0 0\nsimplex 0\nsimplex x 2\n", 2, "expected 'simplex <value> <v0> [v1 ...]', got 'simplex 0'"),
+        ("simplex 0 0\nsimplex x 2\nsimplex 0 -1\n", 2, "could not convert string to float: 'x'"),
+        ("simplex 0 0\nsimplex 0 -1\nsimplex 0 y\n", 2, "vertex ids must be nonnegative"),
+        ("simplex 0 0\nsimplex 0 y\nsimplex 0 0 0\n", 2, "invalid literal for int() with base 10: 'y'"),
+        ("simplex 1 0 1\nsimplex nan 2\nsimplex 0 3 3\n", 3, "repeated vertex in [3, 3]"),  # rows come first
+        ("simplex 0 0\nsimplex 1 0 1\nsimplex nan 2\nsimplex 1 0 3\n", 3, "simplex (2,) has a NaN filtration value"),
+        ("simplex 0 0\nsimplex 0 1\nsimplex 1 0 3\nsimplex 1 1 2\n", 3, "simplex (0, 3) is missing its face (3,)"),
+        ("simplex 0 0\nsimplex 2 0 1\nsimplex 0 1\nsimplex 1 0 2\nsimplex 0 0 1\n", 5,
+         "duplicate simplex (0, 1)"),  # at its last line, and before the missing face (2,) of line 4
+    ],
+)
+def test_filtration_reports_the_first_defect(text, lineno, message):
+    with pytest.raises(FormatError) as err:
+        parse_filtration(text, source="x.flt")
+    assert str(err.value) == f"x.flt:{lineno}: {message}"
 
 
 def test_cover_parsing():
@@ -343,3 +406,141 @@ def test_fuzz_numeric_text(tmp_path, reader_sep, rows, extra):
             _assert_located(err, text)
         else:
             assert err.lineno == 0
+
+
+_DGM_LINE = st.tuples(
+    st.sampled_from(["0", "1", "-1", "x"]), _NUMBER, _NUMBER, st.sampled_from(["1", "2", "0", "-1", "x"])
+).map(" ".join)
+_BAR_LINE = st.tuples(
+    st.sampled_from(["0", "1", "-1", "x"]), st.sampled_from("[("), _NUMBER, _NUMBER, st.sampled_from(")]")
+).map(lambda parts: "{} {}{},{}{}".format(*parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts(_DGM_LINE))
+def test_fuzz_diagram_text(text):
+    try:
+        assert isinstance(parse_diagram(text, source="d.dgm"), PersistenceDiagram)
+    except FormatError as err:
+        _assert_located(err, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts(_BAR_LINE))
+def test_fuzz_barcode_text(text):
+    try:
+        assert isinstance(parse_barcode(text, source="b.bar"), Barcode)
+    except FormatError as err:
+        _assert_located(err, text)
+
+
+def _cli_commands(kind: str, path: str, out: str):
+    if kind == "flt":
+        return [["compute", "--input", path, "--field", "3", "--output", out]]
+    if kind == "dgm":
+        return [["caps", "--dgm", path, "--epsilon", "0.5"], ["morse", "--dgm", path, "--epsilon", "0.5",
+                "--max-degree", "2"], ["bottleneck", path, path, "--degree", "0"]]
+    return [["dowker", "--cover", path, "--field", "2"]]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(*(_texts(line).map(lambda text, kind=kind: (kind, text))
+                   for kind, line in (("flt", _FLT_LINE), ("dgm", _DGM_LINE), ("cov", _COV_LINE)))))
+def test_fuzz_cli_exit_codes(tmp_path, capsys, kind_text):
+    from pershom.cli import main
+
+    kind, text = kind_text
+    path = tmp_path / f"in.{kind}"
+    path.write_text(text)
+    for argv in _cli_commands(kind, str(path), str(tmp_path / "out.dgm")):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, text)
+        assert "Traceback" not in out + err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (err, text)
+
+
+# --------------------------------------------- bulk .flt reader against the per-line one
+
+_IDS = ["0", "1", "2", "3", "01", "9223372036854775807", "9223372036854775808", "99999999999999999999"]
+_FINITE = ["-0.0", "0.0", "-0", "0", "0.5", "1", "2.5", "1e1"]
+_DEFECTS = ["drop", "repeat-row", "raise", "nan", "inf", "repeat-vertex", "negative", "head", "short", "token"]
+
+
+@st.composite
+def _flt_documents(draw):
+    """A face-closed monotone complex over a few ids, small and beyond int64,
+    written with shuffled rows and vertices, tabs, comments, blank lines and
+    mixed line breaks, then given up to two defects."""
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=4, unique_by=int))
+    tops = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True), min_size=1, max_size=3))
+    value_of = {}
+    for size in range(1, 5):
+        for top in tops:
+            for face in combinations(top, size) if size <= len(top) else ():
+                key = frozenset(face)
+                if key not in value_of:
+                    token = draw(st.sampled_from(_FINITE))
+                    below = [value_of[key - {v}] for v in key] if size > 1 else []
+                    value_of[key] = max([token] + below, key=float)
+    rows = [["simplex", value, *draw(st.permutations(sorted(key)))] for key, value in value_of.items()]
+    rows = draw(st.permutations(rows))
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=2)):
+        if not rows:
+            break
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        if defect == "drop":
+            del rows[k]
+        elif defect == "repeat-row":
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+        else:
+            rows[k] = {"raise": ["simplex", "9", *row[2:]], "nan": ["simplex", "nan", *row[2:]],
+                       "inf": ["simplex", "-inf", *row[2:]], "repeat-vertex": row + row[-1:],
+                       "negative": row + ["-1"], "head": ["Simplex", *row[1:]], "short": row[:2],
+                       "token": row + ["x"]}[defect]
+    lines = [draw(st.sampled_from([" ", "\t", "  ", " \t"])).join(row) for row in rows]
+    lines = [line + draw(st.sampled_from(["", "", " # c", "#", "\t"])) for line in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# only a comment", "  "])))
+    return "".join(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\x0c"])) for line in lines)
+
+
+def _read_with(parse, text):
+    try:
+        k = parse(text, source="f.flt")
+    except FormatError as err:
+        return err.lineno, str(err)
+    table = [(str(getattr(part, "dtype", "q")), part.tobytes()) for part in k._table]
+    return repr(k.simplices), repr(k.sorted_simplices()), table
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(_texts(_FLT_LINE), _flt_documents()), st.sampled_from([1, 2, 3, 1024]))
+def test_bulk_filtration_reader_matches_the_per_line_one(text, block):
+    import pershom.io
+    from helpers import parse_filtration_oracle
+
+    default, pershom.io._BLOCK = pershom.io._BLOCK, block  # lines split at a time
+    try:
+        assert _read_with(parse_filtration, text) == _read_with(parse_filtration_oracle, text)
+    finally:
+        pershom.io._BLOCK = default
+
+
+def test_bulk_filtration_reader_across_blocks():
+    import random
+
+    from helpers import parse_filtration_oracle, random_closed_entries
+
+    rng = random.Random(11)
+    entries = random_closed_entries(rng, max_dim=10, extra_vertices=3) + [((2**64,), 0.5)]  # over 2,048 lines
+    lines = [f"simplex {t!r} {' '.join(map(str, rng.sample(s, len(s))))}" for s, t in entries]
+    text = "\n".join(lines) + "\n"
+    assert _read_with(parse_filtration, text) == _read_with(parse_filtration_oracle, text)
+    assert len(parse_filtration(text)) == len(entries) > 2048
+    for k, line in [(1500, "simplex 0 1 1"), (2000, "simplex 0 -5"), (1800, lines[5])]:
+        broken = "\n".join(lines[:k] + [line] + lines[k:])
+        assert _read_with(parse_filtration, broken) == _read_with(parse_filtration_oracle, broken)
+        assert _read_with(parse_filtration, broken)[0] == k + 1
