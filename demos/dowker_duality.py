@@ -36,12 +36,13 @@ previous = None
 for delta in (0.5, 0.8, 1.6, 2.5):
     cover = balls_cover(dists, delta)
     complex_ = vietoris(cover)
-    nested = "" if previous is None else f"  contains previous: {previous <= complex_}"
+    simplices = {simplex for simplex, _ in complex_.simplices}
+    nested = "" if previous is None else f"  contains previous: {previous <= simplices}"
     print(
         f"  delta={delta:3.1f}  vietoris betti = {homology_ranks(complex_)}"
         f"  nerve betti = {homology_ranks(nerve(cover))}"
         f"  ({len(complex_)} simplices){nested}"
     )
-    previous = complex_
+    previous = simplices
 print("\nthe loop is born once neighboring balls overlap and dies when the")
 print("complex fills in; the nerve tracks it with the same Betti numbers.")

@@ -2,8 +2,10 @@
 
 The nerve records which subfamilies of cover sets intersect; the Vietoris
 complex records which finite subsets of the ground set fit inside a single
-cover element.  Dowker's duality makes the two homotopy equivalent, and the
-testable shadow of that here is degreewise equality of Betti numbers.
+cover element.  Both are `FilteredComplex`es with every simplex at value 0,
+so each is validated once, at construction, like any other complex.
+Dowker's duality makes the two homotopy equivalent, and the testable shadow
+of that here is degreewise equality of Betti numbers (`homology_ranks`).
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
 
+from .barcode import query_value
 from .bottleneck import TooLargeError
-from .filtration import Simplex, betti_numbers, facets
+from .filtration import FilteredComplex, homology_ranks
 from .linalg import GF2, PrimeField
 
 # Most simplices `vietoris` may enumerate, counted as the nonempty subsets of
@@ -62,70 +65,7 @@ class Cover:
         object.__setattr__(self, "sets", entries)
 
 
-class SimplicialComplex:
-    """A face-closed set of strictly increasing integer tuples."""
-
-    __slots__ = ("_simplices",)
-
-    def __init__(self, simplices: Iterable[Iterable[int]]):
-        cleaned = set()
-        for raw in simplices:
-            simplex = tuple(int(v) for v in raw)
-            if not simplex:
-                raise ValueError("empty simplex")
-            if any(a >= b for a, b in zip(simplex, simplex[1:])):
-                raise ValueError(f"vertices must be strictly increasing, got {simplex}")
-            cleaned.add(simplex)
-        for simplex in cleaned:
-            for face in facets(simplex):
-                if face not in cleaned:
-                    raise ValueError(f"not face-closed: {simplex} is missing {face}")
-        object.__setattr__(self, "_simplices", frozenset(cleaned))
-
-    @classmethod
-    def from_maximal(cls, maximal: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """Build the closure of a family of (not necessarily maximal) simplices."""
-        closure = set()
-        for raw in maximal:
-            verts = tuple(sorted({int(v) for v in raw}))
-            for k in range(1, len(verts) + 1):
-                closure.update(combinations(verts, k))
-        return cls(closure)
-
-    @property
-    def simplices(self) -> FrozenSet[Simplex]:
-        return self._simplices
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the complex; -1 when empty."""
-        if not self._simplices:
-            return -1
-        return max(len(s) for s in self._simplices) - 1
-
-    def __len__(self) -> int:
-        return len(self._simplices)
-
-    def __contains__(self, simplex) -> bool:
-        return tuple(simplex) in self._simplices
-
-    def __eq__(self, other):
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self._simplices == other._simplices
-
-    def __le__(self, other: "SimplicialComplex") -> bool:
-        """Subcomplex relation."""
-        return self._simplices <= other._simplices
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
-
-    def __repr__(self):
-        return f"SimplicialComplex({sorted(self._simplices)})"
-
-
-def nerve(cover: Cover) -> SimplicialComplex:
+def nerve(cover: Cover) -> FilteredComplex:
     """Simplices are index sets of cover subfamilies with nonempty intersection.
 
     Vertex i of the result stands for ``cover.sets[i]``.
@@ -133,12 +73,8 @@ def nerve(cover: Cover) -> SimplicialComplex:
     members = [elems for _, elems in cover.sets]
     # Grow by one set at a time; an intersection can only shrink, so every
     # face of a recorded simplex was recorded earlier.
-    simplices = []
-    frontier = []
-    for i, elems in enumerate(members):
-        if elems:
-            frontier.append(((i,), elems))
-    simplices.extend(frontier)
+    frontier = [((i,), elems) for i, elems in enumerate(members) if elems]
+    simplices = list(frontier)
     while frontier:
         new_frontier = []
         for verts, common in frontier:
@@ -148,10 +84,10 @@ def nerve(cover: Cover) -> SimplicialComplex:
                     new_frontier.append((verts + (j,), meet))
         simplices.extend(new_frontier)
         frontier = new_frontier
-    return SimplicialComplex([verts for verts, _ in simplices])
+    return FilteredComplex((verts, 0.0) for verts, _ in simplices)
 
 
-def vietoris(cover: Cover) -> SimplicialComplex:
+def vietoris(cover: Cover) -> FilteredComplex:
     """Simplices are the finite subsets of the ground set lying inside some
     cover element.
 
@@ -166,12 +102,7 @@ def vietoris(cover: Cover) -> SimplicialComplex:
         verts = tuple(sorted(elems))
         for k in range(1, len(verts) + 1):
             simplices.update(combinations(verts, k))
-    return SimplicialComplex(simplices)
-
-
-def homology_ranks(complex_: SimplicialComplex, field: PrimeField = GF2) -> Tuple[int, ...]:
-    """Betti numbers over F_p for all degrees up to the complex's dimension."""
-    return betti_numbers(sorted(complex_.simplices), field)
+    return FilteredComplex((simplex, 0.0) for simplex in simplices)
 
 
 def dowker_check(cover: Cover, field: PrimeField = GF2):
@@ -191,13 +122,17 @@ def balls_cover(distances: Sequence[Sequence[float]], delta: float) -> Cover:
     """The cover of a finite metric space by open balls of radius delta.
 
     ``distances`` is a square symmetric matrix with zero diagonal; point ids
-    are row indices and cover set i is {j : dist(i, j) < delta}.
+    are row indices and cover set i is {j : dist(i, j) < delta}.  A NaN
+    radius or entry raises ValueError.
     """
+    delta = query_value(delta, "delta")
     if delta <= 0:
         raise ValueError(f"requires delta > 0, got {delta}")
     mat = np.asarray(distances, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {mat.shape}")
+    if np.isnan(mat).any():
+        raise ValueError(f"distance matrix has a NaN entry at {tuple(np.argwhere(np.isnan(mat))[0].tolist())}")
     if (mat < 0).any():
         raise ValueError("distances must be nonnegative")
     if not np.array_equal(mat, mat.T):
@@ -212,11 +147,9 @@ def balls_cover(distances: Sequence[Sequence[float]], delta: float) -> Cover:
 __all__ = [
     "Cover",
     "CoverSetError",
-    "SimplicialComplex",
     "nerve",
     "vietoris",
     "VIETORIS_LIMIT",
-    "homology_ranks",
     "dowker_check",
     "balls_cover",
 ]

@@ -115,14 +115,16 @@ def diagram_of(barcode: Barcode) -> PersistenceDiagram:
     """The diagram of a barcode: group bars by (inf, sup), dropping singletons.
 
     Endpoint openness is invisible here, so the radical of a barcode has the
-    same diagram as the barcode itself.  A barcode is sorted, so equal bars
-    are adjacent: each run is counted once, and each point is made once.
+    same diagram as the barcode itself.  A barcode repeats one object per run
+    of equal bars: runs are grouped by identity and summed per point, so no
+    intervals are compared and each point is made once.
     """
     table: Dict[int, Dict[Tuple[float, float], int]] = {}
-    for (d, iv), run in groupby(barcode):
+    for _, run in groupby(barcode, id):
+        (d, iv), *rest = run
         if not iv.is_singleton:
             bucket = table.setdefault(d, {})
-            bucket[iv.lo, iv.hi] = bucket.get((iv.lo, iv.hi), 0) + len(list(run))
+            bucket[iv.lo, iv.hi] = bucket.get((iv.lo, iv.hi), 0) + 1 + len(rest)
     return PersistenceDiagram(table)
 
 

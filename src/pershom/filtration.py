@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from operator import ge, itemgetter
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -270,10 +270,9 @@ def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list,
     return pairs, essential
 
 
-def betti_numbers(simplices: Sequence[Simplex], field: PrimeField = GF2) -> Tuple[int, ...]:
-    """Unreduced Betti numbers of a face-closed simplex set over F_p: with
-    every simplex valued 0, the counts of unpaired simplices by degree."""
-    complex_ = FilteredComplex((s, 0.0) for s in simplices)
+def homology_ranks(complex_: FilteredComplex, field: PrimeField = GF2) -> Tuple[int, ...]:
+    """Unreduced Betti numbers of the whole complex over F_p, one per degree
+    up to the top one, (0,) when empty: its essential bars by degree."""
     sizes = complex_._table[1]
     essential = sizes[_reduce(complex_, len(sizes), field)[1]]
     return tuple(np.bincount(essential - 1, minlength=int(sizes.max(initial=1))).tolist())
@@ -299,5 +298,5 @@ def euler_profile(complex_: FilteredComplex) -> Tuple[Tuple[float, int], ...]:
 __all__ = [
     "Simplex", "FilteredComplex", "ComplexValidationError", "NonFiniteValueError", "DuplicateSimplexError",
     "MissingFaceError", "NonMonotoneError", "MissingVertexValueError", "facets", "validate", "lower_star",
-    "compute_persistence", "betti_numbers", "betti_at", "euler_profile",
+    "compute_persistence", "homology_ranks", "betti_at", "euler_profile",
 ]

@@ -8,6 +8,7 @@ bit-exactly, and infinite endpoints appear as ``inf`` / ``-inf``.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import chain
 from operator import itemgetter
@@ -251,13 +252,16 @@ def _numeric_rows(path, sep, expected: str) -> List[Tuple[int, List[float]]]:
 
 
 def read_distance_matrix(path) -> np.ndarray:
-    """Square whitespace-separated matrix, one row per line."""
+    """Square whitespace-separated matrix, one row per line, without NaN."""
     rows = _numeric_rows(path, None, "a square whitespace-separated matrix")
     n = len(rows)
     for lineno, row in rows:
         if len(row) != n:
             message = f"a square matrix of {n} rows needs {n} entries per row, got {len(row)}"
             raise FormatError(str(path), lineno, message)
+        for column, entry in enumerate(row, 1):
+            if math.isnan(entry):
+                raise FormatError(str(path), lineno, f"entry {column} is NaN")
     return np.array([row for _, row in rows], dtype=float)
 
 

@@ -252,6 +252,22 @@ def random_cover_sets(
     return sets, ground
 
 
+def closure(maximal) -> FilteredComplex:
+    """The complex at value 0 of every nonempty face of the given simplices."""
+    faces = set()
+    for raw in maximal:
+        verts = tuple(sorted(set(raw)))
+        for k in range(1, len(verts) + 1):
+            faces.update(combinations(verts, k))
+    return FilteredComplex((face, 0.0) for face in faces)
+
+
+def is_face_closed(simplices) -> bool:
+    """Whether a set of vertex tuples holds every codimension-1 face of each member."""
+    present = set(simplices)
+    return all(face in present for s in present if len(s) > 1 for face in combinations(s, len(s) - 1))
+
+
 def alive_bars(barcode, d: int, t: float) -> int:
     """Bars of degree d alive at t under the closed-left/open-right reading."""
     count = 0
@@ -323,7 +339,7 @@ def boundary_matrix(simplices, dim: int) -> np.ndarray:
 
 def betti_numbers_oracle(simplices, field) -> Tuple[int, ...]:
     """Dense rank-nullity Betti numbers of a face-closed simplex set, in the
-    shape of ``betti_numbers``: one entry per degree up to the top one, or
+    shape of ``homology_ranks``: one entry per degree up to the top one, or
     ``(0,)`` when empty."""
     if not simplices:
         return (0,)

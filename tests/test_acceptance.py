@@ -149,8 +149,8 @@ def test_criterion_7_dowker_agreement():
             for field in (GF2, GF3):
                 agree, nerve_ranks, vietoris_ranks = dowker_check(cover, field)
                 assert agree
-                assert nerve_ranks == betti_numbers_oracle(sorted(nerve(cover).simplices), field)
-                assert vietoris_ranks == betti_numbers_oracle(sorted(vietoris(cover).simplices), field)
+                assert nerve_ranks == betti_numbers_oracle(sorted(s for s, _ in nerve(cover).simplices), field)
+                assert vietoris_ranks == betti_numbers_oracle(sorted(s for s, _ in vietoris(cover).simplices), field)
 
 
 def test_criterion_8_bars_betti_euler_consistency():

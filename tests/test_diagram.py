@@ -143,6 +143,24 @@ def test_diagram_of_makes_one_point_per_distinct_point(monkeypatch):
     assert diagram == diagram_oracle(barcode)
 
 
+def test_diagram_of_compares_no_intervals(monkeypatch):
+    # runs of a computed barcode are grouped by identity, not by Interval.__eq__
+    barcode = compute_persistence(grid_lower_star(random.Random(4)))
+    expected = diagram_oracle(barcode)
+    compare = Interval.__eq__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return compare(self, other)
+
+    monkeypatch.setattr(Interval, "__eq__", counted)
+    diagram = diagram_of(barcode)
+    assert calls == []
+    monkeypatch.undo()
+    assert diagram == expected
+
+
 _ENDPOINTS = [-math.inf, -0.0, 0.0, 0.5, 1.0, math.inf]
 
 

@@ -297,6 +297,7 @@ def test_numeric_inputs(tmp_path):
         (read_distance_matrix, "0 1\n1 y\n", 2, "could not convert string to float: 'y'"),
         (read_distance_matrix, "0 1\n1\n", 2, "a square matrix of 2 rows needs 2 entries per row, got 1"),
         (read_distance_matrix, "0 1 2\n1 0 2\n", 1, "a square matrix of 2 rows needs 2 entries per row, got 3"),
+        (read_distance_matrix, "0 1\n# note\n1 nan\n", 3, "entry 2 is NaN"),
     ],
 )
 def test_numeric_inputs_locate_their_defects(tmp_path, reader, text, lineno, message):
