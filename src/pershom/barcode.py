@@ -8,8 +8,10 @@ values here are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Tuple
 
 
@@ -58,32 +60,34 @@ def query_value(value, name: str, finite: bool = False) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
     """An interval of the real line with explicit endpoint openness.
 
     Invariants: ``lo <= hi``; a closed endpoint is always finite; equal
-    endpoints force a (finite) singleton ``[a,a]``.
+    endpoints force a (finite) singleton ``[a,a]``.  A tuple of two
+    ExtendedReals and two flags, checked once when made; hashing, equality
+    and order are those of the tuple.
     """
 
-    lo: ExtendedReal
-    hi: ExtendedReal
-    lo_closed: bool
-    hi_closed: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.lo) is not ExtendedReal:
-            object.__setattr__(self, "lo", ExtendedReal(self.lo))
-        if type(self.hi) is not ExtendedReal:
-            object.__setattr__(self, "hi", ExtendedReal(self.hi))
-        if self.lo > self.hi:
+    def __new__(cls, lo, hi, lo_closed: bool, hi_closed: bool):
+        lo = lo if type(lo) is ExtendedReal else ExtendedReal(lo)
+        hi = hi if type(hi) is ExtendedReal else ExtendedReal(hi)
+        self = super().__new__(cls, lo, hi, lo_closed, hi_closed)
+        if lo > hi:
             raise ValueError(f"interval endpoints out of order: {self}")
-        if self.lo_closed and not math.isfinite(self.lo):
+        if lo_closed and not math.isfinite(lo):
             raise ValueError("closed left endpoint must be finite")
-        if self.hi_closed and not math.isfinite(self.hi):
+        if hi_closed and not math.isfinite(hi):
             raise ValueError("closed right endpoint must be finite")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        if lo == hi and not (lo_closed and hi_closed):
             raise ValueError("an interval with equal endpoints must be a singleton [a,a]")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # so that `_replace` checks too
 
     @staticmethod
     def closed_open(lo: float, hi: float) -> "Interval":
@@ -134,11 +138,6 @@ class ConstancyWitness:
             raise ValueError("witness requires t0 <= t1")
 
 
-def _bar_key(bar: Tuple[int, Interval]):
-    degree, iv = bar
-    return (degree, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
-
-
 class Barcode:
     """A finite multiset of (degree, interval) bars, stored canonically sorted.
 
@@ -157,7 +156,7 @@ class Barcode:
             if not isinstance(iv, Interval):
                 raise TypeError(f"expected Interval, got {type(iv).__name__}")
             runs.append([bar, (int(d), iv), 1])
-        runs.sort(key=lambda run: _bar_key(run[1]))
+        runs.sort(key=itemgetter(1))  # by degree, then the interval's fields in order
         object.__setattr__(self, "_bars", tuple(chain.from_iterable(repeat(bar, m) for _, bar, m in runs)))
 
     @property

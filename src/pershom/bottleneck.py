@@ -36,8 +36,8 @@ BRUTE_FORCE_LIMIT = 8
 
 
 class TooLargeError(ValueError):
-    """An input too large for an exponential construction: the brute-force
-    oracle's diagrams, or the simplices of a Vietoris complex."""
+    """An input too large to process: the brute-force oracle's diagrams, the
+    simplices of a Vietoris complex, or a Douglas quadrature grid."""
 
 
 @dataclass(frozen=True)

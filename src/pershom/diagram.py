@@ -34,6 +34,10 @@ class DiagramPoint(namedtuple("DiagramPoint", "p q")):
             raise ValueError(f"requires p < q, got ({p}, {q})")
         return super().__new__(cls, p, q)
 
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # so that `_replace` checks too
+
     @property
     def gap(self) -> float:
         """The lifetime q - p as a float (inf when an endpoint is infinite)."""

@@ -19,8 +19,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from operator import ge, itemgetter
-from typing import Dict, Iterable, Mapping, Tuple
+from operator import ge
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,15 @@ class MissingVertexValueError(ValueError):
         super().__init__(f"no value for vertex {vertex}")
 
 
+def _vertex_array(ids: Callable[[], Iterator[int]], count: int) -> np.ndarray:
+    """The ``count`` vertex ids that ``ids()`` yields, as int64, or as exact
+    Python ints when one is beyond int64 (``ids()`` is then called again)."""
+    try:
+        return np.fromiter(ids(), np.int64, count)
+    except OverflowError:
+        return np.fromiter(map(int, ids()), object, count)
+
+
 def facets(simplex: Simplex) -> Tuple[Simplex, ...]:
     """All codimension-1 faces, omitting vertex 0 first (`combinations` omits the last first)."""
     return tuple(combinations(simplex, len(simplex) - 1))[::-1] if len(simplex) > 1 else ()
@@ -74,25 +83,21 @@ def facets(simplex: Simplex) -> Tuple[Simplex, ...]:
 @dataclass(frozen=True)
 class FilteredComplex:
     """A face-closed simplex list with finite values, monotone under
-    inclusion.  Construction checks all of this, so every instance is valid;
-    defects raise a `ComplexValidationError` naming the first offender."""
+    inclusion, kept as flat (vertices, sizes, values) arrays; its simplex
+    tuples are built on first use.  Construction checks all of this, so every
+    instance is valid; defects raise a `ComplexValidationError` naming the first offender."""
 
     simplices: Tuple[Tuple[Simplex, float], ...]
 
-    def __init__(self, simplices: Iterable[Tuple[Iterable[int], float]]):
-        entries = tuple([(tuple(map(int, verts)), float(t)) for verts, t in simplices])
-        object.__setattr__(self, "simplices", entries)
-        n = len(entries)
-        sizes = np.fromiter(map(len, map(itemgetter(0), entries)), np.intp, n)
-        try:
-            vertices = np.fromiter(chain.from_iterable(map(itemgetter(0), entries)), np.int64, int(sizes.sum()))
-        except OverflowError:  # exact ids beyond int64
-            vertices = np.fromiter(chain.from_iterable(map(itemgetter(0), entries)), object, int(sizes.sum()))
-        self._validate(vertices, sizes, np.fromiter(map(itemgetter(1), entries), float, n))
+    def __init__(self, simplices: Iterable[Tuple[Sequence[int], float]]):
+        rows, values = tuple(zip(*simplices)) or ((), ())
+        sizes = np.fromiter(map(len, rows), np.intp, len(rows))
+        vertices = _vertex_array(lambda: chain.from_iterable(rows), int(sizes.sum()))
+        self._validate(vertices, sizes, np.fromiter(values, float, len(rows)))
 
     @classmethod
     def _from_arrays(cls, *arrays: np.ndarray) -> "FilteredComplex":
-        """The complex of flat (vertices, sizes, values) arrays; `simplices` is built on first use."""
+        """The complex of flat (vertices, sizes, values) arrays."""
         self = object.__new__(cls)
         self._validate(*arrays)
         return self
@@ -261,7 +266,7 @@ def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list,
                     else:
                         del col[row]
             if col:
-                scale = field.inv(col[low])
+                scale = 1 if col[low] == 1 else field.inv(col[low])  # never inverts over F2
                 pivots[low] = col if scale == 1 else {r: c * scale % p for r, c in col.items()}
                 deaths.add(low)
                 pairs.append((j, low))

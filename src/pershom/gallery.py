@@ -17,8 +17,13 @@ from typing import List, Tuple
 import numpy as np
 
 from .barcode import Barcode, Interval
+from .bottleneck import TooLargeError
 from .filtration import FilteredComplex, betti_at
 from .linalg import GF2
+
+# Most points per axis of the Douglas quadrature grid: evaluation holds
+# several n x n float64 arrays, 128 MiB each at 4096.
+QUADRATURE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,8 @@ class DouglasInput:
     ``curve_samples`` holds g(2*pi*i/K) for i = 0..K-1 as rows; ``phi``
     holds the reparametrization at the same grid points and must be
     monotone with phi(t + 2*pi) = phi(t) + 2*pi.  Every sample must be
-    finite.  ``quadrature_n`` sets the integration grid.
+    finite.  ``quadrature_n`` sets the integration grid, 8 to
+    QUADRATURE_LIMIT points per axis.
     """
 
     curve_samples: np.ndarray
@@ -127,6 +133,8 @@ class DouglasInput:
             raise ValueError("phi samples must be monotone over one period")
         if self.quadrature_n < 8:
             raise ValueError(f"requires quadrature_n >= 8, got {self.quadrature_n}")
+        if self.quadrature_n > QUADRATURE_LIMIT:
+            raise TooLargeError(f"quadrature_n {self.quadrature_n} is over {QUADRATURE_LIMIT}")
 
     @staticmethod
     def identity(curve_samples: np.ndarray, quadrature_n: int) -> "DouglasInput":
@@ -183,4 +191,5 @@ __all__ = [
     "hawaiian_rank_sweep",
     "product_family",
     "douglas_eval",
+    "QUADRATURE_LIMIT",
 ]

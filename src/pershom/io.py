@@ -16,10 +16,10 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .barcode import Barcode, ExtendedReal, Interval
+from .barcode import Barcode, Interval
 from .covers import Cover, CoverSetError
 from .diagram import DiagramPoint, PersistenceDiagram
-from .filtration import ComplexValidationError, FilteredComplex
+from .filtration import ComplexValidationError, FilteredComplex, _vertex_array
 
 
 class FormatError(ValueError):
@@ -50,12 +50,7 @@ def parse_barcode(text: str, source: str = "<barcode>") -> Barcode:
         if not match:
             raise FormatError(source, lineno, f"expected '<degree> <[|(><lo>,<hi><)|]>', got {line!r}")
         try:
-            interval = Interval(
-                ExtendedReal(match["lo"]),
-                ExtendedReal(match["hi"]),
-                match["left"] == "[",
-                match["right"] == "]",
-            )
+            interval = Interval(match["lo"], match["hi"], match["left"] == "[", match["right"] == "]")
         except ValueError as exc:
             raise FormatError(source, lineno, str(exc)) from exc
         bars.append((int(match["degree"]), interval))
@@ -84,7 +79,7 @@ def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:
             raise FormatError(source, lineno, f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
         try:
             degree = int(fields[0])
-            point = DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
+            point = DiagramPoint(fields[1], fields[2])
             mult = int(fields[3])
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
@@ -145,10 +140,7 @@ def _filtration_arrays(rows: List[List[str]]) -> Tuple[np.ndarray, np.ndarray, n
     values = np.fromiter(map(value_of.__getitem__, tokens), float, n)
     tokens = list(chain.from_iterable(map(itemgetter(slice(2, None)), rows)))
     id_of = {token: int(token) for token in set(tokens)}
-    try:
-        vertices = np.fromiter(map(id_of.__getitem__, tokens), np.int64, len(tokens))
-    except OverflowError:  # exact ids beyond int64
-        vertices = np.fromiter(map(id_of.__getitem__, tokens), object, len(tokens))
+    vertices = _vertex_array(lambda: map(id_of.__getitem__, tokens), len(tokens))
     row = np.repeat(np.arange(n), sizes)
     inner = row[1:] == row[:-1]  # neighbouring slots of one row
     if not (vertices[1:] > vertices[:-1])[inner].all():  # a row out of order: sort each row

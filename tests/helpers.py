@@ -5,11 +5,12 @@ kernels, rank-nullity), plus the boundary-matrix column reduction that the
 library's cohomology engine replaced; none calls the library's reduction
 or reads the face table a complex keeps.  The face-index oracle is the
 tuple-keyed validation that the integer-coded index replaced, the `.flt`
-oracle the per-line reader that the bulk one replaced, and the diagram
-oracle makes one point per bar.  The bottleneck oracle decides
-feasibility on the complete diagonal-slot graph with its own
-augmenting-path matcher and never calls the library's cost matrices or its
-Hopcroft-Karp matching.
+oracle the per-line reader that the bulk one replaced, the bar-order
+oracle the Python sort key that `Barcode` replaced by the order of its
+bars, and the diagram oracle makes one point per bar.  The bottleneck
+oracle decides feasibility on the complete diagonal-slot graph with its
+own augmenting-path matcher and never calls the library's cost matrices or
+its Hopcroft-Karp matching.
 """
 
 from __future__ import annotations
@@ -192,6 +193,13 @@ def parse_filtration_oracle(text: str, source: str = "<filtration>") -> Filtered
     except ComplexValidationError as exc:
         line_of = {tuple(verts): lineno for (verts, _), lineno in zip(entries, linenos)}
         raise FormatError(source, line_of[exc.simplex], str(exc)) from exc
+
+
+def bar_key(bar):
+    """The Python sort key that ``Barcode`` once ordered its bars by: the
+    degree, then the interval's endpoints and flags."""
+    degree, iv = bar
+    return (degree, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
 
 
 def diagram_oracle(barcode: Barcode) -> PersistenceDiagram:

@@ -2,9 +2,10 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pershom import (
     Barcode,
@@ -19,7 +20,7 @@ from pershom import (
     radical,
 )
 
-from helpers import grid_module_rank
+from helpers import bar_key, grid_module_rank
 
 
 # ---------------------------------------------------------------- extended reals
@@ -77,6 +78,38 @@ def test_interval_invariants():
     with pytest.raises(ValueError):  # equal endpoints must be a singleton
         Interval(ExtendedReal(1.0), ExtendedReal(1.0), True, False)
     assert Interval.singleton(3.0).is_singleton
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 0.0, True, False), "interval endpoints out of order: [1.0,0.0)"),
+    ((1, 0.5, False, True), "interval endpoints out of order: (1.0,0.5]"),
+    ((math.inf, -math.inf, False, False), "interval endpoints out of order: (inf,-inf)"),
+    ((-math.inf, 1.0, True, False), "closed left endpoint must be finite"),
+    ((0.0, math.inf, False, True), "closed right endpoint must be finite"),
+    ((0.5, 0.5, True, False), "an interval with equal endpoints must be a singleton [a,a]"),
+    ((-0.0, 0.0, False, False), "an interval with equal endpoints must be a singleton [a,a]"),
+    ((math.nan, 1.0, False, False), "extended real cannot be NaN"),
+    ((0.0, math.nan, False, False), "extended real cannot be NaN"),
+])
+def test_interval_invariants_keep_their_messages(args, message):
+    with pytest.raises(ValueError) as err:
+        Interval(*args)
+    assert str(err.value) == message
+
+
+def test_interval_is_a_checked_tuple_of_its_fields():
+    iv = Interval(0, math.inf, True, False)
+    assert all(type(x) is ExtendedReal for x in (iv.lo, iv.hi))
+    assert iv == (0.0, math.inf, True, False) and hash(iv) == hash((0.0, math.inf, True, False))
+    assert repr(iv) == "Interval(lo=0.0, hi=inf, lo_closed=True, hi_closed=False)"
+    assert str(iv) == "[0.0,inf)"
+    with pytest.raises(AttributeError):
+        iv.lo = ExtendedReal(1.0)
+    assert type(iv._replace(hi=2).hi) is ExtendedReal
+    with pytest.raises(ValueError, match="out of order"):
+        iv._replace(lo=5.0, hi=1.0)
+    with pytest.raises(AttributeError):
+        iv.tag = 1  # no instance dict
 
 
 def test_interval_module_rank_examples():
@@ -251,6 +284,26 @@ def test_constancy_witness_brackets_all_activity():
     # below t0 and above t1 the alive-set is frozen
     assert barcode_rank(b, 0, w.t0 - 5, w.t0) == barcode_rank(b, 0, w.t0 - 1e-9, w.t0)
     assert barcode_rank(b, 0, w.t1, w.t1 + 5) == barcode_rank(b, 0, w.t1, w.t1 + 1e-9)
+
+
+_ENDPOINTS = (-math.inf, -0.0, 0.0, 0.5, 1.0, math.inf)
+
+
+def _valid_intervals():
+    out = []
+    for lo, hi, lo_closed, hi_closed in product(_ENDPOINTS, _ENDPOINTS, (False, True), (False, True)):
+        try:
+            out.append(Interval(lo, hi, lo_closed, hi_closed))
+        except ValueError:
+            pass
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 2), st.sampled_from(_valid_intervals()), st.integers(1, 3)), max_size=30))
+def test_barcode_order_is_a_stable_sort_by_the_bar_key(draws):
+    bars = [bar for d, iv, repeats in draws for bar in [(d, iv)] * repeats]  # runs of one bar object
+    assert repr(Barcode(bars).bars) == repr(tuple(sorted(bars, key=bar_key)))
 
 
 def test_barcode_keeps_each_given_bar_and_counts_repeats():

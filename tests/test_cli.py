@@ -210,6 +210,21 @@ def test_douglas_command(tmp_path, capsys):
     assert main(["douglas", "--curve", str(curve), "--phi", "id", "--n", "4"]) == 1
 
 
+def test_douglas_refuses_an_oversized_grid_before_evaluating(tmp_path, capsys, monkeypatch):
+    import pershom.cli
+
+    def refuse(inp):
+        raise AssertionError(f"evaluated a grid of {inp.quadrature_n}")
+
+    monkeypatch.setattr(pershom.cli, "douglas_eval", refuse)
+    curve = tmp_path / "square.csv"
+    curve.write_text("1,0\n0,1\n-1,0\n0,-1\n")
+    assert main(["douglas", "--curve", str(curve), "--phi", "id", "--n", "4097"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: quadrature_n 4097 is over 4096\n"
+
+
 def test_douglas_rejects_nan_samples(tmp_path, capsys):
     curve = tmp_path / "curve.csv"
     curve.write_text("1,0\nnan,1\n-1,0\n0,-1\n")

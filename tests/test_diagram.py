@@ -34,6 +34,9 @@ def test_diagram_point_validation():
         DiagramPoint(ExtendedReal(0.0), NEG_INF)
     pt = DiagramPoint(NEG_INF, POS_INF)
     assert pt.gap == math.inf
+    assert type(pt._replace(q=3).q) is ExtendedReal
+    with pytest.raises(ValueError, match="requires p < q"):
+        pt._replace(p=3, q=1)
 
 
 def test_diagram_accumulates_multiplicity():

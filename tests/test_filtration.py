@@ -4,6 +4,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,7 @@ from pershom import (
     validate,
     vietoris,
 )
+from pershom.io import parse_filtration
 
 from helpers import (
     alive_bars,
@@ -257,6 +259,65 @@ def test_compute_persistence_makes_one_interval_per_distinct_bar(monkeypatch, ke
     assert len(barcode) > len(distinct)  # the bars repeat
     assert len(made) == len(distinct)
     assert barcode == persistence_oracle(complex_, GF2, keep_ephemeral)
+
+
+# ------------------------------------------------------------ construction
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_dim=st.integers(0, 6),
+    extra=st.integers(0, 60),
+    offset=st.sampled_from([0, 2**63 - 10**9, 2**63, 2**64, 10**30]),
+)
+def test_constructor_and_reader_build_the_same_complex(seed, max_dim, extra, offset):
+    # ids from the offset on, so beyond int64 from 2**63; values hold -0.0 and 0.0
+    entries = [(tuple(v + offset for v in s), t)
+               for s, t in random_closed_entries(random.Random(seed), max_dim, extra_vertices=extra)]
+    built = FilteredComplex(entries)
+    read = parse_filtration("".join(f"simplex {t!r} {' '.join(map(str, s))}\n" for s, t in entries))
+    assert "simplices" not in vars(built) and "simplices" not in vars(read)
+    assert repr(built.simplices) == repr(read.simplices) == repr(tuple(entries))
+    assert repr(built.sorted_simplices()) == repr(read.sorted_simplices())
+    assert [part.tobytes() for part in built._table] == [part.tobytes() for part in read._table]
+
+
+def _as_range(simplex):
+    return range(simplex[0], simplex[-1] + 1, simplex[1] - simplex[0] if len(simplex) > 1 else 1)
+
+
+@pytest.mark.parametrize("row", [tuple, list, _as_range, np.array, lambda s: np.array(s, np.uint32)])
+def test_vertex_lists_may_be_any_sized_sequence(row):
+    entries = ((0,), 0.0), ((1,), 0.5), ((2,), -0.0), ((0, 1), 0.5), ((0, 2), 1.0), ((1, 2), 1.0), ((0, 1, 2), 2.0)
+    assert all(tuple(_as_range(s)) == s for s, _ in entries)
+    k = FilteredComplex([(row(s), t) for s, t in entries])
+    assert "simplices" not in vars(k)  # built on first use
+    assert repr(k.simplices) == repr(entries)
+    assert k == FilteredComplex(entries)
+
+
+def test_vertex_lists_must_be_sized_and_values_numbers():
+    with pytest.raises(TypeError):  # a one-shot iterator has no length
+        FilteredComplex([(iter((0,)), 0.0)])
+    with pytest.raises(NonFiniteValueError, match=r"simplex \(0,\) has a NaN filtration value"):
+        FilteredComplex([((0,), None)])
+
+
+def test_reduction_over_f2_takes_no_inverse(monkeypatch):
+    complexes = [sphere_boundary(), projective_plane(), grid_lower_star(random.Random(4))]
+    complexes += [random_filtered_complex(random.Random(seed)) for seed in range(10)]
+    expected = [(persistence_oracle(k, GF2), betti_numbers_oracle([s for s, _ in k.simplices], GF2))
+                for k in complexes]
+
+    def refuse(self, a):
+        raise AssertionError(f"inverse of {a} taken over F{self.p}")
+
+    monkeypatch.setattr(PrimeField, "inv", refuse)
+    for k, (barcode, betti) in zip(complexes, expected):
+        assert compute_persistence(k, GF2) == barcode
+        assert homology_ranks(k, GF2) == betti
+        top = k.values()[-1]
+        assert [betti_at(k, top, d, GF2) for d in range(len(betti))] == list(betti)
 
 
 # ------------------------------------------------------------------ lower star

@@ -10,6 +10,7 @@ from pershom import (
     DouglasInput,
     HawaiianSpec,
     Interval,
+    TooLargeError,
     betti_at,
     cap_number,
     diagram_of,
@@ -20,6 +21,7 @@ from pershom import (
     radical,
     validate,
 )
+from pershom.gallery import QUADRATURE_LIMIT
 
 
 def circle_samples(n):
@@ -139,6 +141,14 @@ def test_douglas_input_validation():
         DouglasInput(curve, phi, 64)
     with pytest.raises(ValueError):  # quadrature too coarse
         DouglasInput.identity(curve, 4)
+
+
+def test_douglas_input_refuses_a_grid_over_the_limit():
+    curve = circle_samples(16)
+    assert DouglasInput.identity(curve, QUADRATURE_LIMIT).quadrature_n == 4096  # accepted, not evaluated
+    with pytest.raises(TooLargeError) as err:
+        DouglasInput.identity(curve, QUADRATURE_LIMIT + 1)
+    assert str(err.value) == "quadrature_n 4097 is over 4096"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
