@@ -6,7 +6,7 @@ point pays half its lifetime, its true sup-distance to the diagonal.
 
 The costs of each infinity class are built once, as a numpy matrix, by the
 same float expressions as the scalar helpers, and the optimum is located
-by binary search over their distinct values, so results are exact.
+by a search over their distinct values, so results are exact.
 Feasibility of a threshold delta is decided by a maximum matching on an
 augmented bipartite graph in which each point has a private diagonal slot.
 The slot block is mirrored: the slot of b_j joins the slot of a_i exactly
@@ -14,6 +14,19 @@ when a_i and b_j are within delta of each other, in place of the complete
 block of the usual construction.  Feasibility is unchanged, because the
 two slots of a matched pair a_i, b_j can always pair off.  The matching is
 Hopcroft-Karp on plain adjacency lists.
+
+The search works from below, where the graphs are sparse.  Every point is
+matched or sent to the diagonal, so no delta is feasible below the largest,
+over the points, of the cheaper of a point's diagonal cost and its nearest
+opposite point; that bound is one of the costs.  From it the search gallops
+up the candidates (the bound, then 1, 3, 7, ... places above it) to the
+first feasible one and bisects the last bracket, as in Efrat, Itai & Katz,
+*Geometry helps in bottleneck matching* (Algorithmica 2001), and Kerber,
+Morozov & Nigmetov, *Geometry helps to compare persistence diagrams* (ACM
+JEA 2017).  A perfect matching is feasible already at its costliest edge,
+which caps the bracket.  Each step's Hopcroft-Karp starts from the previous
+step's matching: raising delta only adds edges, and lowering it drops the
+matched edges above it.  `matching_at` matches from empty at its one delta.
 
 Points with an infinite coordinate can only be matched to points with the
 same infinity pattern; diagrams whose essential counts differ in a degree
@@ -103,16 +116,25 @@ def _class_costs(
     return cost, (qa - pa) / 2.0, (qb - pb) / 2.0
 
 
-def _hopcroft_karp(adjacency: List[List[int]], n_right: int) -> Tuple[List[int], int]:
+def _hopcroft_karp(
+    adjacency: List[List[int]], n_right: int, start: Optional[List[int]] = None
+) -> Tuple[List[int], int]:
     """Maximum bipartite matching by Hopcroft-Karp.
 
-    ``adjacency[u]`` lists the right neighbours of left vertex u.  Returns
-    the right partner of every left vertex (-1 when unmatched) and the
-    matching's size.
+    ``adjacency[u]`` lists the right neighbours of left vertex u.  The
+    search grows ``start`` in place, a matching of the graph given as the
+    right partner of every left vertex (-1 when unmatched), or else the
+    empty matching; rows matched already are left out of the greedy pass.
+    Returns the right partner of every left vertex and the matching's size.
     """
-    match_left = [-1] * len(adjacency)
+    match_left = [-1] * len(adjacency) if start is None else start
     match_right = [-1] * n_right
+    for u, v in enumerate(match_left):
+        if v >= 0:
+            match_right[v] = u
     for u, neighbours in enumerate(adjacency):
+        if match_left[u] >= 0:
+            continue
         for v in neighbours:
             if match_right[v] < 0:
                 match_left[u], match_right[v] = v, u
@@ -166,10 +188,29 @@ def _hopcroft_karp(adjacency: List[List[int]], n_right: int) -> Tuple[List[int],
 def _row_lists(mask: np.ndarray, offset: int) -> List[List[int]]:
     """Per row of a boolean matrix, the column indices of its true entries
     plus offset."""
-    rows, cols = np.nonzero(mask)
-    bounds = np.searchsorted(rows, np.arange(mask.shape[0] + 1)).tolist()
-    cols = (cols + offset).tolist()
+    n, m = mask.shape
+    flat = np.flatnonzero(mask)  # far faster than a 2-d nonzero
+    bounds = np.searchsorted(flat, np.arange(n + 1) * m).tolist()
+    cols = (flat % max(m, 1) + offset).tolist()  # flat is empty when m is 0
     return [cols[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def _augmented_adjacency(
+    within: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, delta: float
+) -> List[List[int]]:
+    """Adjacency of the augmented graph at threshold delta, given the n x m
+    pair mask ``within``: left vertices are the n A points and then the m
+    slots of the B points, right vertices the m B points and then the n
+    slots of the A points; a point joins its own slot within delta of the
+    diagonal, and slot b_j joins slot a_i exactly when a_i joins b_j."""
+    n, m = within.shape
+    adjacency = _row_lists(within, 0)
+    for i in np.flatnonzero(diag_a <= delta).tolist():
+        adjacency[i].append(m + i)
+    slots = _row_lists(within.T, m)
+    for j in np.flatnonzero(diag_b <= delta).tolist():
+        slots[j].append(j)
+    return adjacency + slots
 
 
 def _match(
@@ -179,25 +220,15 @@ def _match(
 
     Returns the B partner of every A point (-1 when unmatched) and whether
     the matching is feasible.  Without diagonal costs (essential points)
-    feasibility means a perfect matching between the two point lists.  With
-    them, left vertices are the n A points and then the m slots of the B
-    points, right vertices the m B points and then the n slots of the A
-    points; a point joins its own slot within delta of the diagonal, slot
-    b_j joins slot a_i exactly when a_i joins b_j, and feasibility means a
-    perfect matching.
+    feasibility means a perfect matching between the two point lists; with
+    them, a perfect matching of the augmented graph.
     """
     n, m = cost.shape
     within = cost <= delta
-    adjacency = _row_lists(within, 0)
     if diag_a is None:
-        partner, size = _hopcroft_karp(adjacency, m)
+        partner, size = _hopcroft_karp(_row_lists(within, 0), m)
         return partner, n == m and size == n
-    for i in np.flatnonzero(diag_a <= delta).tolist():
-        adjacency[i].append(m + i)
-    slots = _row_lists(within.T, m)
-    for j in np.flatnonzero(diag_b <= delta).tolist():
-        slots[j].append(j)
-    partner, size = _hopcroft_karp(adjacency + slots, m + n)
+    partner, size = _hopcroft_karp(_augmented_adjacency(within, diag_a, diag_b, delta), m + n)
     return [j if j < m else -1 for j in partner[:n]], size == n + m
 
 
@@ -246,6 +277,40 @@ def _sorted_coordinate_bottleneck(
     return max(abs(x - y) for x, y in zip(xs, ys))
 
 
+def _lower_bound(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray) -> float:
+    """The largest, over the points of both sides, of the cheaper of the
+    point's diagonal cost and its nearest opposite point: each point is
+    matched or sent to the diagonal, so no smaller delta is feasible."""
+    near_a = np.minimum(diag_a, cost.min(axis=1, initial=math.inf))
+    near_b = np.minimum(diag_b, cost.min(axis=0, initial=math.inf))
+    return max(near_a.max(initial=0.0), near_b.max(initial=0.0))
+
+
+def _probe(
+    cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, delta: float, start: Optional[List[int]]
+) -> Tuple[bool, List[int]]:
+    """Whether delta is feasible, and the maximum matching of the augmented
+    graph that decides it, grown from ``start`` (a matching of that graph,
+    or None)."""
+    n, m = cost.shape
+    adjacency = _augmented_adjacency(cost <= delta, diag_a, diag_b, delta)
+    partner, size = _hopcroft_karp(adjacency, n + m, start)
+    return size == n + m, partner
+
+
+def _matched_costs(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, partner: List[int]) -> np.ndarray:
+    """The cost of each left vertex's edge in a perfect matching of the
+    augmented graph: a_i's edge goes to b_j (j < m) or to its own slot, slot
+    b_j's to the slot of a_i (m + i) or to b_j."""
+    n, m = cost.shape
+    partner = np.asarray(partner)
+    rows, slots = partner[:n], partner[n:]
+    return np.concatenate((
+        np.where(rows < m, cost[np.arange(n), rows % m], diag_a),
+        np.where(slots >= m, cost[(slots - m) % n, np.arange(m)], diag_b),
+    ))
+
+
 def _finite_class_bottleneck(
     points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint]
 ) -> float:
@@ -253,13 +318,25 @@ def _finite_class_bottleneck(
         return 0.0
     cost, diag_a, diag_b = _class_costs(points_a, points_b, (True, True))
     grid = np.unique(np.concatenate(([0.0], diag_a, diag_b, cost.ravel())))
-    lo, hi = 0, len(grid) - 1
-    # Leaving every point unmatched is allowed at the largest diagonal cost,
-    # so the top candidate is always feasible.
+    # The bound is one of the costs, so it sits exactly in the grid.  Leaving
+    # every point unmatched is allowed at the largest diagonal cost, so the
+    # top candidate is always feasible.
+    floor = int(np.searchsorted(grid, _lower_bound(cost, diag_a, diag_b)))
+    lo, hi = floor, len(grid) - 1
+    offset, galloping, partner, edge = 0, True, None, None
     while lo < hi:
-        mid = (lo + hi) // 2
-        if _match(cost, diag_a, diag_b, grid[mid])[1]:
-            hi = mid
+        if galloping and floor + offset < hi:
+            mid = floor + offset
+            offset = 2 * offset + 1
+        else:
+            mid = (lo + hi) // 2
+        if edge is not None:  # the last probe was feasible, so delta fell
+            partner = np.where(edge > grid[mid], -1, partner).tolist()
+        feasible, partner = _probe(cost, diag_a, diag_b, grid[mid], partner)
+        edge = None
+        if feasible:  # and so at its costliest edge, which is at most delta
+            edge = _matched_costs(cost, diag_a, diag_b, partner)
+            hi, galloping = min(mid, int(np.searchsorted(grid, edge.max()))), False
         else:
             lo = mid + 1
     return float(grid[lo])

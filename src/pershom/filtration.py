@@ -19,7 +19,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from operator import ge
+from operator import ge, index
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +60,12 @@ class NonMonotoneError(_FaceError):
     message = "simplex {} has a later-born face {}"
 
 
+class NonIntegerVertexError(ComplexValidationError):
+    def __init__(self, simplex: Sequence[object]):
+        self.simplex = simplex
+        super().__init__(f"simplex {simplex} has a vertex id that is not an integer")
+
+
 class MissingVertexValueError(ValueError):
     def __init__(self, vertex: int):
         self.vertex = vertex
@@ -84,7 +90,8 @@ def facets(simplex: Simplex) -> Tuple[Simplex, ...]:
 class FilteredComplex:
     """A face-closed simplex list with finite values, monotone under
     inclusion, kept as flat (vertices, sizes, values) arrays; its simplex
-    tuples are built on first use.  Construction checks all of this, so every
+    tuples are built on first use.  Vertex ids are integers: anything that
+    `operator.index` takes.  Construction checks all of this, so every
     instance is valid; defects raise a `ComplexValidationError` naming the first offender."""
 
     simplices: Tuple[Tuple[Simplex, float], ...]
@@ -92,7 +99,15 @@ class FilteredComplex:
     def __init__(self, simplices: Iterable[Tuple[Sequence[int], float]]):
         rows, values = tuple(zip(*simplices)) or ((), ())
         sizes = np.fromiter(map(len, rows), np.intp, len(rows))
-        vertices = _vertex_array(lambda: chain.from_iterable(rows), int(sizes.sum()))
+        try:  # operator.index refuses the floats and strings that int() would truncate or parse
+            vertices = _vertex_array(lambda: map(index, chain.from_iterable(rows)), int(sizes.sum()))
+        except TypeError as exc:
+            for row in rows:
+                try:
+                    list(map(index, row))
+                except TypeError:
+                    raise NonIntegerVertexError(row) from exc
+            raise
         self._validate(vertices, sizes, np.fromiter(values, float, len(rows)))
 
     @classmethod
@@ -207,8 +222,8 @@ def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, 
 
 def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[int]]) -> FilteredComplex:
     """Sublevel filtration of a vertex function: each simplex gets the max of its vertex values."""
-    vertex_values = {int(v): float(t) for v, t in vertex_values.items()}
-    simplices = [tuple(map(int, raw)) for raw in simplices]
+    vertex_values = {v: float(t) for v, t in vertex_values.items()}
+    simplices = [tuple(raw) for raw in simplices]
     for v in chain.from_iterable(simplices):
         if v not in vertex_values:
             raise MissingVertexValueError(v)
@@ -302,6 +317,6 @@ def euler_profile(complex_: FilteredComplex) -> Tuple[Tuple[float, int], ...]:
 
 __all__ = [
     "Simplex", "FilteredComplex", "ComplexValidationError", "NonFiniteValueError", "DuplicateSimplexError",
-    "MissingFaceError", "NonMonotoneError", "MissingVertexValueError", "facets", "validate", "lower_star",
-    "compute_persistence", "homology_ranks", "betti_at", "euler_profile",
+    "MissingFaceError", "NonMonotoneError", "NonIntegerVertexError", "MissingVertexValueError", "facets", "validate",
+    "lower_star", "compute_persistence", "homology_ranks", "betti_at", "euler_profile",
 ]

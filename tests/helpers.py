@@ -247,6 +247,27 @@ def perturb_filtration(
     return FilteredComplex([(s, fixed[s]) for s, _ in complex_.simplices]), achieved
 
 
+def perturbed_diagram_pair(rng: random.Random, n: int, degree: int = 0) -> Tuple[PersistenceDiagram, PersistenceDiagram]:
+    """A diagram of n finite points in the unit square's upper half and a
+    perturbed copy: the copy drops about a tenth of the points, moves the
+    rest by up to 0.02 in each coordinate and adds short-lived points until
+    it has n again, so that the bottleneck answer sits far above zero and
+    far below the largest candidate.  Both share two essential points."""
+    base = [(b, b + rng.uniform(0.02, 0.5)) for b in (rng.random() for _ in range(n))]
+    copy = []
+    for p, q in base:
+        if rng.random() < 0.1:
+            continue
+        p2, q2 = p + rng.uniform(-0.02, 0.02), q + rng.uniform(-0.02, 0.02)
+        if p2 < q2:
+            copy.append((p2, q2))
+    while len(copy) < n:
+        b = rng.random()
+        copy.append((b, b + rng.uniform(0.001, 0.03)))
+    essential = [(rng.random(), math.inf) for _ in range(2)]
+    return PersistenceDiagram({degree: base + essential}), PersistenceDiagram({degree: copy + essential})
+
+
 def random_cover_sets(
     rng: random.Random, max_sets: int = 8, max_elements: int = 12, max_set_size: int = 6
 ):

@@ -1,5 +1,7 @@
-"""Bottleneck distance: examples, oracle agreement, metric axioms, stability."""
+"""Bottleneck distance: examples, oracle agreement, metric axioms, stability,
+and the matching and search underneath."""
 
+import importlib
 import math
 import os
 import random
@@ -26,13 +28,18 @@ from pershom import (
 )
 
 from helpers import (
+    _kuhn_matching_size,
     bottleneck_candidates,
     bottleneck_feasible_oracle,
     bottleneck_oracle,
     perturb_filtration,
+    perturbed_diagram_pair,
     random_diagram,
     random_filtered_complex,
 )
+
+# the package exports the function `bottleneck` under the module's name
+B = importlib.import_module("pershom.bottleneck")
 
 
 def dgm(points, degree=0):
@@ -176,6 +183,105 @@ def test_feasibility_and_value_match_the_complete_slot_block_oracle(a, b):
             assert pt.gap / 2 <= value.value
         assert len(witness.matched) + len(witness.unmatched_a) == a.count(0)
         assert len(witness.matched) + len(witness.unmatched_b) == b.count(0)
+
+
+@st.composite
+def _graph_and_matching(draw):
+    """A random bipartite graph and a random valid partial matching of it."""
+    n_left, n_right = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    adjacency = [draw(st.lists(st.integers(0, n_right - 1), unique=True)) if n_right else [] for _ in range(n_left)]
+    edges = draw(st.permutations([(u, v) for u, row in enumerate(adjacency) for v in row]))
+    start, taken = [-1] * n_left, set()
+    for u, v in edges[: draw(st.integers(0, len(edges)))]:
+        if start[u] < 0 and v not in taken:
+            start[u] = v
+            taken.add(v)
+    return adjacency, n_right, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_matching())
+def test_warm_started_hopcroft_karp_finds_a_maximum_matching(case):
+    adjacency, n_right, start = case
+    partner, size = B._hopcroft_karp(adjacency, n_right, list(start))
+    matched = [(u, v) for u, v in enumerate(partner) if v >= 0]
+    assert all(v in adjacency[u] for u, v in matched)
+    assert len({v for _, v in matched}) == len(matched) == size
+    assert size == _kuhn_matching_size(adjacency, n_right)
+    # a cold start is the same search from the empty matching
+    assert B._hopcroft_karp(adjacency, n_right)[1] == size
+
+
+def _recorded_search(a, b):
+    """The bottleneck of a and b in degree 0, with the finite class's lower
+    bound and every threshold the search probed, with its verdict."""
+    floors, probes = [], []
+    lower_bound, probe = B._lower_bound, B._probe
+
+    def recording_bound(*args):
+        floors.append(lower_bound(*args))
+        return floors[-1]
+
+    def recording_probe(cost, diag_a, diag_b, delta, start):
+        feasible, partner = probe(cost, diag_a, diag_b, delta, start)
+        probes.append((float(delta), feasible))
+        return feasible, partner
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(B, "_lower_bound", recording_bound)
+        patch.setattr(B, "_probe", recording_probe)
+        value = bottleneck(a, b, 0)
+    return value, floors, probes
+
+
+def _check_search(a, b):
+    value, floors, probes = _recorded_search(a, b)
+    expected = bottleneck_oracle(a, b, 0)
+    assert value.float_value == expected
+    assert len(floors) <= 1
+    for floor in floors:
+        assert floor <= expected
+        if probes:  # the gallop starts at the bound itself
+            assert probes[0][0] == floor
+    for delta, feasible in probes:
+        assert feasible == bottleneck_feasible_oracle(a, b, 0, delta), delta
+
+
+_FINITE_QUARTER_GRID = st.lists(st.tuples(_QUARTER, _GAP).map(lambda t: (t[0], t[0] + t[1])), max_size=30).map(dgm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FINITE_QUARTER_GRID, _FINITE_QUARTER_GRID)
+def test_every_search_probe_agrees_with_the_oracle_on_the_quarter_grid(a, b):
+    _check_search(a, b)
+
+
+@pytest.mark.parametrize("seed, n", [(60, 60), (61, 75), (90, 90), (120, 120)])
+def test_every_search_probe_agrees_with_the_oracle_on_perturbed_pairs(seed, n):
+    # the copies share their essential points, so the oracle's one graph
+    # decides the finite class alone
+    _check_search(*perturbed_diagram_pair(random.Random(seed), n))
+
+
+def test_the_search_hands_hopcroft_karp_at_most_half_the_entries_of_a_plain_bisection():
+    # On this 300-point pair the plain bisection over the whole grid, with a
+    # cold start at every step, made 16 matchings and handed them 241,777
+    # adjacency entries in all.
+    a, b = perturbed_diagram_pair(random.Random(1), 300)
+    calls, entries = 0, 0
+    hopcroft_karp = B._hopcroft_karp
+
+    def counting(adjacency, n_right, start=None):
+        nonlocal calls, entries
+        calls += 1
+        entries += sum(map(len, adjacency))
+        return hopcroft_karp(adjacency, n_right, start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(B, "_hopcroft_karp", counting)
+        value = bottleneck(a, b, 0)
+    assert value.is_finite and value.value > 0
+    assert entries <= 241_777 // 2, (calls, entries)
 
 
 def test_metric_axioms_on_samples():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pershom import (
     Barcode,
+    ComplexValidationError,
     Cover,
     DuplicateSimplexError,
     FilteredComplex,
@@ -19,6 +20,7 @@ from pershom import (
     MissingFaceError,
     MissingVertexValueError,
     NonFiniteValueError,
+    NonIntegerVertexError,
     NonMonotoneError,
     PrimeField,
     betti_at,
@@ -301,6 +303,27 @@ def test_vertex_lists_must_be_sized_and_values_numbers():
         FilteredComplex([(iter((0,)), 0.0)])
     with pytest.raises(NonFiniteValueError, match=r"simplex \(0,\) has a NaN filtration value"):
         FilteredComplex([((0,), None)])
+
+
+@pytest.mark.parametrize("vertex", [1.7, 2.0, "3", np.float64(5.0), np.True_])
+def test_vertex_ids_must_be_integers(vertex):
+    # each of these was truncated or parsed into another vertex
+    with pytest.raises(NonIntegerVertexError, match=r"simplex \(0, .*\) has a vertex id that is not an integer"):
+        FilteredComplex([((0,), 0.0), ((0, vertex), 1.0)])
+    with pytest.raises(NonIntegerVertexError) as caught:
+        lower_star({0: 0.0, vertex: 1.0}, [(0,), (vertex,)])
+    assert caught.value.simplex == (vertex,)
+    assert isinstance(caught.value, ComplexValidationError)
+
+
+def test_integer_vertex_ids_of_any_type_are_kept_exactly():
+    big = 2**70
+    k = FilteredComplex([((np.int64(4),), 0.0), ((np.uint8(5),), 0.0), ((big,), 0.0), ((np.int64(4), big), 1.0)])
+    assert k.simplices == (((4,), 0.0), ((5,), 0.0), ((big,), 0.0), ((4, big), 1.0))
+    assert dict(lower_star({np.int64(2): 1.0, 3: 2.0}, [(2,), (np.int64(3),), (2, 3)]).simplices) == {
+        (2,): 1.0, (3,): 2.0, (2, 3): 2.0}
+    # to Python a bool is the integer 0 or 1, as in list indexing
+    assert FilteredComplex([((True,), 0.0)]).simplices == (((1,), 0.0),)
 
 
 def test_reduction_over_f2_takes_no_inverse(monkeypatch):
