@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Tuple
 
 
@@ -58,6 +58,16 @@ def query_value(value, name: str, finite: bool = False) -> float:
     if math.isnan(value) or (finite and math.isinf(value)):
         raise ValueError(f"{name} must {'be finite' if finite else 'not be NaN'}, got {value}")
     return value
+
+
+def integer_value(value, name: str) -> int:
+    """An integer argument by `operator.index`, which refuses the floats and
+    strings that `int` would truncate or parse; those raise ValueError naming
+    the argument."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
@@ -155,7 +165,7 @@ class Barcode:
             d, iv = bar
             if not isinstance(iv, Interval):
                 raise TypeError(f"expected Interval, got {type(iv).__name__}")
-            runs.append([bar, (int(d), iv), 1])
+            runs.append([bar, (integer_value(d, "degree"), iv), 1])
         runs.sort(key=itemgetter(1))  # by degree, then the interval's fields in order
         object.__setattr__(self, "_bars", tuple(chain.from_iterable(repeat(bar, m) for _, bar, m in runs)))
 

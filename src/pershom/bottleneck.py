@@ -2,18 +2,24 @@
 
 Ground cost between points is the L-infinity distance, with like infinite
 coordinates at distance 0 and unlike ones at distance +inf; an unmatched
-point pays half its lifetime, its true sup-distance to the diagonal.
+point pays half its lifetime, its true sup-distance to the diagonal.  So
+each infinity class is matched on its own, by one routine that gives both
+the distance and the `matching_at` witness.  A class with an infinite
+coordinate leaves no point unmatched, so diagrams whose essential counts
+differ are infinitely far apart.  Its points lie on a line, at their finite
+coordinate, and a greedy walk along it matches them maximally at any
+delta; at delta = inf it is the sorted pairing.
 
-The costs of each infinity class are built once, as a numpy matrix, by the
-same float expressions as the scalar helpers, and the optimum is located
-by a search over their distinct values, so results are exact.
-Feasibility of a threshold delta is decided by a maximum matching on an
-augmented bipartite graph in which each point has a private diagonal slot.
-The slot block is mirrored: the slot of b_j joins the slot of a_i exactly
-when a_i and b_j are within delta of each other, in place of the complete
-block of the usual construction.  Feasibility is unchanged, because the
-two slots of a matched pair a_i, b_j can always pair off.  The matching is
-Hopcroft-Karp on plain adjacency lists.
+The finite class's costs are built once, as a numpy matrix, by the same
+float expressions as the scalar helpers, and the optimum is located by a
+search over their distinct values, so results are exact.  Feasibility of a
+threshold delta is decided by a maximum matching on an augmented bipartite
+graph in which each point has a private diagonal slot.  The slot block is
+mirrored: the slot of b_j joins the slot of a_i exactly when a_i and b_j
+are within delta of each other, in place of the complete block of the
+usual construction.  Feasibility is unchanged, because the two slots of a
+matched pair a_i, b_j can always pair off.  Each probe lists the graph's
+edges at its delta from the matrix and matches by Hopcroft-Karp.
 
 The search works from below, where the graphs are sparse.  Every point is
 matched or sent to the diagonal, so no delta is feasible below the largest,
@@ -26,11 +32,8 @@ Morozov & Nigmetov, *Geometry helps to compare persistence diagrams* (ACM
 JEA 2017).  A perfect matching is feasible already at its costliest edge,
 which caps the bracket.  Each step's Hopcroft-Karp starts from the previous
 step's matching: raising delta only adds edges, and lowering it drops the
-matched edges above it.  `matching_at` matches from empty at its one delta.
-
-Points with an infinite coordinate can only be matched to points with the
-same infinity pattern; diagrams whose essential counts differ in a degree
-are infinitely far apart.
+matched edges above it.  `matching_at` makes the same probe, from the empty
+matching, at its one delta.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +58,9 @@ class TooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class MatchingResult:
-    """An explicit partial matching between two diagrams at a threshold."""
+    """An explicit partial matching between two diagrams at a threshold;
+    feasible or not, a maximum matching in every infinity class (of the
+    augmented graph for the finite class, of the pairs within it for the rest)."""
 
     matched: Tuple[Tuple[DiagramPoint, DiagramPoint], ...]
     unmatched_a: Tuple[DiagramPoint, ...]
@@ -64,10 +69,7 @@ class MatchingResult:
 
 
 def _expand(diagram: PersistenceDiagram, d: int) -> List[DiagramPoint]:
-    pts: List[DiagramPoint] = []
-    for pt, mult in diagram.items(d):
-        pts.extend([pt] * mult)
-    return pts
+    return [pt for pt, mult in diagram.items(d) for _ in range(mult)]
 
 
 def _infinity_class(pt: DiagramPoint) -> Tuple[bool, bool]:
@@ -88,31 +90,30 @@ def _diagonal_cost(pt: DiagramPoint) -> float:
     return math.inf
 
 
-def _split_classes(points: Sequence[DiagramPoint]) -> Dict[Tuple[bool, bool], List[DiagramPoint]]:
-    out: Dict[Tuple[bool, bool], List[DiagramPoint]] = {}
-    for pt in points:
-        out.setdefault(_infinity_class(pt), []).append(pt)
-    return out
+def _classes(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> Iterator[
+    Tuple[Tuple[bool, bool], List[DiagramPoint], List[DiagramPoint]]
+]:
+    """Each infinity class that holds a degree-d point, in sorted order, with
+    its points in a and in b, each side sorted."""
+    split: Tuple[Dict, Dict] = ({}, {})
+    for side, diagram in zip(split, (a, b)):
+        for pt in _expand(diagram, d):
+            side.setdefault(_infinity_class(pt), []).append(pt)
+    for cls in sorted(split[0].keys() | split[1].keys()):
+        yield cls, split[0].get(cls, []), split[1].get(cls, [])
 
 
 def _class_costs(
-    points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint], cls: Tuple[bool, bool]
-) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Pair costs of one infinity class as an n x m matrix, by the float
+    points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair costs of the finite class as an n x m matrix, by the float
     expressions of `_pair_cost`, and the diagonal costs of each side by
-    those of `_diagonal_cost`; ``None`` for the classes with an infinite
-    coordinate, whose points cannot be left unmatched."""
+    those of `_diagonal_cost`."""
     pa = np.array([pt.p for pt in points_a], dtype=float)
     qa = np.array([pt.q for pt in points_a], dtype=float)
     pb = np.array([pt.p for pt in points_b], dtype=float)
     qb = np.array([pt.q for pt in points_b], dtype=float)
-    cost = np.zeros((len(points_a), len(points_b)))
-    if cls[0]:
-        cost = np.abs(np.subtract.outer(pa, pb))
-    if cls[1]:
-        cost = np.maximum(cost, np.abs(np.subtract.outer(qa, qb)))
-    if cls != (True, True):
-        return cost, None, None
+    cost = np.maximum(np.abs(np.subtract.outer(pa, pb)), np.abs(np.subtract.outer(qa, qb)))
     return cost, (qa - pa) / 2.0, (qb - pb) / 2.0
 
 
@@ -213,70 +214,6 @@ def _augmented_adjacency(
     return adjacency + slots
 
 
-def _match(
-    cost: np.ndarray, diag_a: Optional[np.ndarray], diag_b: Optional[np.ndarray], delta: float
-) -> Tuple[List[int], bool]:
-    """Maximum matching within one infinity class at threshold delta.
-
-    Returns the B partner of every A point (-1 when unmatched) and whether
-    the matching is feasible.  Without diagonal costs (essential points)
-    feasibility means a perfect matching between the two point lists; with
-    them, a perfect matching of the augmented graph.
-    """
-    n, m = cost.shape
-    within = cost <= delta
-    if diag_a is None:
-        partner, size = _hopcroft_karp(_row_lists(within, 0), m)
-        return partner, n == m and size == n
-    partner, size = _hopcroft_karp(_augmented_adjacency(within, diag_a, diag_b, delta), m + n)
-    return [j if j < m else -1 for j in partner[:n]], size == n + m
-
-
-def matching_at(
-    a: PersistenceDiagram, b: PersistenceDiagram, d: int, delta: float
-) -> MatchingResult:
-    """Explicit matching with every matched pair within L-inf distance delta
-    and every unmatched point within delta of the diagonal, if one exists."""
-    delta = float(delta)
-    if delta < 0 or math.isnan(delta):
-        raise ValueError(f"requires delta >= 0, got {delta}")
-    class_a = _split_classes(_expand(a, d))
-    class_b = _split_classes(_expand(b, d))
-    matched: List[Tuple[DiagramPoint, DiagramPoint]] = []
-    unmatched_a: List[DiagramPoint] = []
-    unmatched_b: List[DiagramPoint] = []
-    feasible = True
-    for cls in sorted(set(class_a) | set(class_b)):
-        pts_a = class_a.get(cls, [])
-        pts_b = class_b.get(cls, [])
-        partner, ok = _match(*_class_costs(pts_a, pts_b, cls), delta)
-        matched.extend((pts_a[i], pts_b[j]) for i, j in enumerate(partner) if j >= 0)
-        unmatched_a.extend(pts_a[i] for i, j in enumerate(partner) if j < 0)
-        taken = set(partner)
-        unmatched_b.extend(pt for j, pt in enumerate(pts_b) if j not in taken)
-        feasible = feasible and ok
-    return MatchingResult(tuple(matched), tuple(unmatched_a), tuple(unmatched_b), feasible)
-
-
-def _sorted_coordinate_bottleneck(
-    points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint]
-) -> float:
-    """Optimal bottleneck for a one-coordinate class: match in sorted order."""
-    if len(points_a) != len(points_b):
-        return math.inf
-    if not points_a:
-        return 0.0
-    if math.isfinite(points_a[0].p):
-        xs = sorted(pt.p for pt in points_a)
-        ys = sorted(pt.p for pt in points_b)
-    elif math.isfinite(points_a[0].q):
-        xs = sorted(pt.q for pt in points_a)
-        ys = sorted(pt.q for pt in points_b)
-    else:
-        return 0.0
-    return max(abs(x - y) for x, y in zip(xs, ys))
-
-
 def _lower_bound(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray) -> float:
     """The largest, over the points of both sides, of the cheaper of the
     point's diagonal cost and its nearest opposite point: each point is
@@ -314,9 +251,7 @@ def _matched_costs(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, par
 def _finite_class_bottleneck(
     points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint]
 ) -> float:
-    if not points_a and not points_b:
-        return 0.0
-    cost, diag_a, diag_b = _class_costs(points_a, points_b, (True, True))
+    cost, diag_a, diag_b = _class_costs(points_a, points_b)
     grid = np.unique(np.concatenate(([0.0], diag_a, diag_b, cost.ravel())))
     # The bound is one of the costs, so it sits exactly in the grid.  Leaving
     # every point unmatched is allowed at the largest diagonal cost, so the
@@ -342,6 +277,28 @@ def _finite_class_bottleneck(
     return float(grid[lo])
 
 
+def _line_matching(
+    points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint], delta: float
+) -> List[int]:
+    """The B partner of every A point (-1 when unmatched) in a maximum
+    matching within delta of a class with an infinite coordinate, each side
+    given sorted.  Such a class lies on a line, in sorted order along it:
+    walk both sides, pair the two leading points when they are within delta,
+    and otherwise drop the lower one, which is too far from every point left
+    on the other side."""
+    partner = [-1] * len(points_a)
+    i = j = 0
+    while i < len(points_a) and j < len(points_b):
+        if _pair_cost(points_a[i], points_b[j]) <= delta:
+            partner[i] = j
+            i, j = i + 1, j + 1
+        elif points_a[i] < points_b[j]:
+            i += 1
+        else:
+            j += 1
+    return partner
+
+
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> ExtendedReal:
     """The smallest delta admitting a delta-feasible matching in degree d.
 
@@ -350,20 +307,44 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> Extended
     sorted order on their finite coordinate.  Returns POS_INF when the
     essential counts make matching impossible.
     """
-    class_a = _split_classes(_expand(a, d))
-    class_b = _split_classes(_expand(b, d))
     worst = 0.0
-    for cls in sorted(set(class_a) | set(class_b)):
-        pts_a = class_a.get(cls, [])
-        pts_b = class_b.get(cls, [])
+    for cls, pts_a, pts_b in _classes(a, b, d):
         if cls == (True, True):
-            value = _finite_class_bottleneck(pts_a, pts_b)
-        else:
-            value = _sorted_coordinate_bottleneck(pts_a, pts_b)
-        worst = max(worst, value)
-        if math.isinf(worst):
+            worst = max(worst, _finite_class_bottleneck(pts_a, pts_b))
+        elif len(pts_a) != len(pts_b):
             return POS_INF
+        else:  # `_line_matching` at delta = inf: the sorted pairing
+            worst = max(worst, *map(_pair_cost, pts_a, pts_b))
     return ExtendedReal(worst)
+
+
+def matching_at(
+    a: PersistenceDiagram, b: PersistenceDiagram, d: int, delta: float
+) -> MatchingResult:
+    """Explicit matching with every matched pair within L-inf distance delta
+    and every unmatched point within delta of the diagonal, if one exists;
+    else the maximum matching that shows there is none."""
+    delta = float(delta)
+    if delta < 0 or math.isnan(delta):
+        raise ValueError(f"requires delta >= 0, got {delta}")
+    matched: List[Tuple[DiagramPoint, DiagramPoint]] = []
+    unmatched_a: List[DiagramPoint] = []
+    unmatched_b: List[DiagramPoint] = []
+    feasible = True
+    for cls, pts_a, pts_b in _classes(a, b, d):
+        n, m = len(pts_a), len(pts_b)
+        if cls == (True, True):
+            ok, partner = _probe(*_class_costs(pts_a, pts_b), delta, None)
+            partner = [j if j < m else -1 for j in partner[:n]]
+        else:
+            partner = _line_matching(pts_a, pts_b, delta)
+            ok = n == m == n - partner.count(-1)
+        matched.extend((pts_a[i], pts_b[j]) for i, j in enumerate(partner) if j >= 0)
+        unmatched_a.extend(pts_a[i] for i, j in enumerate(partner) if j < 0)
+        taken = set(partner)
+        unmatched_b.extend(pt for j, pt in enumerate(pts_b) if j not in taken)
+        feasible = feasible and ok
+    return MatchingResult(tuple(matched), tuple(unmatched_a), tuple(unmatched_b), feasible)
 
 
 def bottleneck_bruteforce(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> ExtendedReal:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -40,29 +41,38 @@ class Cover:
     """A finite ground set and a sequence of named subsets.
 
     The union of the subsets may miss part of the ground set; uncovered
-    elements are invisible to both the nerve and the Vietoris complex.  The
-    first set with a repeated id or an element outside the ground set raises
-    `CoverSetError`.
+    elements are invisible to both the nerve and the Vietoris complex.  Ids
+    are integers by `operator.index`, the vertex-id rule.  The first set with
+    a non-integer element, a repeated id or an element outside the ground set
+    raises `CoverSetError`; a non-integer ground id raises ValueError.
     """
 
     ground: FrozenSet[int]
     sets: Tuple[Tuple[Hashable, FrozenSet[int]], ...]
 
     def __init__(self, sets: Iterable[Tuple[Hashable, Iterable[int]]], ground: Iterable[int] = None):
-        entries = tuple((name, frozenset(int(e) for e in elems)) for name, elems in sets)
+        entries = []
+        for position, (name, elems) in enumerate(sets):
+            try:  # operator.index refuses the floats and strings that int() would truncate or parse
+                entries.append((name, frozenset(map(index, elems))))
+            except TypeError as exc:
+                raise CoverSetError(position, name, f"cover set {name!r} has a non-integer element: {exc}") from None
         if ground is None:
-            ground_set = frozenset().union(*(elems for _, elems in entries)) if entries else frozenset()
+            ground_set = frozenset().union(*(elems for _, elems in entries))
         else:
-            ground_set = frozenset(int(e) for e in ground)
+            try:
+                ground_set = frozenset(map(index, ground))
+            except TypeError as exc:
+                raise ValueError(f"the ground set has a non-integer element: {exc}") from None
         seen = set()
-        for index, (name, elems) in enumerate(entries):
+        for position, (name, elems) in enumerate(entries):
             if name in seen:
-                raise CoverSetError(index, name, f"duplicate cover set id {name!r}")
+                raise CoverSetError(position, name, f"duplicate cover set id {name!r}")
             if not elems <= ground_set:
-                raise CoverSetError(index, name, f"cover set {name!r} is not contained in the ground set")
+                raise CoverSetError(position, name, f"cover set {name!r} is not contained in the ground set")
             seen.add(name)
         object.__setattr__(self, "ground", ground_set)
-        object.__setattr__(self, "sets", entries)
+        object.__setattr__(self, "sets", tuple(entries))
 
 
 def nerve(cover: Cover) -> FilteredComplex:

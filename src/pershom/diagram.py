@@ -10,7 +10,7 @@ from collections import namedtuple
 from itertools import groupby, repeat
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
-from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, query_value
+from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, integer_value, query_value
 
 PointLike = Union["DiagramPoint", Tuple[float, float]]
 
@@ -67,15 +67,16 @@ class PersistenceDiagram:
         """
         table: Dict[int, Dict[DiagramPoint, int]] = {}
         for degree, content in (points or {}).items():
-            bucket = table.setdefault(int(degree), {})
+            degree = integer_value(degree, "degree")
+            bucket = table.setdefault(degree, {})
             for pt, mult in content.items() if isinstance(content, Mapping) else zip(content, repeat(1)):
-                mult = int(mult)
+                mult = integer_value(mult, "multiplicity")
                 if mult < 1:
                     raise ValueError(f"multiplicity must be >= 1, got {mult}")
                 pt = _as_point(pt)
                 bucket[pt] = bucket.get(pt, 0) + mult
             if not bucket:
-                del table[int(degree)]
+                del table[degree]
         object.__setattr__(self, "_points", table)
 
     def __setattr__(self, name, value):

@@ -143,9 +143,6 @@ class FilteredComplex:
             object.__setattr__(self, "_order", tuple(map(self.simplices.__getitem__, self._table[0])))
         return self._order
 
-    def sublevel(self, t: float) -> Tuple[Simplex, ...]:
-        return tuple(s for s, v in self.simplices if v <= t)
-
 
 def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, array, array]:
     """Check every entry of the complex's flat arrays, then face-closure and

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .barcode import NEG_INF, query_value
+from .barcode import NEG_INF, integer_value, query_value
 from .diagram import DiagramPoint, PersistenceDiagram, quadrant_count
 
 
@@ -138,7 +138,7 @@ def morse_check(diagram: PersistenceDiagram, eps: float, n_max: int) -> MorseRep
     and MorseCheckFailed, naming the degree, if a check fails.
     """
     eps = _check_eps(eps)
-    n_max = int(n_max)
+    n_max = integer_value(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"requires n_max >= 0, got {n_max}")
     for d in diagram.degrees():

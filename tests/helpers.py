@@ -381,9 +381,14 @@ def betti_numbers_oracle(simplices, field) -> Tuple[int, ...]:
     )
 
 
+def sublevel(complex_, t: float) -> Tuple[tuple, ...]:
+    """The simplices of a complex with value at most t, in input order."""
+    return tuple(s for s, v in complex_.simplices if v <= t)
+
+
 def betti_oracle_at(complex_, t: float, d: int, field) -> int:
     """Dense dim H_d of the sublevel complex at t, the oracle for ``betti_at``."""
-    betti = betti_numbers_oracle(complex_.sublevel(t), field)
+    betti = betti_numbers_oracle(sublevel(complex_, t), field)
     return betti[d] if 0 <= d < len(betti) else 0
 
 
@@ -464,8 +469,8 @@ def persistent_rank_oracle(complex_, d: int, s: float, t: float, field) -> int:
     Computes dim Z_d(K_s) - dim(Z_d(K_s) & B_d(K_t)) directly from kernel
     and image linear algebra, with no reference to the reduction pairing.
     """
-    sub_s = complex_.sublevel(s)
-    sub_t = complex_.sublevel(t)
+    sub_s = sublevel(complex_, s)
+    sub_t = sublevel(complex_, t)
     cols_s = sorted(x for x in sub_s if len(x) == d + 1)
     cols_t = sorted(x for x in sub_t if len(x) == d + 1)
     if not cols_s:

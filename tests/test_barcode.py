@@ -4,6 +4,7 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,6 +124,14 @@ def test_interval_module_rank_examples():
 
 
 # -------------------------------------------------------------------- barcodes
+
+def test_barcode_degrees_must_be_integers():
+    iv = Interval.closed_open(0, 1)
+    for bad in (1.7, "2", 2.0):
+        with pytest.raises(ValueError, match=f"degree must be an integer, got {bad!r}"):
+            Barcode([(bad, iv)])
+    assert Barcode([(np.int64(2), iv), (True, iv)]).bars == ((1, iv), (2, iv))
+
 
 def test_barcode_is_a_multiset():
     a = Barcode([(0, Interval.closed_open(0, 1)), (0, Interval.closed_open(0, 1))])

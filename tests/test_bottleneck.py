@@ -186,6 +186,46 @@ def test_feasibility_and_value_match_the_complete_slot_block_oracle(a, b):
 
 
 @st.composite
+def _one_coordinate_pair(draw):
+    """Two diagrams of points with an infinite coordinate, on the quarter
+    grid, whose point counts differ."""
+    point = st.builds(lambda kind, x: kind(x), st.sampled_from([
+        lambda x: (x, math.inf), lambda x: (-math.inf, x), lambda x: (-math.inf, math.inf)]), _QUARTER)
+    points_a, points_b = draw(st.lists(point, max_size=12)), draw(st.lists(point, max_size=12))
+    if len(points_a) == len(points_b):
+        points_b.append(draw(point))
+    return dgm(points_a), dgm(points_b)
+
+
+def _within(x, y, delta):
+    """Whether x and y, each with an infinite coordinate, may pair at delta:
+    in one infinity class, and within delta along its finite coordinate."""
+    if (math.isfinite(x.p), math.isfinite(x.q)) != (math.isfinite(y.p), math.isfinite(y.q)):
+        return False
+    return (abs(x.p - y.p) if math.isfinite(x.p) else abs(x.q - y.q) if math.isfinite(x.q) else 0.0) <= delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_coordinate_pair())
+def test_one_coordinate_matchings_are_maximum_at_every_candidate(pair):
+    # no point of these classes may go to the diagonal, so with unequal
+    # counts no delta is feasible; each result must still be a maximum
+    # matching of the pairs within delta
+    a, b = pair
+    points_a = [pt for pt, m in a.items(0) for _ in range(m)]
+    points_b = [pt for pt, m in b.items(0) for _ in range(m)]
+    for delta in bottleneck_candidates(a, b, 0) + [math.inf]:
+        result = matching_at(a, b, 0, delta)
+        within = [[j for j, y in enumerate(points_b) if _within(x, y, delta)] for x in points_a]
+        assert len(result.matched) == _kuhn_matching_size(within, len(points_b)), delta
+        assert all(_within(x, y, delta) for x, y in result.matched)
+        assert len(result.matched) + len(result.unmatched_a) == len(points_a)
+        assert len(result.matched) + len(result.unmatched_b) == len(points_b)
+        assert not result.feasible
+    assert bottleneck(a, b, 0) is POS_INF
+
+
+@st.composite
 def _graph_and_matching(draw):
     """A random bipartite graph and a random valid partial matching of it."""
     n_left, n_right = draw(st.integers(0, 10)), draw(st.integers(0, 10))

@@ -7,6 +7,7 @@ import pytest
 
 from pershom import (
     Cover,
+    CoverSetError,
     GF2,
     GF3,
     TooLargeError,
@@ -28,6 +29,20 @@ def overlap_cover():
 def simplices_of(complex_):
     """The vertex tuples of a complex, without their values."""
     return sorted(s for s, _ in complex_.simplices)
+
+
+def test_cover_ids_must_be_integers():
+    # operator.index, the vertex-id rule of FilteredComplex: int() would
+    # truncate 1.7 to 1 and parse "3" as 3
+    for elems in ([1.7, 2], ["3"], [np.float64(2.0)], [np.True_]):
+        with pytest.raises(CoverSetError, match="cover set 'B' has a non-integer element") as err:
+            Cover([("A", [1]), ("B", elems)])
+        assert (err.value.index, err.value.name) == (1, "B")
+    with pytest.raises(ValueError, match="the ground set has a non-integer element"):
+        Cover([("A", [1])], ground=[1, 2.0])
+    cover = Cover([("A", iter([np.int64(2), True]))], ground=range(3))
+    assert cover.sets == (("A", frozenset({1, 2})),) and cover.ground == frozenset({0, 1, 2})
+    assert all(type(e) is int for e in cover.ground | cover.sets[0][1])
 
 
 # ---------------------------------------------------------------------- nerve

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +48,15 @@ def test_diagram_accumulates_multiplicity():
     assert d == PersistenceDiagram({0: {(0, 1): 2, (0, 2): 1}})
     with pytest.raises(ValueError):
         PersistenceDiagram({0: {(0, 1): 0}})
+
+
+def test_diagram_degrees_and_multiplicities_must_be_integers():
+    with pytest.raises(ValueError, match="degree must be an integer, got 1.5"):
+        PersistenceDiagram({1.5: [(0, 1)]})
+    for bad in (1.9, "3", 2.0):
+        with pytest.raises(ValueError, match=f"multiplicity must be an integer, got {bad!r}"):
+            PersistenceDiagram({0: {(0, 1): bad}})
+    assert PersistenceDiagram({np.int64(1): {(0, 1): np.int64(2)}}) == PersistenceDiagram({1: {(0, 1): 2}})
 
 
 def test_diagram_of_examples():

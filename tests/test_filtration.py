@@ -43,6 +43,7 @@ from helpers import (
     random_closed_entries,
     random_cover_sets,
     random_filtered_complex,
+    sublevel,
     validate_oracle,
 )
 
@@ -534,7 +535,7 @@ def _assert_engine_matches_oracles(k, field):
     for t in (-math.inf, *k.values(), math.inf):
         for d in range(-1, 4):
             assert betti_at(k, t, d, field) == betti_oracle_at(k, t, d, field), (t, d)
-    chi = [sum((-1) ** (len(s) - 1) for s in k.sublevel(t)) for t in k.values()]
+    chi = [sum((-1) ** (len(s) - 1) for s in sublevel(k, t)) for t in k.values()]
     assert euler_profile(k) == tuple(zip(k.values(), chi))
 
 

@@ -108,6 +108,12 @@ def test_morse_check_rejects_neg_inf_births():
     assert err.value.point.q.value == 1.0
 
 
+def test_morse_check_n_max_must_be_an_integer():
+    for bad in (1.9, "1"):
+        with pytest.raises(ValueError, match=f"n_max must be an integer, got {bad!r}"):
+            morse_check(WORKED, 0.5, bad)
+
+
 def test_morse_check_empty_diagram():
     report = morse_check(PersistenceDiagram(), 1.0, 3)
     assert all(row[1:] == (0, 0, 0) for row in report.rows)
