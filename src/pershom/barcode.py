@@ -52,9 +52,13 @@ POS_INF = ExtendedReal(math.inf)
 
 
 def query_value(value, name: str, finite: bool = False) -> float:
-    """A query argument as a float; NaN, or an infinity where ``finite`` is
-    asked for, raises ValueError naming the argument."""
-    value = float(value)
+    """A query argument as a float; a value that `float` refuses, NaN, or an
+    infinity where ``finite`` is asked for, raises ValueError naming the
+    argument."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
     if math.isnan(value) or (finite and math.isinf(value)):
         raise ValueError(f"{name} must {'be finite' if finite else 'not be NaN'}, got {value}")
     return value
@@ -138,12 +142,15 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
 @dataclass(frozen=True)
 class ConstancyWitness:
-    """Threshold pair: the module is constant below t0 and above t1."""
+    """Threshold pair: the module is constant below t0 and above t1; NaN
+    raises ValueError naming the threshold."""
 
     t0: float
     t1: float
 
     def __post_init__(self):
+        object.__setattr__(self, "t0", query_value(self.t0, "t0"))
+        object.__setattr__(self, "t1", query_value(self.t1, "t1"))
         if self.t0 > self.t1:
             raise ValueError("witness requires t0 <= t1")
 
@@ -194,6 +201,7 @@ class Barcode:
         return tuple(sorted({d for d, _ in self._bars}))
 
     def in_degree(self, d: int) -> Tuple[Interval, ...]:
+        d = integer_value(d, "degree")
         return tuple(iv for deg, iv in self._bars if deg == d)
 
     def __repr__(self):
@@ -204,8 +212,10 @@ class Barcode:
 def interval_module_rank(interval: Interval, s: float, t: float) -> int:
     """Rank of the structure map of a one-interval summand from value s to t.
 
-    Equals 1 exactly when both s and t lie in the interval, else 0.
+    Equals 1 exactly when both s and t lie in the interval, else 0.  NaN
+    raises ValueError naming the argument.
     """
+    s, t = query_value(s, "s"), query_value(t, "t")
     if s > t:
         raise ValueError(f"requires s <= t, got s={s}, t={t}")
     return int(interval.contains(s) and interval.contains(t))

@@ -2,8 +2,9 @@
 
 The nerve records which subfamilies of cover sets intersect; the Vietoris
 complex records which finite subsets of the ground set fit inside a single
-cover element.  Both are `FilteredComplex`es with every simplex at value 0,
-so each is validated once, at construction, like any other complex.
+cover element.  Both are `FilteredComplex`es with every simplex at value 0.
+Each id is checked once, where it enters: by `Cover`, or made as a set
+position; each complex is validated once, at construction, like any other.
 Dowker's duality makes the two homotopy equivalent, and the testable shadow
 of that here is degreewise equality of Betti numbers (`homology_ranks`).
 """
@@ -84,7 +85,7 @@ def nerve(cover: Cover) -> FilteredComplex:
     # Grow by one set at a time; an intersection can only shrink, so every
     # face of a recorded simplex was recorded earlier.
     frontier = [((i,), elems) for i, elems in enumerate(members) if elems]
-    simplices = list(frontier)
+    simplices = [verts for verts, _ in frontier]
     while frontier:
         new_frontier = []
         for verts, common in frontier:
@@ -92,9 +93,9 @@ def nerve(cover: Cover) -> FilteredComplex:
                 meet = common & members[j]
                 if meet:
                     new_frontier.append((verts + (j,), meet))
-        simplices.extend(new_frontier)
+        simplices.extend(verts for verts, _ in new_frontier)
         frontier = new_frontier
-    return FilteredComplex((verts, 0.0) for verts, _ in simplices)
+    return FilteredComplex._from_rows(simplices, np.zeros(len(simplices)))
 
 
 def vietoris(cover: Cover) -> FilteredComplex:
@@ -112,7 +113,7 @@ def vietoris(cover: Cover) -> FilteredComplex:
         verts = tuple(sorted(elems))
         for k in range(1, len(verts) + 1):
             simplices.update(combinations(verts, k))
-    return FilteredComplex((simplex, 0.0) for simplex in simplices)
+    return FilteredComplex._from_rows(simplices, np.zeros(len(simplices)))
 
 
 def dowker_check(cover: Cover, field: PrimeField = GF2):

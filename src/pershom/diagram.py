@@ -85,18 +85,20 @@ class PersistenceDiagram:
     def degrees(self) -> Tuple[int, ...]:
         return tuple(sorted(self._points))
 
+    def _bucket(self, d: int) -> Dict[DiagramPoint, int]:
+        return self._points.get(integer_value(d, "degree"), {})
+
     def items(self, d: int) -> Iterator[Tuple[DiagramPoint, int]]:
         """Deterministically ordered (point, multiplicity) pairs in degree d."""
-        bucket = self._points.get(d, {})
-        for pt in sorted(bucket):  # by p, then q
-            yield pt, bucket[pt]
+        bucket = self._bucket(d)
+        return ((pt, bucket[pt]) for pt in sorted(bucket))  # by p, then q
 
     def multiplicity(self, d: int, point: PointLike) -> int:
-        return self._points.get(d, {}).get(_as_point(point), 0)
+        return self._bucket(d).get(_as_point(point), 0)
 
     def count(self, d: int) -> int:
         """Total point count, with multiplicity, in degree d."""
-        return sum(self._points.get(d, {}).values())
+        return sum(self._bucket(d).values())
 
     def total(self) -> int:
         return sum(self.count(d) for d in self._points)

@@ -20,11 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from operator import ge, index
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import POS_INF, Barcode, Interval
+from .barcode import POS_INF, Barcode, Interval, integer_value, query_value
 from .linalg import GF2, PrimeField
 
 Simplex = Tuple[int, ...]
@@ -116,6 +116,13 @@ class FilteredComplex:
         self = object.__new__(cls)
         self._validate(*arrays)
         return self
+
+    @classmethod
+    def _from_rows(cls, rows: Collection[Simplex], values: np.ndarray) -> "FilteredComplex":
+        """The complex of vertex tuples whose ids are already integers (made by
+        the library or checked where they entered), with their values."""
+        sizes = np.fromiter(map(len, rows), np.intp, len(rows))
+        return cls._from_arrays(_vertex_array(lambda: chain.from_iterable(rows), int(sizes.sum())), sizes, values)
 
     def _validate(self, *arrays: np.ndarray) -> None:
         object.__setattr__(self, "_arrays", arrays)
@@ -227,12 +234,11 @@ def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[
     return FilteredComplex((s, max(map(vertex_values.__getitem__, s), default=math.nan)) for s in simplices)
 
 
-def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2,
-                        keep_ephemeral: bool = False) -> Barcode:
+def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2) -> Barcode:
     """Barcode of the sublevel filtration's homology over F_p, all degrees.
     Finite bars are closed-left/open-right ``[b, e)``; unpaired cycles give
-    essential bars ``[b, inf)``.  Zero-persistence pairings are dropped
-    unless ``keep_ephemeral`` retains them as ``[v, v]`` singleton bars."""
+    essential bars ``[b, inf)``.  A pair born and killed at one value is in
+    no sublevel set's homology, so it gives no bar."""
     _, sizes, values, _, _ = complex_._table
     pairs, essential = _reduce(complex_, len(sizes), field)
     dim, value = (sizes - 1).tolist(), values.tolist()
@@ -241,8 +247,8 @@ def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2,
     counts.update(zip(map(dim.__getitem__, essential), map(value.__getitem__, essential), repeat(POS_INF)))
     bars = []  # counted first, so that each distinct bar is one Interval and one pair
     for (degree, birth, death), multiplicity in counts.items():
-        if birth < death or keep_ephemeral:
-            bars += [(degree, Interval(birth, death, True, birth == death))] * multiplicity  # [b, e) or [b, b]
+        if birth < death:
+            bars += [(degree, Interval(birth, death, True, False))] * multiplicity
     return Barcode(bars)
 
 
@@ -297,9 +303,8 @@ def homology_ranks(complex_: FilteredComplex, field: PrimeField = GF2) -> Tuple[
 
 def betti_at(complex_: FilteredComplex, t: float, d: int, field: PrimeField = GF2) -> int:
     """dim H_d of the sublevel complex at value t over F_p, by reducing that
-    prefix of the canonical order.  NaN raises ValueError."""
-    if math.isnan(t):
-        raise ValueError("betti_at requires a value that is not NaN")
+    prefix of the canonical order.  A NaN t or a non-integer d raises ValueError."""
+    t, d = query_value(t, "t"), integer_value(d, "degree")
     _, sizes, values, _, _ = complex_._table
     n = int(np.searchsorted(values, t, side="right"))
     return int(np.count_nonzero(sizes[_reduce(complex_, n, field)[1]] == d + 1))

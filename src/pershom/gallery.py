@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .barcode import Barcode, Interval
+from .barcode import Barcode, Interval, integer_value
 from .bottleneck import TooLargeError
 from .filtration import FilteredComplex, betti_at
 from .linalg import GF2
@@ -24,20 +24,30 @@ from .linalg import GF2
 # Most points per axis of the Douglas quadrature grid: evaluation holds
 # several n x n float64 arrays, 128 MiB each at 4096.
 QUADRATURE_LIMIT = 4096
+# Most simplices a `HawaiianSpec` may have, 1 + (k - 1)(2^(d+2) - 3) +
+# 2^(d+2) - 2: k = 199,999 circles (5k + 2), or one 17-sphere.
+HAWAIIAN_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
 class HawaiianSpec:
-    """A wedge of k sphere summands of dimension d, the k-th one filled."""
+    """A wedge of k sphere summands of dimension d, the k-th one filled.
+    Both are integers by `operator.index`; a spec with more than
+    HAWAIIAN_LIMIT simplices raises TooLargeError."""
 
     d: int
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", integer_value(self.d, "sphere dimension d"))
+        object.__setattr__(self, "k", integer_value(self.k, "truncation index k"))
         if self.d < 1:
             raise ValueError(f"requires sphere dimension d >= 1, got {self.d}")
         if self.k < 1:
             raise ValueError(f"requires truncation index k >= 1, got {self.k}")
+        size = 1 + (self.k - 1) * (2 ** (self.d + 2) - 3) + 2 ** (self.d + 2) - 2
+        if size > HAWAIIAN_LIMIT:
+            raise TooLargeError(f"the earring truncation has {size} simplices, over {HAWAIIAN_LIMIT}")
 
 
 def hawaiian_complex(spec: HawaiianSpec) -> FilteredComplex:
@@ -51,7 +61,7 @@ def hawaiian_complex(spec: HawaiianSpec) -> FilteredComplex:
     is accepted; d = 1 (triangle circles) is the well-trodden path.
     """
     d, k = spec.d, spec.k
-    entries: List[Tuple[Tuple[int, ...], float]] = [((0,), 0.0)]
+    rows: List[Tuple[int, ...]] = [(0,)]
     next_vertex = 1
     for sphere in range(1, k + 1):
         verts = (0,) + tuple(range(next_vertex, next_vertex + d + 1))
@@ -63,8 +73,8 @@ def hawaiian_complex(spec: HawaiianSpec) -> FilteredComplex:
             for simplex in combinations(verts, size):
                 if simplex == (0,):
                     continue
-                entries.append((simplex, 1.0))
-    return FilteredComplex(entries)
+                rows.append(simplex)
+    return FilteredComplex._from_rows(rows, np.append(0.0, np.ones(len(rows) - 1)))
 
 
 def hawaiian_rank_sweep(d: int, k_max: int) -> Tuple[Tuple[int, int], ...]:
@@ -75,8 +85,10 @@ def hawaiian_rank_sweep(d: int, k_max: int) -> Tuple[Tuple[int, int], ...]:
     whole wedge, so the rank is its d-th Betti number: k - 1.  The sweep
     growing without bound is the finite shadow of the untamed limit.
     """
+    k_max = integer_value(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"requires k_max >= 1, got {k_max}")
+    HawaiianSpec(d, k_max)  # the largest, checked before any is built
     out = []
     for k in range(1, k_max + 1):
         complex_ = hawaiian_complex(HawaiianSpec(d, k))
@@ -90,6 +102,7 @@ def product_family(n: int) -> Barcode:
     Truncation of the product of ever-shorter half-open intervals; its
     radical opens every left endpoint.
     """
+    n = integer_value(n, "n")
     if n < 1:
         raise ValueError(f"requires n >= 1, got {n}")
     return Barcode([(0, Interval.closed_open(0.0, 1.0 / i)) for i in range(1, n + 1)])
@@ -102,8 +115,8 @@ class DouglasInput:
     ``curve_samples`` holds g(2*pi*i/K) for i = 0..K-1 as rows; ``phi``
     holds the reparametrization at the same grid points and must be
     monotone with phi(t + 2*pi) = phi(t) + 2*pi.  Every sample must be
-    finite.  ``quadrature_n`` sets the integration grid, 8 to
-    QUADRATURE_LIMIT points per axis.
+    finite.  ``quadrature_n`` sets the integration grid, an integer from 8
+    to QUADRATURE_LIMIT points per axis.
     """
 
     curve_samples: np.ndarray
@@ -119,6 +132,7 @@ class DouglasInput:
         phi = np.asarray(self.phi, dtype=float).ravel()
         object.__setattr__(self, "curve_samples", curve)
         object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "quadrature_n", integer_value(self.quadrature_n, "quadrature_n"))
         if curve.shape[0] != phi.shape[0]:
             raise ValueError(
                 f"curve and phi must be sampled on grids of equal size, "
@@ -192,4 +206,5 @@ __all__ = [
     "product_family",
     "douglas_eval",
     "QUADRATURE_LIMIT",
+    "HAWAIIAN_LIMIT",
 ]

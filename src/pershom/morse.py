@@ -40,9 +40,8 @@ class MorseCheckFailed(Exception):
 
 
 def _items(diagram: PersistenceDiagram, d: int):
-    if d < 0:
-        return ()
-    return diagram.items(d)
+    d = integer_value(d, "degree")
+    return diagram.items(d) if d >= 0 else ()
 
 
 def _check_eps(eps: float) -> float:
@@ -60,7 +59,7 @@ def cap_number_at(diagram: PersistenceDiagram, d: int, t: float, eps: float) -> 
     companion endpoints participate.  No finite endpoint sits at an
     infinite t, where the count is 0; a NaN t raises ValueError.
     """
-    eps = _check_eps(eps)
+    d, eps = integer_value(d, "degree"), _check_eps(eps)
     t = query_value(t, "t")
     if not math.isfinite(t):
         return 0
@@ -81,7 +80,7 @@ def cap_number(diagram: PersistenceDiagram, d: int, eps: float) -> int:
     of degree d with finite birth and lifetime > eps (essential deaths
     included in the second sum, -inf births in the first).
     """
-    eps = _check_eps(eps)
+    d, eps = integer_value(d, "degree"), _check_eps(eps)
     total = 0
     for pt, mult in _items(diagram, d - 1):
         if math.isfinite(pt.q) and pt.gap > eps:

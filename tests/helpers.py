@@ -291,6 +291,20 @@ def closure(maximal) -> FilteredComplex:
     return FilteredComplex((face, 0.0) for face in faces)
 
 
+def assert_built_as_by_pairs(complex_) -> None:
+    """A complex equals the one `FilteredComplex` builds from its (simplex,
+    value) pairs: the same simplices, flat arrays (values and dtypes) and
+    face table."""
+    reference = FilteredComplex(list(complex_.simplices))
+    assert repr(complex_.simplices) == repr(reference.simplices)
+    for ours, theirs in zip(complex_._arrays + complex_._table, reference._arrays + reference._table):
+        assert type(ours) is type(theirs) and getattr(ours, "dtype", None) == getattr(theirs, "dtype", None)
+        if getattr(ours, "dtype", None) == object:  # exact Python ints beyond int64
+            assert ours.tolist() == theirs.tolist()
+        else:
+            assert ours.tobytes() == theirs.tobytes()
+
+
 def is_face_closed(simplices) -> bool:
     """Whether a set of vertex tuples holds every codimension-1 face of each member."""
     present = set(simplices)
@@ -392,7 +406,7 @@ def betti_oracle_at(complex_, t: float, d: int, field) -> int:
     return betti[d] if 0 <= d < len(betti) else 0
 
 
-def persistence_oracle(complex_, field, keep_ephemeral: bool = False) -> Barcode:
+def persistence_oracle(complex_, field) -> Barcode:
     """Barcode by left-to-right reduction of the boundary matrix (homology),
     the oracle for the library's cohomology reduction with clearing."""
     order = sorted(complex_.simplices, key=lambda e: (e[1], len(e[0]), e[0]))
@@ -425,8 +439,6 @@ def persistence_oracle(complex_, field, keep_ephemeral: bool = False) -> Barcode
             degree = len(birth_simplex) - 1
             if birth < value:
                 bars.append((degree, Interval.closed_open(birth, value)))
-            elif keep_ephemeral:
-                bars.append((degree, Interval.singleton(birth)))
     for j, (simplex, value) in enumerate(order):
         if not columns[j] and j not in paired:
             bars.append((len(simplex) - 1, Interval.closed_open(value, POS_INF)))

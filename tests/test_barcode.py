@@ -121,6 +121,9 @@ def test_interval_module_rank_examples():
     assert interval_module_rank(full_line, -10.0, 10.0) == 1
     with pytest.raises(ValueError):
         interval_module_rank(half_open, 1.0, 0.0)
+    for s, t, name in ((math.nan, 0.5, "s"), (0.0, math.nan, "t")):
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN"):
+            interval_module_rank(half_open, s, t)
 
 
 # -------------------------------------------------------------------- barcodes
@@ -279,6 +282,13 @@ def test_constancy_witness_examples():
 
     full_line = Barcode([(0, Interval(NEG_INF, POS_INF, False, False))])
     assert constancy_witness(full_line, 0) == ConstancyWitness(0.0, 0.0)
+
+
+def test_constancy_witness_rejects_nan_thresholds_by_name():
+    for t0, t1, name in ((math.nan, 1.0, "t0"), (0.0, math.nan, "t1")):
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN"):
+            ConstancyWitness(t0, t1)
+    assert ConstancyWitness(-math.inf, math.inf).t1 == math.inf
 
 
 def test_constancy_witness_brackets_all_activity():

@@ -184,6 +184,9 @@ def test_hawaiian_command(capsys):
     assert main(["hawaiian", "--k", "1", "--sweep", "4"]) == 0
     assert capsys.readouterr().out == "1 0\n2 1\n3 2\n4 3\n"
     assert main(["hawaiian", "--k", "0"]) == 1
+    capsys.readouterr()
+    assert main(["hawaiian", "--k", "200000"]) == 1
+    assert capsys.readouterr().err == "error: the earring truncation has 1000002 simplices, over 1000000\n"
 
 
 def test_product_command(capsys):

@@ -1,25 +1,31 @@
 """Nerve and Vietoris complexes, homology ranks, Dowker agreement, ball covers."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pershom.filtration
 from pershom import (
     Cover,
     CoverSetError,
+    FilteredComplex,
     GF2,
     GF3,
+    HawaiianSpec,
     TooLargeError,
     balls_cover,
     dowker_check,
+    hawaiian_complex,
     homology_ranks,
     nerve,
     vietoris,
 )
 from pershom.covers import VIETORIS_LIMIT
 
-from helpers import closure, is_face_closed, random_cover_sets
+from helpers import assert_built_as_by_pairs, closure, is_face_closed, random_cover_sets
 
 
 def overlap_cover():
@@ -161,6 +167,35 @@ def test_nerve_and_vietoris_outputs_are_face_closed():
         cover = Cover(sets, ground=ground)
         assert is_face_closed(simplices_of(nerve(cover)))
         assert is_face_closed(simplices_of(vietoris(cover)))
+
+
+# Element ids on both sides of the int64 edge, where vertex arrays turn to Python ints.
+_IDS = st.integers(-3, 12) | st.integers(2**63 - 3, 2**64 + 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.frozensets(_IDS, max_size=5), max_size=6))
+def test_nerve_and_vietoris_equal_the_pair_built_complexes(members):
+    cover = Cover(enumerate(members))
+    subfamilies = [s for k in range(1, len(members) + 1) for s in combinations(range(len(members)), k)]
+    assert set(simplices_of(nerve(cover))) == {s for s in subfamilies if frozenset.intersection(*map(members.__getitem__, s))}
+    assert set(simplices_of(vietoris(cover))) == {
+        s for elems in members for k in range(1, len(elems) + 1) for s in combinations(sorted(elems), k)}
+    assert_built_as_by_pairs(nerve(cover))
+    assert_built_as_by_pairs(vietoris(cover))
+
+
+def test_library_made_complexes_skip_the_per_id_check(monkeypatch):
+    # their ids were checked by Cover or made by range, so they enter as rows
+    cover = Cover([("A", [1, 2, 3]), ("B", [3, 4]), ("C", [4, 2**63])])
+    spec = HawaiianSpec(2, 3)
+
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(pershom.filtration, "index", refuse)
+    monkeypatch.setattr(FilteredComplex, "__init__", refuse)
+    assert [len(nerve(cover)), len(vietoris(cover)), len(hawaiian_complex(spec))] == [5, 11, 41]
 
 
 # ---------------------------------------------------------------- ball covers

@@ -23,6 +23,7 @@ from pershom import (
     NonIntegerVertexError,
     NonMonotoneError,
     PrimeField,
+    barcode_rank,
     betti_at,
     compute_persistence,
     euler_profile,
@@ -249,19 +250,18 @@ def test_face_index_is_exact_on_both_sides_of_the_int64_edge(extra, defect):
     _assert_matches_validate_oracle(_with_defects(entries, rng, [defect] if defect else []))
 
 
-@pytest.mark.parametrize("keep_ephemeral", [False, True])
-def test_compute_persistence_makes_one_interval_per_distinct_bar(monkeypatch, keep_ephemeral):
+def test_compute_persistence_makes_one_interval_per_distinct_bar(monkeypatch):
     import pershom.filtration
 
     complex_ = grid_lower_star(random.Random(3))
     made = []
     real = pershom.filtration.Interval
     monkeypatch.setattr(pershom.filtration, "Interval", lambda *args: made.append(args) or real(*args))
-    barcode = compute_persistence(complex_, GF2, keep_ephemeral)
+    barcode = compute_persistence(complex_, GF2)
     distinct = {(d, iv.lo, iv.hi) for d, iv in barcode}
     assert len(barcode) > len(distinct)  # the bars repeat
     assert len(made) == len(distinct)
-    assert barcode == persistence_oracle(complex_, GF2, keep_ephemeral)
+    assert barcode == persistence_oracle(complex_, GF2)
 
 
 # ------------------------------------------------------------ construction
@@ -384,11 +384,10 @@ def test_persistence_hollow_triangle():
 
 def test_persistence_edge_kills_component():
     k = FilteredComplex([((0,), 0.0), ((1,), 1.0), ((0, 1), 1.0)])
-    assert compute_persistence(k) == Barcode([(0, Interval.closed_open(0, math.inf))])
-    kept = compute_persistence(k, keep_ephemeral=True)
-    assert kept == Barcode(
-        [(0, Interval.closed_open(0, math.inf)), (0, Interval.singleton(1.0))]
-    )
+    barcode = compute_persistence(k)
+    assert barcode == Barcode([(0, Interval.closed_open(0, math.inf))])
+    # the component of vertex 1 is born and killed at 1.0: no sublevel set sees it
+    assert barcode_rank(barcode, 0, 1.0, 1.0) == betti_at(k, 1.0, 0) == 1
 
 
 def test_persistence_finite_bar():
@@ -446,6 +445,21 @@ def test_betti_sphere():
 def test_betti_at_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         betti_at(hollow_triangle(), math.nan, 0)
+    with pytest.raises(ValueError, match="t must be a real number, got 'x'"):
+        betti_at(hollow_triangle(), "x", 0)
+
+
+def test_rows_built_complexes_are_still_validated():
+    # `_from_rows` skips only the per-id integer check
+    for rows, values, error in [
+        ([(0, 1)], [0.0], MissingFaceError),
+        ([(0,), (0,)], [0.0, 0.0], DuplicateSimplexError),
+        ([(0,), (1,), (0, 1)], [0.0, 1.0, 0.5], NonMonotoneError),
+        ([(0,)], [math.nan], NonFiniteValueError),
+        ([(1, 0)], [0.0], ValueError),
+    ]:
+        with pytest.raises(error):
+            FilteredComplex._from_rows(rows, np.array(values))
 
 
 # ------------------------------------------ sparse engine against dense oracle
@@ -530,8 +544,7 @@ def _lower_star_filtrations(draw):
 
 
 def _assert_engine_matches_oracles(k, field):
-    for keep in (False, True):
-        assert compute_persistence(k, field, keep) == persistence_oracle(k, field, keep)
+    assert compute_persistence(k, field) == persistence_oracle(k, field)
     for t in (-math.inf, *k.values(), math.inf):
         for d in range(-1, 4):
             assert betti_at(k, t, d, field) == betti_oracle_at(k, t, d, field), (t, d)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pershom import (
     Barcode,
@@ -21,7 +22,9 @@ from pershom import (
     radical,
     validate,
 )
-from pershom.gallery import QUADRATURE_LIMIT
+from pershom.gallery import HAWAIIAN_LIMIT, QUADRATURE_LIMIT
+
+from helpers import assert_built_as_by_pairs
 
 
 def circle_samples(n):
@@ -57,6 +60,44 @@ def test_hawaiian_spec_validation():
         HawaiianSpec(1, 0)
 
 
+def test_hawaiian_sizes_are_integers():
+    for bad in (2.5, "2", np.float64(2.0)):
+        with pytest.raises(ValueError, match="truncation index k must be an integer"):
+            HawaiianSpec(1, bad)
+        with pytest.raises(ValueError, match="sphere dimension d must be an integer"):
+            HawaiianSpec(bad, 1)
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            hawaiian_rank_sweep(1, bad)
+    spec = HawaiianSpec(np.int64(2), np.int64(3))
+    assert spec == HawaiianSpec(2, 3) and type(spec.d) is type(spec.k) is int
+
+
+def _hawaiian_size(d, k):
+    return 1 + (k - 1) * (2 ** (d + 2) - 3) + 2 ** (d + 2) - 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6))
+def test_hawaiian_complex_equals_the_pair_built_complex(d, k):
+    complex_ = hawaiian_complex(HawaiianSpec(d, k))
+    assert_built_as_by_pairs(complex_)
+    assert len(complex_) == _hawaiian_size(d, k)
+    assert [v for s, v in complex_.simplices if s == (0,)] == [0.0]
+    assert sorted(v for s, v in complex_.simplices if s != (0,)) == [1.0] * (len(complex_) - 1)
+
+
+def test_hawaiian_spec_refuses_too_many_simplices_before_enumerating():
+    assert [len(hawaiian_complex(HawaiianSpec(d, k))) for d, k in ((1, 5), (2, 3), (3, 1))] == [27, 41, 31]
+    assert _hawaiian_size(1, 199_999) <= HAWAIIAN_LIMIT < _hawaiian_size(1, 200_000)
+    HawaiianSpec(1, 199_999)  # accepted, not built
+    HawaiianSpec(17, 1)
+    for d, k in ((1, 200_000), (18, 1), (30, 1)):
+        with pytest.raises(TooLargeError, match=f"has {_hawaiian_size(d, k)} simplices, over {HAWAIIAN_LIMIT}"):
+            HawaiianSpec(d, k)
+    with pytest.raises(TooLargeError):  # before the sweep builds its first complex
+        hawaiian_rank_sweep(1, 200_000)
+
+
 def test_hawaiian_higher_dimensional_spheres():
     k = hawaiian_complex(HawaiianSpec(2, 3))
     validate(k)
@@ -80,6 +121,9 @@ def test_product_family_examples():
     assert product_family(1) == Barcode([(0, Interval.closed_open(0, 1))])
     with pytest.raises(ValueError):
         product_family(0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        product_family(2.5)
+    assert product_family(np.int64(3)) == product_family(3)
 
 
 def test_product_family_cap_count():
@@ -141,6 +185,9 @@ def test_douglas_input_validation():
         DouglasInput(curve, phi, 64)
     with pytest.raises(ValueError):  # quadrature too coarse
         DouglasInput.identity(curve, 4)
+    with pytest.raises(ValueError, match="quadrature_n must be an integer, got 8.5"):
+        DouglasInput.identity(curve, 8.5)
+    assert type(DouglasInput.identity(curve, np.int64(8)).quadrature_n) is int
 
 
 def test_douglas_input_refuses_a_grid_over_the_limit():
