@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import index, itemgetter
+from operator import index
 from typing import Iterable, Iterator, Tuple
 
 
@@ -52,10 +51,12 @@ POS_INF = ExtendedReal(math.inf)
 
 
 def query_value(value, name: str, finite: bool = False) -> float:
-    """A query argument as a float; a value that `float` refuses, NaN, or an
-    infinity where ``finite`` is asked for, raises ValueError naming the
-    argument."""
+    """A query argument as a float; text, a value that `float` refuses, NaN,
+    or an infinity where ``finite`` is asked for, raises ValueError naming
+    the argument."""
     try:
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError  # `float` would parse it
         value = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
@@ -126,8 +127,9 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     def contains(self, t) -> bool:
         """Membership of a point, respecting openness flags; -inf and +inf
-        belong to no interval, since closed endpoints are finite."""
-        t = ExtendedReal(t)
+        belong to no interval, since closed endpoints are finite.  Text or NaN
+        raises ValueError naming ``t``."""
+        t = query_value(t, "t")
         if t < self.lo or (t == self.lo and not self.lo_closed):
             return False
         if t > self.hi or (t == self.hi and not self.hi_closed):
@@ -156,25 +158,24 @@ class ConstancyWitness:
 
 
 class Barcode:
-    """A finite multiset of (degree, interval) bars, stored canonically sorted.
+    """A finite multiset of (degree, interval) bars, sorted stably by value
+    when made: by degree, then the interval's fields in order.
 
-    Equality is multiset equality; degrees may be any integers.
+    Equality is multiset equality; degrees may be any integers.  A given
+    ``(int, Interval)`` tuple is kept, so bars the caller shares stay shared.
     """
 
     __slots__ = ("_bars",)
 
     def __init__(self, bars: Iterable[Tuple[int, Interval]] = ()):
-        runs = []  # [given bar, canonical bar, count] per run of one repeated bar object
+        checked = []
         for bar in bars:
-            if runs and bar is runs[-1][0]:
-                runs[-1][2] += 1
-                continue
             d, iv = bar
             if not isinstance(iv, Interval):
                 raise TypeError(f"expected Interval, got {type(iv).__name__}")
-            runs.append([bar, (integer_value(d, "degree"), iv), 1])
-        runs.sort(key=itemgetter(1))  # by degree, then the interval's fields in order
-        object.__setattr__(self, "_bars", tuple(chain.from_iterable(repeat(bar, m) for _, bar, m in runs)))
+            checked.append(bar if type(bar) is tuple and type(d) is int else (integer_value(d, "degree"), iv))
+        checked.sort()  # equal bars spelled apart, as [-0.0,1.0) and [0.0,1.0), keep their input order
+        object.__setattr__(self, "_bars", tuple(checked))
 
     @property
     def bars(self) -> Tuple[Tuple[int, Interval], ...]:

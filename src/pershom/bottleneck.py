@@ -45,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import POS_INF, Barcode, ExtendedReal
+from .barcode import POS_INF, Barcode, ExtendedReal, query_value
 from .diagram import DiagramPoint, PersistenceDiagram, diagram_of
 
 BRUTE_FORCE_LIMIT = 8
@@ -53,7 +53,8 @@ BRUTE_FORCE_LIMIT = 8
 
 class TooLargeError(ValueError):
     """An input too large to process: the brute-force oracle's diagrams, the
-    simplices of a Vietoris complex, or a Douglas quadrature grid."""
+    simplices of a Vietoris complex, of an earring truncation or of all the
+    truncations an earring sweep builds, or a Douglas quadrature grid."""
 
 
 @dataclass(frozen=True)
@@ -324,8 +325,8 @@ def matching_at(
     """Explicit matching with every matched pair within L-inf distance delta
     and every unmatched point within delta of the diagonal, if one exists;
     else the maximum matching that shows there is none."""
-    delta = float(delta)
-    if delta < 0 or math.isnan(delta):
+    delta = query_value(delta, "delta")
+    if delta < 0:
         raise ValueError(f"requires delta >= 0, got {delta}")
     matched: List[Tuple[DiagramPoint, DiagramPoint]] = []
     unmatched_a: List[DiagramPoint] = []

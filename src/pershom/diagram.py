@@ -6,8 +6,8 @@ q != -inf; openness of the originating interval endpoints is forgotten.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from itertools import groupby, repeat
+from collections import Counter, namedtuple
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, integer_value, query_value
@@ -55,7 +55,8 @@ def _as_point(value: PointLike) -> DiagramPoint:
 
 
 class PersistenceDiagram:
-    """Per-degree multiplicity map with finite support and positive counts."""
+    """Per-degree multiplicity map with finite support and positive counts,
+    each degree's points kept in canonical order, by p, then q."""
 
     __slots__ = ("_points",)
 
@@ -75,9 +76,7 @@ class PersistenceDiagram:
                     raise ValueError(f"multiplicity must be >= 1, got {mult}")
                 pt = _as_point(pt)
                 bucket[pt] = bucket.get(pt, 0) + mult
-            if not bucket:
-                del table[degree]
-        object.__setattr__(self, "_points", table)
+        object.__setattr__(self, "_points", {d: {pt: b[pt] for pt in sorted(b)} for d, b in table.items() if b})
 
     def __setattr__(self, name, value):
         raise AttributeError("PersistenceDiagram is immutable")
@@ -89,9 +88,8 @@ class PersistenceDiagram:
         return self._points.get(integer_value(d, "degree"), {})
 
     def items(self, d: int) -> Iterator[Tuple[DiagramPoint, int]]:
-        """Deterministically ordered (point, multiplicity) pairs in degree d."""
-        bucket = self._bucket(d)
-        return ((pt, bucket[pt]) for pt in sorted(bucket))  # by p, then q
+        """The (point, multiplicity) pairs in degree d, by p, then q."""
+        return iter(self._bucket(d).items())
 
     def multiplicity(self, d: int, point: PointLike) -> int:
         return self._bucket(d).get(_as_point(point), 0)
@@ -119,19 +117,17 @@ class PersistenceDiagram:
 
 
 def diagram_of(barcode: Barcode) -> PersistenceDiagram:
-    """The diagram of a barcode: group bars by (inf, sup), dropping singletons.
+    """The diagram of a barcode: its bars counted by value, then summed per
+    (inf, sup) with singletons dropped, so each point is made once.
 
     Endpoint openness is invisible here, so the radical of a barcode has the
-    same diagram as the barcode itself.  A barcode repeats one object per run
-    of equal bars: runs are grouped by identity and summed per point, so no
-    intervals are compared and each point is made once.
+    same diagram as the barcode itself.
     """
     table: Dict[int, Dict[Tuple[float, float], int]] = {}
-    for _, run in groupby(barcode, id):
-        (d, iv), *rest = run
+    for (d, iv), mult in Counter(barcode).items():
         if not iv.is_singleton:
             bucket = table.setdefault(d, {})
-            bucket[iv.lo, iv.hi] = bucket.get((iv.lo, iv.hi), 0) + 1 + len(rest)
+            bucket[iv.lo, iv.hi] = bucket.get((iv.lo, iv.hi), 0) + mult
     return PersistenceDiagram(table)
 
 

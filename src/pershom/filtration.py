@@ -245,7 +245,7 @@ def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2) -> B
     born, died = zip(*pairs) if pairs else ((), ())
     counts = Counter(zip(map(dim.__getitem__, born), map(value.__getitem__, born), map(value.__getitem__, died)))
     counts.update(zip(map(dim.__getitem__, essential), map(value.__getitem__, essential), repeat(POS_INF)))
-    bars = []  # counted first, so that each distinct bar is one Interval and one pair
+    bars = []  # counted first: one Interval per distinct bar, its repeats one shared tuple that Barcode keeps
     for (degree, birth, death), multiplicity in counts.items():
         if birth < death:
             bars += [(degree, Interval(birth, death, True, False))] * multiplicity

@@ -25,7 +25,8 @@ from .linalg import GF2
 # several n x n float64 arrays, 128 MiB each at 4096.
 QUADRATURE_LIMIT = 4096
 # Most simplices a `HawaiianSpec` may have, 1 + (k - 1)(2^(d+2) - 3) +
-# 2^(d+2) - 2: k = 199,999 circles (5k + 2), or one 17-sphere.
+# 2^(d+2) - 2: k = 199,999 circles (5k + 2), or one 17-sphere.  Also the
+# most that `hawaiian_rank_sweep` may build over all its truncations.
 HAWAIIAN_LIMIT = 1_000_000
 
 
@@ -77,6 +78,13 @@ def hawaiian_complex(spec: HawaiianSpec) -> FilteredComplex:
     return FilteredComplex._from_rows(rows, np.append(0.0, np.ones(len(rows) - 1)))
 
 
+def _sweep_size(d: int, k_max: int) -> int:
+    """Simplices in the truncations k = 1..k_max together: the sum of
+    HawaiianSpec's count, K(c - 1) + (c - 3)K(K - 1)/2 with c = 2^(d+2)."""
+    c = 2 ** (d + 2)
+    return k_max * (c - 1) + (c - 3) * k_max * (k_max - 1) // 2
+
+
 def hawaiian_rank_sweep(d: int, k_max: int) -> Tuple[Tuple[int, int], ...]:
     """Degree-d rank of the filtration's structure map past the jump, for
     each truncation index k <= k_max.
@@ -84,11 +92,16 @@ def hawaiian_rank_sweep(d: int, k_max: int) -> Tuple[Tuple[int, int], ...]:
     The map between any two sublevels at values >= 1 is the identity of the
     whole wedge, so the rank is its d-th Betti number: k - 1.  The sweep
     growing without bound is the finite shadow of the untamed limit.
+    A sweep whose truncations have more than HAWAIIAN_LIMIT simplices in
+    all raises TooLargeError before any is built.
     """
     k_max = integer_value(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"requires k_max >= 1, got {k_max}")
-    HawaiianSpec(d, k_max)  # the largest, checked before any is built
+    d = HawaiianSpec(d, k_max).d  # the largest, checked before any is built
+    total = _sweep_size(d, k_max)
+    if total > HAWAIIAN_LIMIT:
+        raise TooLargeError(f"the earring sweep to k = {k_max} builds {total} simplices, over {HAWAIIAN_LIMIT}")
     out = []
     for k in range(1, k_max + 1):
         complex_ = hawaiian_complex(HawaiianSpec(d, k))

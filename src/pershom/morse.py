@@ -45,8 +45,8 @@ def _items(diagram: PersistenceDiagram, d: int):
 
 
 def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not eps > 0 or math.isnan(eps):
+    eps = query_value(eps, "eps")
+    if not eps > 0:
         raise ValueError(f"requires eps > 0, got {eps}")
     return eps
 

@@ -196,8 +196,9 @@ def parse_filtration_oracle(text: str, source: str = "<filtration>") -> Filtered
 
 
 def bar_key(bar):
-    """The Python sort key that ``Barcode`` once ordered its bars by: the
-    degree, then the interval's endpoints and flags."""
+    """The canonical order of bars as an explicit sort key: the degree, then
+    the interval's endpoints and flags.  ``Barcode`` sorts its bars by value
+    in this order, stably, so equal bars keep their input order."""
     degree, iv = bar
     return (degree, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
 

@@ -319,10 +319,12 @@ def _valid_intervals():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-1, 2), st.sampled_from(_valid_intervals()), st.integers(1, 3)), max_size=30))
-def test_barcode_order_is_a_stable_sort_by_the_bar_key(draws):
-    bars = [bar for d, iv, repeats in draws for bar in [(d, iv)] * repeats]  # runs of one bar object
-    assert repr(Barcode(bars).bars) == repr(tuple(sorted(bars, key=bar_key)))
+@given(st.lists(st.tuples(st.integers(-1, 2), st.sampled_from(_valid_intervals()), st.integers(1, 3)), max_size=30),
+       st.booleans())
+def test_barcode_order_is_a_stable_sort_by_the_bar_key(draws, fresh):
+    shared = [bar for d, iv, repeats in draws for bar in [(d, iv)] * repeats]  # runs of one bar object
+    bars = [(d, Interval(*iv)) for d, iv in shared] if fresh else shared  # or each repeat its own Interval
+    assert repr(Barcode(bars).bars) == repr(tuple(sorted(bars, key=bar_key))) == repr(Barcode(shared).bars)
 
 
 def test_barcode_keeps_each_given_bar_and_counts_repeats():
@@ -333,3 +335,12 @@ def test_barcode_keeps_each_given_bar_and_counts_repeats():
     assert barcode == Barcode(reversed(bars + [(1, shared)] * 2))
     assert "".join(f"{d} {iv}\n" for d, iv in barcode) == "0 [-0.0,1.0)\n0 [0.0,1.0)\n" + "1 [0.0,1.0)\n" * 6
     assert all(type(d) is int for d, _ in barcode)
+
+
+def test_barcode_keeps_given_int_degree_tuples_and_rebuilds_the_rest():
+    iv = Interval.closed_open(0.0, 1.0)
+    given_bar = (1, iv)
+    assert all(bar is given_bar for bar in Barcode([given_bar] * 3))
+    for other in [(True, iv), (np.int64(1), iv), [1, iv]]:
+        (bar,) = Barcode([other]).bars
+        assert bar is not other and type(bar) is tuple and type(bar[0]) is int and bar == given_bar

@@ -187,6 +187,8 @@ def test_hawaiian_command(capsys):
     capsys.readouterr()
     assert main(["hawaiian", "--k", "200000"]) == 1
     assert capsys.readouterr().err == "error: the earring truncation has 1000002 simplices, over 1000000\n"
+    assert main(["hawaiian", "--k", "1", "--sweep", "632"]) == 1
+    assert capsys.readouterr().err == "error: the earring sweep to k = 632 builds 1001404 simplices, over 1000000\n"
 
 
 def test_product_command(capsys):

@@ -157,7 +157,8 @@ def test_diagram_of_makes_one_point_per_distinct_point(monkeypatch):
 
 
 def test_diagram_of_compares_no_intervals(monkeypatch):
-    # runs of a computed barcode are grouped by identity, not by Interval.__eq__
+    # bars are counted by value; a computed barcode repeats one tuple per
+    # distinct bar, which a dict finds by identity, so no Interval.__eq__ runs
     barcode = compute_persistence(grid_lower_star(random.Random(4)))
     expected = diagram_oracle(barcode)
     compare = Interval.__eq__
@@ -179,7 +180,8 @@ _ENDPOINTS = [-math.inf, -0.0, 0.0, 0.5, 1.0, math.inf]
 
 @st.composite
 def _equal_bars_apart(draw):
-    """Bars with repeats made as separate Interval objects, in any order."""
+    """Bars with repeats made as separate Interval objects or as one shared
+    bar tuple, in any order."""
     bars = []
     for _ in range(draw(st.integers(0, 25))):
         lo, hi = sorted(draw(st.lists(st.sampled_from(_ENDPOINTS), min_size=2, max_size=2)))
@@ -187,8 +189,11 @@ def _equal_bars_apart(draw):
             continue
         lo_closed = lo == hi or (draw(st.booleans()) and math.isfinite(lo))
         hi_closed = lo == hi or (draw(st.booleans()) and math.isfinite(hi))
-        d = draw(st.integers(0, 2))
-        bars += [(d, Interval(lo, hi, lo_closed, hi_closed)) for _ in range(draw(st.integers(1, 3)))]
+        d, repeats = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            bars += [(d, Interval(lo, hi, lo_closed, hi_closed))] * repeats
+        else:
+            bars += [(d, Interval(lo, hi, lo_closed, hi_closed)) for _ in range(repeats)]
     return draw(st.permutations(bars))
 
 
@@ -199,3 +204,36 @@ def test_diagram_of_matches_the_per_bar_oracle_on_equal_bars_apart(bars):
     diagram = diagram_of(barcode)
     assert diagram == diagram_oracle(barcode)
     assert format_diagram(diagram) == format_diagram(diagram_oracle(barcode))  # the same -0.0 or 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(_ENDPOINTS[:-1]), st.sampled_from(_ENDPOINTS[1:]),
+                          st.integers(1, 3)), max_size=25), st.randoms(use_true_random=False))
+def test_diagram_items_are_in_sorted_order_for_buckets_given_shuffled(draws, rnd):
+    table = {}
+    for d, p, q, mult in draws:
+        if p < q:
+            table.setdefault(d, {})[p, q] = mult
+    for d, bucket in table.items():
+        entries = list(bucket.items())
+        rnd.shuffle(entries)
+        table[d] = dict(entries)
+    diagram = PersistenceDiagram(table)
+    assert diagram.degrees() == tuple(sorted(table))
+    for d in table:
+        assert list(diagram.items(d)) == sorted((DiagramPoint(*pt), m) for pt, m in table[d].items())
+
+
+def test_diagram_items_make_no_sort(monkeypatch):
+    import pershom.diagram
+
+    diagram = random_diagram(random.Random(5), max_points=40)
+    degrees = diagram.degrees()
+    expected = {d: sorted(diagram.items(d)) for d in degrees}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("items sorted a degree")
+
+    monkeypatch.setattr(pershom.diagram, "sorted", refused, raising=False)
+    assert {d: list(diagram.items(d)) for d in degrees} == expected
+    assert len(degrees) > 1

@@ -22,7 +22,7 @@ from pershom import (
     radical,
     validate,
 )
-from pershom.gallery import HAWAIIAN_LIMIT, QUADRATURE_LIMIT
+from pershom.gallery import HAWAIIAN_LIMIT, QUADRATURE_LIMIT, _sweep_size
 
 from helpers import assert_built_as_by_pairs
 
@@ -96,6 +96,32 @@ def test_hawaiian_spec_refuses_too_many_simplices_before_enumerating():
             HawaiianSpec(d, k)
     with pytest.raises(TooLargeError):  # before the sweep builds its first complex
         hawaiian_rank_sweep(1, 200_000)
+
+
+def test_sweep_size_counts_the_simplices_of_every_truncation():
+    for d, k_max in ((1, 1), (1, 7), (2, 4), (3, 3)):
+        assert _sweep_size(d, k_max) == sum(len(hawaiian_complex(HawaiianSpec(d, k))) for k in range(1, k_max + 1))
+    assert _sweep_size(1, 631) == 998_242 <= HAWAIIAN_LIMIT < 1_001_404 == _sweep_size(1, 632)
+
+
+class _Built(Exception):
+    pass
+
+
+def test_hawaiian_rank_sweep_refuses_too_much_total_work_before_building(monkeypatch):
+    import pershom.gallery
+
+    def built(spec):
+        raise _Built(spec)
+
+    monkeypatch.setattr(pershom.gallery, "hawaiian_complex", built)
+    with pytest.raises(_Built):  # past the check, at the first complex
+        hawaiian_rank_sweep(1, 631)
+    with pytest.raises(TooLargeError, match=f"builds 1001404 simplices, over {HAWAIIAN_LIMIT}"):
+        hawaiian_rank_sweep(1, 632)
+    HawaiianSpec(10, 25)  # each truncation is accepted, all of them are not
+    with pytest.raises(TooLargeError, match=f"builds {_sweep_size(10, 25)} simplices"):
+        hawaiian_rank_sweep(10, 25)
 
 
 def test_hawaiian_higher_dimensional_spheres():

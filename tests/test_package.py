@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 import pershom
 from pershom import (
     Barcode,
+    ConstancyWitness,
     FilteredComplex,
     HawaiianSpec,
     Interval,
     PersistenceDiagram,
+    balls_cover,
     barcode_rank,
     betti_at,
     bottleneck,
@@ -27,7 +30,9 @@ from pershom import (
     essential_dimension,
     hawaiian_rank_sweep,
     interleaving_distance,
+    interval_module_rank,
     matching_at,
+    morse_check,
     nu,
     quadrant_count,
 )
@@ -73,17 +78,26 @@ DEGREE_CALLS = {
 }
 
 
-def _has_a_d_parameter(obj) -> bool:
-    try:
-        return "d" in inspect.signature(obj).parameters
-    except (TypeError, ValueError):  # no signature to read
-        return False
+def _public_parameters():
+    """Parameter names of every public callable, and of every public method
+    of a public class as ``Class.method``."""
+    found = {}
+    for name in pershom.__all__:
+        obj = getattr(pershom, name)
+        members = vars(obj).items() if inspect.isclass(obj) else ()
+        for label, member in [(name, obj)] + [(f"{name}.{m}", f) for m, f in members if not m.startswith("_")]:
+            if callable(member):
+                try:
+                    found[label] = set(inspect.signature(member).parameters)
+                except (TypeError, ValueError):  # no signature to read
+                    found[label] = set()
+    return found
 
 
 def test_every_public_callable_with_a_d_parameter_is_in_the_degree_table():
-    public = {name for name in pershom.__all__ if callable(getattr(pershom, name))}
-    assert {name for name in public if _has_a_d_parameter(getattr(pershom, name))} <= set(DEGREE_CALLS)
-    assert set(DEGREE_CALLS) <= public | {name for name in DEGREE_CALLS if "." in name}
+    public = _public_parameters()
+    assert {name for name, params in public.items() if "d" in params} <= set(DEGREE_CALLS)
+    assert set(DEGREE_CALLS) <= set(public)
 
 
 @pytest.mark.parametrize("name", sorted(DEGREE_CALLS))
@@ -93,3 +107,44 @@ def test_degrees_are_integers_api_wide(name):
         with pytest.raises(ValueError, match=rf"\b{word} must be an integer, got {bad!r}"):
             call(bad)
     assert call(np.int64(d)) == call(d)
+
+
+# Every public callable with a real-valued query parameter, as a call by
+# keyword, with the value each parameter takes when another is varied.
+VALUE_PARAMETERS = {"s", "t", "x", "y", "t0", "t1", "eps", "delta"}
+VALUE_CALLS = {
+    "barcode_rank": (lambda s, t: barcode_rank(_BARCODE, 0, s, t), {"s": 0.5, "t": 0.7}),
+    "interval_module_rank": (lambda s, t: interval_module_rank(Interval.closed_open(0, 1), s, t),
+                             {"s": 0.5, "t": 0.7}),
+    "ConstancyWitness": (lambda t0, t1: ConstancyWitness(t0, t1), {"t0": 0.0, "t1": 1.0}),
+    "quadrant_count": (lambda x, y: quadrant_count(_DIAGRAM, 0, x, y), {"x": 0.7, "y": 0.8}),
+    "betti_at": (lambda t: betti_at(_COMPLEX, t, 0), {"t": 1.0}),
+    "cap_number_at": (lambda t, eps: cap_number_at(_DIAGRAM, 0, t, eps), {"t": 0.0, "eps": 0.1}),
+    "cap_number": (lambda eps: cap_number(_DIAGRAM, 0, eps), {"eps": 0.1}),
+    "nu": (lambda eps: nu(_DIAGRAM, 0, eps), {"eps": 0.1}),
+    "morse_check": (lambda eps: morse_check(_DIAGRAM, eps, 1), {"eps": 0.1}),
+    "cap_finiteness_bound": (lambda eps, t0, t1: cap_finiteness_bound(_DIAGRAM, 0, eps, t0, t1),
+                             {"eps": 0.5, "t0": 0.0, "t1": 3.0}),
+    "matching_at": (lambda delta: matching_at(_DIAGRAM, diagram_of(_BARCODE), 0, delta), {"delta": 0.5}),
+    "balls_cover": (lambda delta: balls_cover([[0, 1], [1, 0]], delta), {"delta": 1.5}),
+    "Interval.contains": (lambda t: Interval.closed_open(0, 1).contains(t), {"t": 0.5}),
+}
+
+
+def test_every_public_callable_with_a_value_parameter_is_in_the_value_table():
+    public = _public_parameters()
+    assert {name for name, params in public.items() if params & VALUE_PARAMETERS} == set(VALUE_CALLS)
+    for name, (_, values) in VALUE_CALLS.items():
+        assert set(values) == public[name] & VALUE_PARAMETERS, name
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CALLS))
+def test_values_are_real_numbers_api_wide(name):
+    call, values = VALUE_CALLS[name]
+    for word, value in values.items():
+        for text in ("0.5", b"0.5", bytearray(b"0.5")):  # `float` would parse each
+            with pytest.raises(ValueError, match=rf"^{word} must be a real number, got " + re.escape(repr(text))):
+                call(**{**values, word: text})
+        with pytest.raises(ValueError, match=rf"^{word} must (not be NaN|be finite), got nan"):
+            call(**{**values, word: math.nan})
+        assert call(**{**values, word: np.float64(value)}) == call(**values)
