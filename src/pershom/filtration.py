@@ -6,10 +6,16 @@ inclusion.  A complex keeps its entries as flat vertex, size and value
 arrays.  Construction codes each simplex as one integer, sorts them into
 the canonical order (value, dimension, lexicographic vertices), where faces
 precede cofaces, and keeps each simplex's cofacets as positions in it.
-Persistence is persistent cohomology over a prime field, which has the pairs
+
+One engine, `_reduce`, finds the persistence pairs of any prefix of that
+order over a prime field, for persistence, Betti numbers and Dowker ranks
+alike.  The pairing of a total order is unique, so it is found in three
+stages, each taking what the one before left: apparent pairs in numpy (Bauer,
+*Ripser*, 2021), degree 0 by union-find with the elder rule (Edelsbrunner,
+Letscher & Zomorodian, 2002), and persistent cohomology, which has the pairs
 of homology (de Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent
-(co)homology*, 2011), reduced with clearing as in Bauer's Ripser: the only
-homology engine here.
+(co)homology*, 2011), reduced with clearing over only the columns still
+unpaired whose coboundary is not empty.
 """
 
 from __future__ import annotations
@@ -252,30 +258,92 @@ def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2) -> B
     return Barcode(bars)
 
 
+def _column(cofacets: array, offsets: array, j: int, limit: int, p: int) -> Dict[int, int]:
+    """The coboundary of simplex j among positions below limit // 2: each
+    cofacet's position and its coefficient, +1 or -1 by the parity of the
+    omitted vertex."""
+    return {c >> 1: (p - 1 if c & 1 else 1) for c in cofacets[offsets[j]:offsets[j + 1]] if c < limit}
+
+
 def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list, list]:
-    """Cohomology reduction with clearing of the first n simplices of the
-    canonical order: the (birth, death) position pairs and the unpaired
-    positions, which are the essential bars.  Column j is the coboundary of
-    simplex j within the prefix, its pivot its earliest cofacet; columns go
-    by ascending dimension, each in reverse filtration order.  This reduces
-    the anti-transposed boundary matrix, pairing j with its pivot as the
-    boundary reduction pairs the pivot with j (de Silva, Morozov &
-    Vejdemo-Johansson).  A death's column reduces to zero, so it is skipped
-    (clearing); columns are scaled to pivot 1, so eliminations need no inverse."""
+    """Persistence pairs of the first n simplices of the canonical order: the
+    (birth, death) position pairs and the unpaired positions, which are the
+    essential bars, each listed by ascending dimension, then descending
+    position.  The pairing of a total order is unique, so three stages may
+    each find part of it:
+
+    1. Apparent pairs, in numpy: simplex j of dimension >= 1 pairs with its
+       earliest cofacet c when j is c's latest facet (Bauer, *Ripser:
+       efficient computation of Vietoris-Rips persistence barcodes*, 2021).
+    2. Degree 0 by union-find over the edges that are not apparent births,
+       in canonical order: an edge joining two components kills the root
+       that comes later (the elder rule of Edelsbrunner, Letscher &
+       Zomorodian, *Topological persistence and simplification*, 2002).
+    3. Cohomology reduction with clearing (de Silva, Morozov &
+       Vejdemo-Johansson, *Dualities in persistent (co)homology*, 2011), by
+       ascending dimension, each in reverse filtration order, of only the
+       columns not yet paired whose coboundary is not empty.  Column j is
+       the coboundary of simplex j within the prefix, its pivot its earliest
+       cofacet.  Reduced columns are kept by pivot, scaled to pivot 1, so
+       eliminations need no inverse; an apparent death met as a pivot gets
+       its partner's column, built when first needed and negated when its
+       pivot is -1 (never over F2).
+
+    A column that reduces to zero, like one with an empty coboundary and no
+    partner, is a cycle that nothing kills: every simplex left unpaired is essential."""
     (_, sizes, _, cofacets, offsets), p = complex_._table, field.p
-    pairs, essential, deaths, sizes = [], [], set(), sizes[:n]
-    limit = 2 * n  # cofacet codes at positions >= n lie outside the prefix
-    for size in range(1, int(sizes.max(initial=0)) + 1):
+    sizes, limit = sizes[:n], 2 * n  # cofacet codes at positions >= n lie outside the prefix
+    ends = np.frombuffer(offsets, np.int64)[:n + 1]
+    code = np.frombuffer(cofacets, np.int64)[:ends[-1]]
+    inside = code < limit
+    face, coface = np.repeat(np.arange(n), np.diff(ends))[inside], code[inside] >> 1
+    earliest, latest = np.full(n, n), np.full(n, -1)
+    np.minimum.at(earliest, face, coface)
+    np.maximum.at(latest, coface, face)
+    births = np.flatnonzero((sizes > 1) & (earliest < n))
+    births = births[latest[earliest[births]] == births]
+    deaths = earliest[births]
+    paired = np.zeros(n, bool)
+    paired[births] = paired[deaths] = True
+    birth_of = np.full(n, -1)
+    birth_of[deaths] = births
+
+    vertices, edges = np.flatnonzero(sizes == 1), np.flatnonzero(sizes == 2)
+    vertex_index = np.cumsum(sizes == 1) - 1  # at each vertex's position, its index among the vertices
+    on_edge = sizes[coface] == 2
+    ends_of = vertex_index[face[on_edge][np.argsort(coface[on_edge], kind="stable")]].reshape(-1, 2)
+    merging = ~paired[edges]  # an apparent birth closes a cycle, so it joins nothing
+    parent, young, killers = list(range(len(vertices))), [], []
+    for e, u, v in zip(edges[merging].tolist(), *ends_of[merging].T.tolist()):
+        while u != parent[u]:
+            parent[u] = u = parent[parent[u]]  # path halving
+        while v != parent[v]:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if u > v:
+                u, v = v, u
+            parent[v] = u
+            young.append(v)
+            killers.append(e)
+    births, deaths = [births, vertices[young]], [deaths, np.array(killers, np.intp)]
+    paired[births[1]] = paired[deaths[1]] = True
+
+    for size in range(2, int(sizes.max(initial=0)) + 1):
         pivots: Dict[int, Dict[int, int]] = {}  # reduced columns by pivot; no later dimension reads them
-        for j in np.flatnonzero(sizes == size)[::-1].tolist():
-            if j in deaths:
-                continue
-            col = {c >> 1: (p - 1 if c & 1 else 1) for c in cofacets[offsets[j]:offsets[j + 1]] if c < limit}
+        found, killed = [], []
+        for j in np.flatnonzero((sizes == size) & ~paired & (earliest < n))[::-1].tolist():
+            col = _column(cofacets, offsets, j, limit, p)
             while col:
                 low = min(col)
                 other = pivots.get(low)
                 if other is None:
-                    break
+                    partner = int(birth_of[low])
+                    if partner < 0:
+                        break
+                    other = _column(cofacets, offsets, partner, limit, p)
+                    if other[low] != 1:
+                        other = {row: p - coeff for row, coeff in other.items()}
+                    pivots[low] = other
                 factor = col[low]
                 for row, coeff in other.items():
                     updated = (col.get(row, 0) - factor * coeff) % p
@@ -286,11 +354,16 @@ def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list,
             if col:
                 scale = 1 if col[low] == 1 else field.inv(col[low])  # never inverts over F2
                 pivots[low] = col if scale == 1 else {r: c * scale % p for r, c in col.items()}
-                deaths.add(low)
-                pairs.append((j, low))
-            else:
-                essential.append(j)
-    return pairs, essential
+                found.append(j)
+                killed.append(low)
+        births.append(np.array(found, np.intp))
+        deaths.append(np.array(killed, np.intp))
+        paired[found] = paired[killed] = True
+
+    births, deaths, essential = np.concatenate(births), np.concatenate(deaths), np.flatnonzero(~paired)
+    order = np.lexsort((-births, sizes[births]))
+    pairs = list(zip(births[order].tolist(), deaths[order].tolist()))
+    return pairs, essential[np.lexsort((-essential, sizes[essential]))].tolist()
 
 
 def homology_ranks(complex_: FilteredComplex, field: PrimeField = GF2) -> Tuple[int, ...]:

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .barcode import NEG_INF, integer_value, query_value
+from .bottleneck import TooLargeError
 from .diagram import DiagramPoint, PersistenceDiagram, quadrant_count
+
+CAP_GRID_LIMIT = 10**6  # quadrant corners of one cap_finiteness_bound call
 
 
 class PreconditionViolated(Exception):
@@ -151,11 +154,10 @@ def morse_check(diagram: PersistenceDiagram, eps: float, n_max: int) -> MorseRep
         nus[d] = nu(diagram, d, eps)
         rows.append((d, cap_number(diagram, d, eps), essential_dimension(diagram, d), nus[d]))
 
-    partial_sums = []
-    for n in range(n_max + 1):
-        partial_sums.append(
-            sum((-1) ** (n - d) * (m_eps - p_d) for d, m_eps, p_d, _ in rows[: n + 1])
-        )
+    partial_sums, s = [], 0  # s_n = sum over d <= n of (-1)^(n-d) (m_eps(d) - p(d)) = (m_eps(n) - p(n)) - s_(n-1)
+    for _, m_eps, p_d, _ in rows:
+        s = m_eps - p_d - s
+        partial_sums.append(s)
 
     for d, m_eps, p_d, nu_d in rows:
         if m_eps - p_d != nus[d - 1] + nu_d:
@@ -179,13 +181,17 @@ def cap_finiteness_bound(
     rhs sums the open-quadrant counts at corners (x_i, x_i + eps/2) for the
     grid x_i = t0 + i*eps/2.  The quadrants cover the band, so lhs <= rhs.
     Both t0 and t1 must be finite; otherwise ValueError names the argument.
+    A grid of more than CAP_GRID_LIMIT corners raises TooLargeError before
+    any count.
     """
     eps = _check_eps(eps)
     t0, t1 = query_value(t0, "t0", finite=True), query_value(t1, "t1", finite=True)
     if t0 > t1:
         raise ValueError(f"requires t0 <= t1, got {t0} > {t1}")
-    lhs = sum(m for pt, m in _items(diagram, d) if t0 <= pt.p and pt.q <= t1 and pt.gap >= eps)
     steps = math.ceil(2 * (t1 - t0) / eps)
+    if steps + 1 > CAP_GRID_LIMIT:
+        raise TooLargeError(f"the quadrant grid has {steps + 1} corners, over {CAP_GRID_LIMIT}")
+    lhs = sum(m for pt, m in _items(diagram, d) if t0 <= pt.p and pt.q <= t1 and pt.gap >= eps)
     rhs = sum(
         quadrant_count(diagram, d, t0 + i * eps / 2, t0 + i * eps / 2 + eps / 2)
         for i in range(steps + 1)
@@ -203,4 +209,5 @@ __all__ = [
     "nu",
     "morse_check",
     "cap_finiteness_bound",
+    "CAP_GRID_LIMIT",
 ]

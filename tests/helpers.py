@@ -98,6 +98,30 @@ def random_filtered_complex(rng: random.Random, max_simplices: int = 40) -> Filt
     return FilteredComplex(entries)
 
 
+def random_rips(rng: random.Random, max_dim: int = 2, ties: bool = False, radius: float = 0.6) -> FilteredComplex:
+    """A Rips-like filtration: the clique complex, up to dimension
+    ``max_dim``, of the edges no longer than ``radius`` among 8-14 random
+    points in the unit square.  Vertices come at 0 and every other simplex
+    at its longest edge; with ``ties`` the lengths are rounded to tenths,
+    so that values repeat within and across dimensions."""
+    n = rng.randint(8, 14)
+    points = [(rng.random(), rng.random()) for _ in range(n)]
+    length = {}
+    for e in combinations(range(n), 2):
+        d = math.dist(points[e[0]], points[e[1]])
+        if ties:
+            d = round(d, 1)
+        if d <= radius:
+            length[e] = d
+    entries = [((v,), 0.0) for v in range(n)] + list(length.items())
+    for size in range(3, max_dim + 2):
+        for s in combinations(range(n), size):
+            edges = list(combinations(s, 2))
+            if all(e in length for e in edges):
+                entries.append((s, max(map(length.__getitem__, edges))))
+    return FilteredComplex(entries)
+
+
 def random_closed_entries(
     rng: random.Random, max_dim: int = 8, tops: int = 3, extra_vertices: int = 0
 ) -> List[Tuple[Tuple[int, ...], float]]:

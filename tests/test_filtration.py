@@ -33,6 +33,8 @@ from pershom import (
     validate,
     vietoris,
 )
+import pershom.filtration
+from pershom.filtration import facets
 from pershom.io import parse_filtration
 
 from helpers import (
@@ -44,6 +46,7 @@ from helpers import (
     random_closed_entries,
     random_cover_sets,
     random_filtered_complex,
+    random_rips,
     sublevel,
     validate_oracle,
 )
@@ -573,6 +576,75 @@ def test_persistence_matches_homology_oracle_on_projective_plane():
     for field in CROSS_CHECK_FIELDS:
         _assert_engine_matches_oracles(plane, field)
         _assert_engine_matches_oracles(k, field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3)), st.booleans(), st.sampled_from(CROSS_CHECK_FIELDS))
+def test_persistence_matches_homology_oracle_on_rips(seed, max_dim, ties, field):
+    # Rips complexes are mostly apparent pairs, so lazily built partner columns are common here
+    _assert_engine_matches_oracles(random_rips(random.Random(seed), max_dim, ties), field)
+
+
+def _paired_before_elimination(k):
+    """By brute force over the canonical order: the apparent pairs of
+    dimension >= 1 (earliest cofacet and latest facet of each other) and
+    the edges that join two components, each simplex's cofacets, and the
+    order itself."""
+    order = [s for s, _ in k.sorted_simplices()]
+    index = {s: i for i, s in enumerate(order)}
+    cofacets = [[] for _ in order]
+    for i, s in enumerate(order):
+        for f in facets(s):
+            cofacets[index[f]].append(i)
+    apparent = {j: min(cofacets[j]) for j, s in enumerate(order) if len(s) > 1 and cofacets[j]}
+    apparent = {j: c for j, c in apparent.items() if max(map(index.__getitem__, facets(order[c]))) == j}
+    label, merging = {}, set()
+    for j, s in enumerate(order):
+        if len(s) == 1:
+            label[s[0]] = s[0]
+        elif len(s) == 2 and label[s[0]] != label[s[1]]:
+            merging.add(j)
+            old = label[s[1]]
+            label = {v: label[s[0]] if c == old else c for v, c in label.items()}
+    return apparent, merging, cofacets, order
+
+
+def _record_columns(monkeypatch):
+    built = []
+
+    def column(*args):
+        col = build(*args)
+        built.append((args[2], dict(col)))  # a copy: the reduction edits its columns in place
+        return col
+
+    build = pershom.filtration._column
+    monkeypatch.setattr(pershom.filtration, "_column", column)
+    return built
+
+
+def test_only_columns_left_after_apparent_pairs_and_union_find_are_built(monkeypatch):
+    k = random_rips(random.Random(5), 2, ties=True)  # a 2-skeleton: no column is cleared by elimination
+    apparent, merging, cofacets, order = _paired_before_elimination(k)
+    paired = set(apparent) | set(apparent.values()) | merging
+    expected = [j for j, s in enumerate(order) if len(s) > 1 and j not in paired and cofacets[j]]
+    expected_barcode = persistence_oracle(k, GF2)
+    built = _record_columns(monkeypatch)
+    assert compute_persistence(k, GF2) == expected_barcode
+    assert all(len(order[j]) > 1 for j, _ in built)  # degree 0 builds no column
+    eliminated = [j for j, _ in built if j not in apparent]
+    lazy = [j for j, _ in built if j in apparent]
+    assert sorted(eliminated) == expected and len(expected) == 4
+    assert len(set(lazy)) == len(lazy) == 3  # each partner column is built once, though one is met twice
+
+
+def test_f3_elimination_negates_a_lazily_built_column_with_pivot_minus_one(monkeypatch):
+    k = random_rips(random.Random(4), 2, ties=True)
+    apparent = _paired_before_elimination(k)[0]
+    expected_barcode = persistence_oracle(k, GF3)
+    built = _record_columns(monkeypatch)
+    assert compute_persistence(k, GF3) == expected_barcode
+    lazy = [col for j, col in built if j in apparent]
+    assert lazy and all(col[min(col)] == GF3.p - 1 for col in lazy)
 
 
 # ----------------------------------------------------------------------- euler

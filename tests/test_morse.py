@@ -14,6 +14,7 @@ from pershom import (
     MorseCheckFailed,
     PersistenceDiagram,
     PreconditionViolated,
+    TooLargeError,
     cap_finiteness_bound,
     cap_number,
     cap_number_at,
@@ -188,6 +189,25 @@ def test_partial_sums_telescope_to_nu():
             assert s >= 0
 
 
+
+def test_partial_sums_equal_the_explicit_alternating_sums():
+    rng = random.Random(4)
+    for n_max in (*range(8), 13, 29, 50):
+        diagram = random_diagram(rng, max_degree=min(n_max + 2, 8))
+        report = morse_check(diagram, 0.3, n_max)
+        explicit = tuple(
+            sum((-1) ** (n - d) * (m_eps - p_d) for d, m_eps, p_d, _ in report.rows[: n + 1])
+            for n in range(n_max + 1)
+        )
+        assert report.partial_sums == explicit
+
+
+def test_morse_check_is_linear_in_n_max():
+    # each partial sum comes from the one before, so 10**5 degrees take a fraction of a second
+    report = morse_check(TWO_FINITE, 0.05, 100_000)
+    assert len(report.rows) == len(report.partial_sums) == 100_001
+    assert report.partial_sums[:3] == (1, 1, 0) and set(report.partial_sums[3:]) == {0}
+
 def test_cap_and_nu_monotone_in_eps():
     rng = random.Random(3)
     for _ in range(50):
@@ -221,6 +241,23 @@ def test_cap_finiteness_bound_names_a_non_finite_argument(bad):
     with pytest.raises(ValueError, match="^t1 must"):
         cap_finiteness_bound(d, 0, 0.5, 0.0, bad)
 
+
+
+def test_cap_finiteness_bound_counts_a_grid_at_its_limit_and_refuses_a_larger_one(monkeypatch):
+    d = PersistenceDiagram({0: [(0, 1)]})
+    monkeypatch.setattr(pershom.morse, "CAP_GRID_LIMIT", 5)
+    assert cap_finiteness_bound(d, 0, 0.5, 0.0, 1.0) == (1, 2)  # corners at 0, 0.25, ..., 1.0: exactly 5
+    with pytest.raises(TooLargeError, match="6 corners, over 5"):
+        cap_finiteness_bound(d, 0, 0.5, 0.0, 1.25)
+
+
+def test_cap_finiteness_bound_refuses_a_tiny_eps_before_counting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a quadrant was counted")
+
+    monkeypatch.setattr(pershom.morse, "quadrant_count", refuse)
+    with pytest.raises(TooLargeError, match=f"over {pershom.morse.CAP_GRID_LIMIT}"):
+        cap_finiteness_bound(PersistenceDiagram({0: [(0, 1)]}), 0, 1e-12, 0.0, 1.0)
 
 def test_cap_finiteness_bound_dominates():
     rng = random.Random(6)
