@@ -48,6 +48,7 @@ class ExtendedReal(float):
 
 NEG_INF = ExtendedReal(-math.inf)
 POS_INF = ExtendedReal(math.inf)
+_TEXT = (str, bytes, bytearray)  # `float` would parse these, so no value may be one
 
 
 def query_value(value, name: str, finite: bool = False) -> float:
@@ -55,8 +56,8 @@ def query_value(value, name: str, finite: bool = False) -> float:
     or an infinity where ``finite`` is asked for, raises ValueError naming
     the argument."""
     try:
-        if isinstance(value, (str, bytes, bytearray)):
-            raise TypeError  # `float` would parse it
+        if isinstance(value, _TEXT):
+            raise TypeError
         value = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real number, got {value!r}") from None

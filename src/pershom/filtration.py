@@ -7,10 +7,11 @@ arrays.  Construction codes each simplex as one integer, sorts them into
 the canonical order (value, dimension, lexicographic vertices), where faces
 precede cofaces, and keeps each simplex's cofacets as positions in it.
 
-One engine, `_reduce`, finds the persistence pairs of any prefix of that
-order over a prime field, for persistence, Betti numbers and Dowker ranks
-alike.  The pairing of a total order is unique, so it is found in three
-stages, each taking what the one before left: apparent pairs in numpy (Bauer,
+One engine, `_reduce`, finds the persistence pairs of that order over a
+prime field once per complex and field; persistence, Betti numbers and
+Dowker ranks all read them, as a prefix's pairing is the pairs inside it.
+The pairing of a total order is unique, so it is found in three stages,
+each taking what the one before left: apparent pairs in numpy (Bauer,
 *Ripser*, 2021), degree 0 by union-find with the elder rule (Edelsbrunner,
 Letscher & Zomorodian, 2002), and persistent cohomology, which has the pairs
 of homology (de Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent
@@ -30,7 +31,7 @@ from typing import Callable, Collection, Dict, Iterable, Iterator, Mapping, Sequ
 
 import numpy as np
 
-from .barcode import POS_INF, Barcode, Interval, integer_value, query_value
+from .barcode import _TEXT, POS_INF, Barcode, Interval, integer_value, query_value
 from .linalg import GF2, PrimeField
 
 Simplex = Tuple[int, ...]
@@ -64,6 +65,12 @@ class MissingFaceError(_FaceError):
 
 class NonMonotoneError(_FaceError):
     message = "simplex {} has a later-born face {}"
+
+
+class TextValueError(ComplexValidationError):
+    def __init__(self, simplex: Simplex, value: object):
+        self.simplex = simplex
+        super().__init__(f"simplex {simplex} has the text {value!r} as its filtration value, not a number")
 
 
 class NonIntegerVertexError(ComplexValidationError):
@@ -114,6 +121,8 @@ class FilteredComplex:
                 except TypeError:
                     raise NonIntegerVertexError(row) from exc
             raise
+        if any(map(isinstance, values, repeat(_TEXT))):  # numpy would parse it
+            raise TextValueError(*next((row, v) for row, v in zip(rows, values) if isinstance(v, _TEXT)))
         self._validate(vertices, sizes, np.fromiter(values, float, len(rows)))
 
     @classmethod
@@ -231,7 +240,11 @@ def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, 
 
 
 def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[int]]) -> FilteredComplex:
-    """Sublevel filtration of a vertex function: each simplex gets the max of its vertex values."""
+    """Sublevel filtration of a vertex function: each simplex gets the max of
+    its vertex values.  A value given as text raises ValueError naming its vertex."""
+    for v, t in vertex_values.items():
+        if isinstance(t, _TEXT):  # `float` would parse it
+            raise ValueError(f"vertex {v} has the text {t!r} as its value, not a number")
     vertex_values = {v: float(t) for v, t in vertex_values.items()}
     simplices = [tuple(raw) for raw in simplices]
     for v in chain.from_iterable(simplices):
@@ -246,9 +259,8 @@ def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2) -> B
     essential bars ``[b, inf)``.  A pair born and killed at one value is in
     no sublevel set's homology, so it gives no bar."""
     _, sizes, values, _, _ = complex_._table
-    pairs, essential = _reduce(complex_, len(sizes), field)
+    born, died, essential = (part.tolist() for part in _pairs(complex_, field))
     dim, value = (sizes - 1).tolist(), values.tolist()
-    born, died = zip(*pairs) if pairs else ((), ())
     counts = Counter(zip(map(dim.__getitem__, born), map(value.__getitem__, born), map(value.__getitem__, died)))
     counts.update(zip(map(dim.__getitem__, essential), map(value.__getitem__, essential), repeat(POS_INF)))
     bars = []  # counted first: one Interval per distinct bar, its repeats one shared tuple that Barcode keeps
@@ -258,19 +270,24 @@ def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2) -> B
     return Barcode(bars)
 
 
-def _column(cofacets: array, offsets: array, j: int, limit: int, p: int) -> Dict[int, int]:
-    """The coboundary of simplex j among positions below limit // 2: each
-    cofacet's position and its coefficient, +1 or -1 by the parity of the
-    omitted vertex."""
-    return {c >> 1: (p - 1 if c & 1 else 1) for c in cofacets[offsets[j]:offsets[j + 1]] if c < limit}
+def _column(cofacets: array, offsets: array, j: int, p: int) -> Dict[int, int]:
+    """The coboundary of simplex j: each cofacet's position and its
+    coefficient, +1 or -1 by the parity of the omitted vertex."""
+    return {c >> 1: (p - 1 if c & 1 else 1) for c in cofacets[offsets[j]:offsets[j + 1]]}
 
 
-def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list, list]:
-    """Persistence pairs of the first n simplices of the canonical order: the
-    (birth, death) position pairs and the unpaired positions, which are the
+def _pairs(complex_: FilteredComplex, field: PrimeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_reduce` of the complex over F_p, run once per field and kept with the complex."""
+    kept = complex_.__dict__.setdefault("_pairs", {})  # by field.p, beside `simplices` and `_order`
+    return kept[field.p] if field.p in kept else kept.setdefault(field.p, _reduce(complex_, field))
+
+
+def _reduce(complex_: FilteredComplex, field: PrimeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Persistence pairs of the canonical order: the birth and the death
+    positions of each pair, and the unpaired positions, which are the
     essential bars, each listed by ascending dimension, then descending
-    position.  The pairing of a total order is unique, so three stages may
-    each find part of it:
+    (birth) position.  The pairing of a total order is unique, so three
+    stages may each find part of it:
 
     1. Apparent pairs, in numpy: simplex j of dimension >= 1 pairs with its
        earliest cofacet c when j is c's latest facet (Bauer, *Ripser:
@@ -283,20 +300,17 @@ def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list,
        Vejdemo-Johansson, *Dualities in persistent (co)homology*, 2011), by
        ascending dimension, each in reverse filtration order, of only the
        columns not yet paired whose coboundary is not empty.  Column j is
-       the coboundary of simplex j within the prefix, its pivot its earliest
-       cofacet.  Reduced columns are kept by pivot, scaled to pivot 1, so
-       eliminations need no inverse; an apparent death met as a pivot gets
-       its partner's column, built when first needed and negated when its
-       pivot is -1 (never over F2).
+       the coboundary of simplex j, its pivot its earliest cofacet.  Reduced
+       columns are kept by pivot, scaled to pivot 1, so eliminations need no
+       inverse; an apparent death met as a pivot gets its partner's column,
+       built when first needed and negated when its pivot is -1 (never over
+       F2).
 
     A column that reduces to zero, like one with an empty coboundary and no
     partner, is a cycle that nothing kills: every simplex left unpaired is essential."""
-    (_, sizes, _, cofacets, offsets), p = complex_._table, field.p
-    sizes, limit = sizes[:n], 2 * n  # cofacet codes at positions >= n lie outside the prefix
-    ends = np.frombuffer(offsets, np.int64)[:n + 1]
-    code = np.frombuffer(cofacets, np.int64)[:ends[-1]]
-    inside = code < limit
-    face, coface = np.repeat(np.arange(n), np.diff(ends))[inside], code[inside] >> 1
+    (_, sizes, _, cofacets, offsets), p, n = complex_._table, field.p, len(complex_)
+    face = np.repeat(np.arange(n), np.diff(np.frombuffer(offsets, np.int64)))
+    coface = np.frombuffer(cofacets, np.int64) >> 1
     earliest, latest = np.full(n, n), np.full(n, -1)
     np.minimum.at(earliest, face, coface)
     np.maximum.at(latest, coface, face)
@@ -332,7 +346,7 @@ def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list,
         pivots: Dict[int, Dict[int, int]] = {}  # reduced columns by pivot; no later dimension reads them
         found, killed = [], []
         for j in np.flatnonzero((sizes == size) & ~paired & (earliest < n))[::-1].tolist():
-            col = _column(cofacets, offsets, j, limit, p)
+            col = _column(cofacets, offsets, j, p)
             while col:
                 low = min(col)
                 other = pivots.get(low)
@@ -340,7 +354,7 @@ def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list,
                     partner = int(birth_of[low])
                     if partner < 0:
                         break
-                    other = _column(cofacets, offsets, partner, limit, p)
+                    other = _column(cofacets, offsets, partner, p)
                     if other[low] != 1:
                         other = {row: p - coeff for row, coeff in other.items()}
                     pivots[low] = other
@@ -362,25 +376,28 @@ def _reduce(complex_: FilteredComplex, n: int, field: PrimeField) -> Tuple[list,
 
     births, deaths, essential = np.concatenate(births), np.concatenate(deaths), np.flatnonzero(~paired)
     order = np.lexsort((-births, sizes[births]))
-    pairs = list(zip(births[order].tolist(), deaths[order].tolist()))
-    return pairs, essential[np.lexsort((-essential, sizes[essential]))].tolist()
+    return births[order], deaths[order], essential[np.lexsort((-essential, sizes[essential]))]
 
 
 def homology_ranks(complex_: FilteredComplex, field: PrimeField = GF2) -> Tuple[int, ...]:
     """Unreduced Betti numbers of the whole complex over F_p, one per degree
     up to the top one, (0,) when empty: its essential bars by degree."""
     sizes = complex_._table[1]
-    essential = sizes[_reduce(complex_, len(sizes), field)[1]]
+    essential = sizes[_pairs(complex_, field)[2]]
     return tuple(np.bincount(essential - 1, minlength=int(sizes.max(initial=1))).tolist())
 
 
 def betti_at(complex_: FilteredComplex, t: float, d: int, field: PrimeField = GF2) -> int:
-    """dim H_d of the sublevel complex at value t over F_p, by reducing that
-    prefix of the canonical order.  A NaN t or a non-integer d raises ValueError."""
+    """dim H_d of the sublevel complex at value t over F_p: the degree-d
+    pairs of the kept pairing born in that prefix of the canonical order and
+    killed after it, and its degree-d essential positions.  A NaN t or a
+    non-integer d raises ValueError."""
     t, d = query_value(t, "t"), integer_value(d, "degree")
     _, sizes, values, _, _ = complex_._table
     n = int(np.searchsorted(values, t, side="right"))
-    return int(np.count_nonzero(sizes[_reduce(complex_, n, field)[1]] == d + 1))
+    born, died, essential = _pairs(complex_, field)
+    alive = (sizes[born] == d + 1) & (born < n) & (died >= n)
+    return int(np.count_nonzero(alive) + np.count_nonzero(sizes[essential[essential < n]] == d + 1))
 
 
 def euler_profile(complex_: FilteredComplex) -> Tuple[Tuple[float, int], ...]:
@@ -391,7 +408,7 @@ def euler_profile(complex_: FilteredComplex) -> Tuple[Tuple[float, int], ...]:
 
 
 __all__ = [
-    "Simplex", "FilteredComplex", "ComplexValidationError", "NonFiniteValueError", "DuplicateSimplexError",
-    "MissingFaceError", "NonMonotoneError", "NonIntegerVertexError", "MissingVertexValueError", "facets", "validate",
-    "lower_star", "compute_persistence", "homology_ranks", "betti_at", "euler_profile",
+    "Simplex", "FilteredComplex", "ComplexValidationError", "NonFiniteValueError", "TextValueError",
+    "DuplicateSimplexError", "MissingFaceError", "NonMonotoneError", "NonIntegerVertexError", "MissingVertexValueError",
+    "facets", "validate", "lower_star", "compute_persistence", "homology_ranks", "betti_at", "euler_profile",
 ]

@@ -188,9 +188,11 @@ def cap_finiteness_bound(
     t0, t1 = query_value(t0, "t0", finite=True), query_value(t1, "t1", finite=True)
     if t0 > t1:
         raise ValueError(f"requires t0 <= t1, got {t0} > {t1}")
-    steps = math.ceil(2 * (t1 - t0) / eps)
-    if steps + 1 > CAP_GRID_LIMIT:
-        raise TooLargeError(f"the quadrant grid has {steps + 1} corners, over {CAP_GRID_LIMIT}")
+    span = 2 * (t1 - t0) / eps  # the corners less one, before rounding up; inf where it overflows
+    if span > CAP_GRID_LIMIT - 1:
+        corners = math.ceil(span) + 1 if math.isfinite(span) else "more than 1e308"
+        raise TooLargeError(f"the quadrant grid has {corners} corners, over {CAP_GRID_LIMIT}")
+    steps = math.ceil(span)
     lhs = sum(m for pt, m in _items(diagram, d) if t0 <= pt.p and pt.q <= t1 and pt.gap >= eps)
     rhs = sum(
         quadrant_count(diagram, d, t0 + i * eps / 2, t0 + i * eps / 2 + eps / 2)

@@ -3,11 +3,7 @@ and the matching and search underneath."""
 
 import importlib
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -398,14 +394,3 @@ def test_interleaving_alias():
     b = Barcode([(0, Interval.closed_open(0.5, 2.5))])
     assert interleaving_distance(a, b, 0).value == 0.5
 
-
-def test_importing_the_cli_leaves_scipy_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run(
-        [sys.executable, "-c", "import sys, pershom.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"

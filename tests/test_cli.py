@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import pershom.filtration
 from pershom import Barcode, Interval, PersistenceDiagram
 from pershom.cli import main
 from pershom.io import read_barcode, read_diagram, write_diagram
@@ -189,6 +190,16 @@ def test_hawaiian_command(capsys):
     assert capsys.readouterr().err == "error: the earring truncation has 1000002 simplices, over 1000000\n"
     assert main(["hawaiian", "--k", "1", "--sweep", "632"]) == 1
     assert capsys.readouterr().err == "error: the earring sweep to k = 632 builds 1001404 simplices, over 1000000\n"
+
+
+def test_hawaiian_command_reduces_its_complex_once(monkeypatch, capsys):
+    # the barcode and the rank read one pairing
+    reductions = []
+    real = pershom.filtration._reduce
+    monkeypatch.setattr(pershom.filtration, "_reduce", lambda k, field: reductions.append(len(k)) or real(k, field))
+    assert main(["hawaiian", "--k", "5"]) == 0
+    assert capsys.readouterr().out == "k=5 rank=4 (27 simplices, 5 bars)\n"
+    assert reductions == [27]
 
 
 def test_product_command(capsys):

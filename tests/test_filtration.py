@@ -23,6 +23,7 @@ from pershom import (
     NonIntegerVertexError,
     NonMonotoneError,
     PrimeField,
+    TextValueError,
     barcode_rank,
     betti_at,
     compute_persistence,
@@ -138,6 +139,27 @@ def test_betti_at_validates_once(monkeypatch):
     assert euler_profile(complex_) == ((0.0, 1),)
     assert compute_persistence(complex_) == compute_persistence(complex_)
     assert len(calls) == 1
+
+
+def test_one_reduction_per_complex_and_field(monkeypatch):
+    # every query reads the pairing the complex keeps for its field
+    reductions = []
+    real = pershom.filtration._reduce
+    monkeypatch.setattr(pershom.filtration, "_reduce", lambda k, field: reductions.append(field.p) or real(k, field))
+    rng = random.Random(11)
+    complex_ = random_filtered_complex(rng, max_simplices=30)
+    simplices = [s for s, _ in complex_.simplices]
+    queries = [(rng.choice(complex_.values() + (-math.inf, math.inf)), rng.randrange(3)) for _ in range(20)]
+    assert compute_persistence(complex_, GF2) == persistence_oracle(complex_, GF2)
+    assert homology_ranks(complex_, GF2) == betti_numbers_oracle(simplices, GF2)
+    assert [betti_at(complex_, t, d, GF2) for t, d in queries] == [betti_oracle_at(complex_, t, d, GF2)
+                                                                   for t, d in queries]
+    assert reductions == [2]
+    assert [betti_at(complex_, t, d, GF3) for t, d in queries] == [betti_oracle_at(complex_, t, d, GF3)
+                                                                   for t, d in queries]
+    assert compute_persistence(complex_, GF3) == persistence_oracle(complex_, GF3)
+    assert homology_ranks(complex_, GF3) == betti_numbers_oracle(simplices, GF3)
+    assert reductions == [2, 3]
 
 
 def test_facets_run_once_per_simplex(monkeypatch):
@@ -307,6 +329,17 @@ def test_vertex_lists_must_be_sized_and_values_numbers():
         FilteredComplex([(iter((0,)), 0.0)])
     with pytest.raises(NonFiniteValueError, match=r"simplex \(0,\) has a NaN filtration value"):
         FilteredComplex([((0,), None)])
+
+
+@pytest.mark.parametrize("text", ["1.5", b"2", bytearray(b"2")])
+def test_text_filtration_values_are_refused(text):
+    # numpy and `float` would parse each into a number
+    with pytest.raises(TextValueError, match=r"simplex \(1,\) has the text .* as its filtration value") as caught:
+        FilteredComplex([((0,), 0.0), ((1,), text), ((0, 1), 2.0)])
+    assert caught.value.simplex == (1,)
+    assert isinstance(caught.value, ComplexValidationError)
+    with pytest.raises(ValueError, match=r"^vertex 1 has the text .* as its value"):
+        lower_star({0: 0.0, 1: text}, [(0,), (1,), (0, 1)])
 
 
 @pytest.mark.parametrize("vertex", [1.7, 2.0, "3", np.float64(5.0), np.True_])

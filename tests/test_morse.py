@@ -259,6 +259,14 @@ def test_cap_finiteness_bound_refuses_a_tiny_eps_before_counting(monkeypatch):
     with pytest.raises(TooLargeError, match=f"over {pershom.morse.CAP_GRID_LIMIT}"):
         cap_finiteness_bound(PersistenceDiagram({0: [(0, 1)]}), 0, 1e-12, 0.0, 1.0)
 
+
+@pytest.mark.parametrize("eps, t0, t1", [(0.1, -1e308, 1e308), (1e-300, 0.0, 1e10)])
+def test_cap_finiteness_bound_refuses_a_grid_whose_size_overflows_a_float(eps, t0, t1):
+    # 2 * (t1 - t0) / eps is inf here, which has no integer ceiling
+    with pytest.raises(TooLargeError, match=f"over {pershom.morse.CAP_GRID_LIMIT}"):
+        cap_finiteness_bound(PersistenceDiagram({0: [(0, 1)]}), 0, eps, t0, t1)
+
+
 def test_cap_finiteness_bound_dominates():
     rng = random.Random(6)
     for _ in range(100):

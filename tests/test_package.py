@@ -3,7 +3,10 @@
 import ast
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,18 @@ def test_library_holds_no_assert_statement():
     found = [f"{path.name}:{node.lineno}" for path in modules
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_importing_the_library_and_its_cli_leaves_scipy_unloaded():
+    # numpy is the one dependency in pyproject.toml; any scipy submodule would load `scipy` itself
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, pershom, pershom.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(pershom.__file__).parents[1])},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 _COMPLEX = FilteredComplex([((0,), 0.0), ((1,), 0.0), ((2,), 1.0), ((0, 1), 1.0), ((1, 2), 2.0)])
