@@ -12,10 +12,9 @@ from pershom import (
     PersistenceDiagram,
     bottleneck,
     bottleneck_bruteforce,
-    compute_persistence,
-    diagram_of,
     lower_star,
     matching_at,
+    persistence_diagram,
 )
 
 a = PersistenceDiagram({0: [(0.0, 4.0), (1.0, 3.5), (2.0, 2.2)]})
@@ -43,8 +42,8 @@ faces = [(0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 3)]
 heights = {v: rng.uniform(0, 1) for v in range(4)}
 jittered = {v: h + rng.uniform(-0.05, 0.05) for v, h in heights.items()}
 sup_diff = max(abs(heights[v] - jittered[v]) for v in heights)
-d_before = diagram_of(compute_persistence(lower_star(heights, faces)))
-d_after = diagram_of(compute_persistence(lower_star(jittered, faces)))
+d_before = persistence_diagram(lower_star(heights, faces))
+d_after = persistence_diagram(lower_star(jittered, faces))
 for d in (0, 1):
     print(
         f"  degree {d}: bottleneck = {bottleneck(d_before, d_after, d)}"

@@ -66,6 +66,14 @@ def query_value(value, name: str, finite: bool = False) -> float:
     return value
 
 
+def _endpoint(value, name: str) -> ExtendedReal:
+    """An endpoint that is not yet an ExtendedReal, made one; text, which
+    `float` would parse, raises ValueError naming the endpoint."""
+    if isinstance(value, _TEXT):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return ExtendedReal(value)
+
+
 def integer_value(value, name: str) -> int:
     """An integer argument by `operator.index`, which refuses the floats and
     strings that `int` would truncate or parse; those raise ValueError naming
@@ -81,15 +89,15 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     Invariants: ``lo <= hi``; a closed endpoint is always finite; equal
     endpoints force a (finite) singleton ``[a,a]``.  A tuple of two
-    ExtendedReals and two flags, checked once when made; hashing, equality
-    and order are those of the tuple.
+    ExtendedReals and two flags, checked once when made; an endpoint given
+    as text is refused.  Hashing, equality and order are those of the tuple.
     """
 
     __slots__ = ()
 
     def __new__(cls, lo, hi, lo_closed: bool, hi_closed: bool):
-        lo = lo if type(lo) is ExtendedReal else ExtendedReal(lo)
-        hi = hi if type(hi) is ExtendedReal else ExtendedReal(hi)
+        lo = lo if type(lo) is ExtendedReal else _endpoint(lo, "lo")
+        hi = hi if type(hi) is ExtendedReal else _endpoint(hi, "hi")
         self = super().__new__(cls, lo, hi, lo_closed, hi_closed)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {self}")

@@ -15,8 +15,7 @@ from . import io
 from .barcode import radical
 from .bottleneck import bottleneck
 from .covers import dowker_check
-from .diagram import diagram_of
-from .filtration import ComplexValidationError, betti_at, compute_persistence
+from .filtration import ComplexValidationError, betti_at, compute_persistence, persistence_diagram
 from .gallery import DouglasInput, HawaiianSpec, douglas_eval, hawaiian_complex, hawaiian_rank_sweep, product_family
 from .linalg import GF2, PrimeField
 from .morse import MorseCheckFailed, PreconditionViolated, cap_number, cap_number_at, morse_check
@@ -79,8 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> None:
     if args.command == "compute":
         complex_ = io.read_filtration(args.input)
-        barcode = compute_persistence(complex_, PrimeField(args.field))
-        diagram = diagram_of(barcode)
+        diagram = persistence_diagram(complex_, PrimeField(args.field))
         io.write_diagram(args.output, diagram)
         print(f"{diagram.total()} points in {len(diagram.degrees())} degrees -> {args.output}")
 

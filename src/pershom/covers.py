@@ -18,7 +18,7 @@ from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import query_value
+from .barcode import _TEXT, query_value
 from .bottleneck import TooLargeError
 from .filtration import FilteredComplex, homology_ranks
 from .linalg import GF2, PrimeField
@@ -133,12 +133,15 @@ def balls_cover(distances: Sequence[Sequence[float]], delta: float) -> Cover:
     """The cover of a finite metric space by open balls of radius delta.
 
     ``distances`` is a square symmetric matrix with zero diagonal; point ids
-    are row indices and cover set i is {j : dist(i, j) < delta}.  A NaN
-    radius or entry raises ValueError.
+    are row indices and cover set i is {j : dist(i, j) < delta}.  A NaN or
+    text radius or entry raises ValueError.
     """
     delta = query_value(delta, "delta")
     if delta <= 0:
         raise ValueError(f"requires delta > 0, got {delta}")
+    for at, entry in np.ndenumerate(np.asarray(distances, dtype=object)):  # numpy would parse text
+        if isinstance(entry, _TEXT):
+            raise ValueError(f"distance matrix has the text {entry!r} at {at}, not a number")
     mat = np.asarray(distances, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {mat.shape}")

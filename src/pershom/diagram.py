@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from operator import itemgetter, lt
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
-from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, integer_value, query_value
+from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, _endpoint, integer_value, query_value
 
 PointLike = Union["DiagramPoint", Tuple[float, float]]
 
@@ -18,20 +19,16 @@ PointLike = Union["DiagramPoint", Tuple[float, float]]
 class DiagramPoint(namedtuple("DiagramPoint", "p q")):
     """A birth/death pair (p, q) in the open half-plane p < q.
 
-    A pair of ExtendedReals, checked once when made; hashing and equality
-    are those of the pair."""
+    A pair of ExtendedReals, checked once when made; an endpoint given as
+    text is refused.  Hashing and equality are those of the pair."""
 
     __slots__ = ()
 
     def __new__(cls, p, q):
-        p = p if type(p) is ExtendedReal else ExtendedReal(p)
-        q = q if type(q) is ExtendedReal else ExtendedReal(q)
-        if p == POS_INF:
-            raise ValueError("birth coordinate cannot be +inf")
-        if q == NEG_INF:
-            raise ValueError("death coordinate cannot be -inf")
+        p = p if type(p) is ExtendedReal else _endpoint(p, "p")
+        q = q if type(q) is ExtendedReal else _endpoint(q, "q")
         if not p < q:
-            raise ValueError(f"requires p < q, got ({p}, {q})")
+            raise _off_half_plane(p, q)
         return super().__new__(cls, p, q)
 
     @classmethod
@@ -45,6 +42,50 @@ class DiagramPoint(namedtuple("DiagramPoint", "p q")):
 
     def __str__(self):
         return f"({self.p}, {self.q})"
+
+
+def _off_half_plane(p: ExtendedReal, q: ExtendedReal) -> ValueError:
+    """Why (p, q) breaks the point rule p < q, which also keeps p below +inf
+    and q above -inf."""
+    if p == POS_INF:
+        return ValueError("birth coordinate cannot be +inf")
+    if q == NEG_INF:
+        return ValueError("death coordinate cannot be -inf")
+    return ValueError(f"requires p < q, got ({p}, {q})")
+
+
+def _multiplicity(mult) -> int:
+    """A point's multiplicity: an integer of at least 1."""
+    mult = integer_value(mult, "multiplicity")
+    if mult < 1:
+        raise ValueError(f"multiplicity must be >= 1, got {mult}")
+    return mult
+
+
+def _from_points(items: Sequence[Tuple[Tuple[int, ExtendedReal, ExtendedReal], int]]) -> "PersistenceDiagram":
+    """The diagram of ``((degree, p, q), multiplicity)`` items with int
+    degrees and multiplicities and ExtendedReal endpoints, a repeated point
+    summing its multiplicities under its first key.  The point rule and the
+    multiplicity rule are checked over all items at once, so each point is
+    then made without a check of its own; the first offender raises what
+    `DiagramPoint` or `PersistenceDiagram` would."""
+    keys, mults = tuple(zip(*items)) or ((), ())
+    if not all(map(lt, map(itemgetter(1), keys), map(itemgetter(2), keys))) or min(mults, default=1) < 1:
+        for (_, p, q), mult in items:
+            _multiplicity(mult)
+            if not p < q:
+                raise _off_half_plane(p, q)
+    counts = dict(items)
+    if len(counts) < len(items):  # a point repeats
+        counts = {}
+        for key, mult in items:
+            counts[key] = counts.get(key, 0) + mult
+    table: Dict[int, Dict[DiagramPoint, int]] = {}
+    for (d, p, q), mult in sorted(counts.items()):  # each key once, so no two items tie
+        table.setdefault(d, {})[tuple.__new__(DiagramPoint, (p, q))] = mult
+    diagram = object.__new__(PersistenceDiagram)
+    object.__setattr__(diagram, "_points", table)
+    return diagram
 
 
 def _as_point(value: PointLike) -> DiagramPoint:
@@ -71,9 +112,7 @@ class PersistenceDiagram:
             degree = integer_value(degree, "degree")
             bucket = table.setdefault(degree, {})
             for pt, mult in content.items() if isinstance(content, Mapping) else zip(content, repeat(1)):
-                mult = integer_value(mult, "multiplicity")
-                if mult < 1:
-                    raise ValueError(f"multiplicity must be >= 1, got {mult}")
+                mult = _multiplicity(mult)
                 pt = _as_point(pt)
                 bucket[pt] = bucket.get(pt, 0) + mult
         object.__setattr__(self, "_points", {d: {pt: b[pt] for pt in sorted(b)} for d, b in table.items() if b})

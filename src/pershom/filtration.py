@@ -26,12 +26,13 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from operator import ge, index
+from operator import ge, index, is_
 from typing import Callable, Collection, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import _TEXT, POS_INF, Barcode, Interval, integer_value, query_value
+from .barcode import _TEXT, POS_INF, Barcode, ExtendedReal, Interval, integer_value, query_value
+from .diagram import PersistenceDiagram, _from_points
 from .linalg import GF2, PrimeField
 
 Simplex = Tuple[int, ...]
@@ -68,9 +69,13 @@ class NonMonotoneError(_FaceError):
 
 
 class TextValueError(ComplexValidationError):
+    """A filtration value that numpy would read silently: text, which it
+    parses, or None, which it reads as NaN."""
+
     def __init__(self, simplex: Simplex, value: object):
         self.simplex = simplex
-        super().__init__(f"simplex {simplex} has the text {value!r} as its filtration value, not a number")
+        given = "None" if value is None else f"the text {value!r}"
+        super().__init__(f"simplex {simplex} has {given} as its filtration value, not a number")
 
 
 class NonIntegerVertexError(ComplexValidationError):
@@ -121,8 +126,8 @@ class FilteredComplex:
                 except TypeError:
                     raise NonIntegerVertexError(row) from exc
             raise
-        if any(map(isinstance, values, repeat(_TEXT))):  # numpy would parse it
-            raise TextValueError(*next((row, v) for row, v in zip(rows, values) if isinstance(v, _TEXT)))
+        if any(map(is_, values, repeat(None))) or any(map(isinstance, values, repeat(_TEXT))):
+            raise TextValueError(*next((row, v) for row, v in zip(rows, values) if v is None or isinstance(v, _TEXT)))
         self._validate(vertices, sizes, np.fromiter(values, float, len(rows)))
 
     @classmethod
@@ -219,7 +224,8 @@ def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, 
     hit = np.minimum(np.searchsorted(sorted_key, face_key), n - 1)
     found = sorted_key[hit] == face_key
     del face_key, sorted_key
-    rank = np.argsort(perm)  # by (size, lex)
+    rank = np.empty(n, np.intp)
+    rank[perm] = np.arange(n)  # the inverse permutation: each entry's position by (size, lex)
     canon = np.argsort(np.unique(values, return_inverse=True)[1] * n + rank)  # (value, size, lex)
     rank[canon] = np.arange(n)  # now each entry's canonical position
     face, owner = rank[perm[hit]], seg[slots]
@@ -253,21 +259,45 @@ def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[
     return FilteredComplex((s, max(map(vertex_values.__getitem__, s), default=math.nan)) for s in simplices)
 
 
+def _bar_counts(complex_: FilteredComplex, field: PrimeField) -> Counter:
+    """The bars of the complex over F_p counted by (degree, birth, death),
+    the endpoints ExtendedReals made once per distinct value (by its bits,
+    so -0.0 and 0.0 stay apart) and an essential bar's death +inf.  A pair
+    born and killed at one value is in no sublevel set's homology, so a mask
+    drops it before counting.  Its key (d, v, v) equals no kept key, so the
+    first key of each count, and with it a -0.0 or 0.0 endpoint, stays the
+    one the unmasked pairs give."""
+    _, sizes, values, _, _ = complex_._table
+    born, died, essential = _pairs(complex_, field)
+    kept = values[born] < values[died]
+    born, died = born[kept], died[kept]
+    bits, slot = np.unique(values[np.concatenate((born, died, essential))].view(np.int64), return_inverse=True)
+    distinct = list(map(ExtendedReal, bits.view(float).tolist()))
+    value = list(map(distinct.__getitem__, slot.tolist()))  # the births, then the deaths, then the essential births
+    k = len(born)
+    counts = Counter(zip((sizes[born] - 1).tolist(), value[:k], value[k:2 * k]))
+    counts.update(zip((sizes[essential] - 1).tolist(), value[2 * k:], repeat(POS_INF)))
+    return counts
+
+
 def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2) -> Barcode:
     """Barcode of the sublevel filtration's homology over F_p, all degrees.
     Finite bars are closed-left/open-right ``[b, e)``; unpaired cycles give
     essential bars ``[b, inf)``.  A pair born and killed at one value is in
-    no sublevel set's homology, so it gives no bar."""
-    _, sizes, values, _, _ = complex_._table
-    born, died, essential = (part.tolist() for part in _pairs(complex_, field))
-    dim, value = (sizes - 1).tolist(), values.tolist()
-    counts = Counter(zip(map(dim.__getitem__, born), map(value.__getitem__, born), map(value.__getitem__, died)))
-    counts.update(zip(map(dim.__getitem__, essential), map(value.__getitem__, essential), repeat(POS_INF)))
-    bars = []  # counted first: one Interval per distinct bar, its repeats one shared tuple that Barcode keeps
-    for (degree, birth, death), multiplicity in counts.items():
-        if birth < death:
-            bars += [(degree, Interval(birth, death, True, False))] * multiplicity
+    no sublevel set's homology, so it gives no bar.  Each distinct bar is one
+    Interval, repeated as one shared tuple; `persistence_diagram` reads the
+    same counts without making bars."""
+    bars = []
+    for (degree, birth, death), multiplicity in _bar_counts(complex_, field).items():
+        bars += [(degree, Interval(birth, death, True, False))] * multiplicity
     return Barcode(bars)
+
+
+def persistence_diagram(complex_: FilteredComplex, field: PrimeField = GF2) -> PersistenceDiagram:
+    """The persistence diagram of the complex over F_p, equal to
+    ``diagram_of(compute_persistence(complex_, field))``, built from the bar
+    counts without making an Interval or a Barcode."""
+    return _from_points(list(_bar_counts(complex_, field).items()))
 
 
 def _column(cofacets: array, offsets: array, j: int, p: int) -> Dict[int, int]:
@@ -410,5 +440,6 @@ def euler_profile(complex_: FilteredComplex) -> Tuple[Tuple[float, int], ...]:
 __all__ = [
     "Simplex", "FilteredComplex", "ComplexValidationError", "NonFiniteValueError", "TextValueError",
     "DuplicateSimplexError", "MissingFaceError", "NonMonotoneError", "NonIntegerVertexError", "MissingVertexValueError",
-    "facets", "validate", "lower_star", "compute_persistence", "homology_ranks", "betti_at", "euler_profile",
+    "facets", "validate", "lower_star", "compute_persistence", "persistence_diagram", "homology_ranks", "betti_at",
+    "euler_profile",
 ]

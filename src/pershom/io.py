@@ -16,9 +16,9 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .barcode import Barcode, Interval
+from .barcode import Barcode, ExtendedReal, Interval
 from .covers import Cover, CoverSetError
-from .diagram import DiagramPoint, PersistenceDiagram
+from .diagram import DiagramPoint, PersistenceDiagram, _from_points, _multiplicity
 from .filtration import ComplexValidationError, FilteredComplex, _vertex_array
 
 
@@ -50,7 +50,8 @@ def parse_barcode(text: str, source: str = "<barcode>") -> Barcode:
         if not match:
             raise FormatError(source, lineno, f"expected '<degree> <[|(><lo>,<hi><)|]>', got {line!r}")
         try:
-            interval = Interval(match["lo"], match["hi"], match["left"] == "[", match["right"] == "]")
+            lo, hi = ExtendedReal(match["lo"]), ExtendedReal(match["hi"])
+            interval = Interval(lo, hi, match["left"] == "[", match["right"] == "]")
         except ValueError as exc:
             raise FormatError(source, lineno, str(exc)) from exc
         bars.append((int(match["degree"]), interval))
@@ -71,23 +72,46 @@ def write_barcode(path, barcode: Barcode) -> None:
         handle.write(format_barcode(barcode))
 
 
+def _check_point_row(line: str, source: str, lineno: int) -> None:
+    """The checks of one `.dgm` content line, raising a FormatError located at it."""
+    fields = line.split()
+    if len(fields) != 4:
+        raise FormatError(source, lineno, f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
+    try:
+        int(fields[0])
+        DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
+        _multiplicity(int(fields[3]))
+    except ValueError as exc:
+        raise FormatError(source, lineno, str(exc)) from exc
+
+
+def _diagram_items(rows: List[List[str]]) -> List[Tuple[Tuple[int, ExtendedReal, ExtendedReal], int]]:
+    """The ((degree, p, q), multiplicity) items of split content rows, each
+    distinct token converted once; a row that is not four numbers raises a
+    ValueError.  The diagram checks the point and multiplicity rules."""
+    if set(map(len, rows)) - {4}:
+        raise ValueError
+    degrees, ps, qs, mults = zip(*rows) if rows else ((),) * 4
+    degree_of = {token: int(token) for token in set(degrees)}
+    endpoint_of = {token: ExtendedReal(token) for token in set(ps).union(qs)}  # by text: -0.0 and 0.0 stay apart
+    mult_of = {token: int(token) for token in set(mults)}
+    keys = zip(map(degree_of.__getitem__, degrees), map(endpoint_of.__getitem__, ps), map(endpoint_of.__getitem__, qs))
+    return list(zip(keys, map(mult_of.__getitem__, mults)))
+
+
 def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:
-    table = {}
-    for lineno, line in _content_lines(text):
-        fields = line.split()
-        if len(fields) != 4:
-            raise FormatError(source, lineno, f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
-        try:
-            degree = int(fields[0])
-            point = DiagramPoint(fields[1], fields[2])
-            mult = int(fields[3])
-            if mult < 1:
-                raise ValueError(f"multiplicity must be >= 1, got {mult}")
-        except ValueError as exc:
-            raise FormatError(source, lineno, str(exc)) from exc
-        bucket = table.setdefault(degree, {})
-        bucket[point] = bucket.get(point, 0) + mult
-    return PersistenceDiagram(table)
+    """The lines are split and converted at once, as the `.flt` reader
+    does; on any defect the per-line checks, in line order, name the first
+    defective line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    try:
+        return _from_points(_diagram_items(list(filter(None, map(str.split, lines)))))
+    except ValueError:
+        for lineno, line in _content_lines(text):
+            _check_point_row(line, source, lineno)
+        raise
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:

@@ -5,9 +5,9 @@ kernels, rank-nullity), plus the boundary-matrix column reduction that the
 library's cohomology engine replaced; none calls the library's reduction
 or reads the face table a complex keeps.  The face-index oracle is the
 tuple-keyed validation that the integer-coded index replaced, the `.flt`
-oracle the per-line reader that the bulk one replaced, the bar-order
-oracle the Python sort key that `Barcode` replaced by the order of its
-bars, and the diagram oracle makes one point per bar.  The bottleneck
+and `.dgm` oracles the per-line readers that the bulk ones replaced, the
+bar-order oracle the Python sort key that `Barcode` replaced by the order
+of its bars, and the diagram oracle makes one point per bar.  The bottleneck
 oracle decides feasibility on the complete diagonal-slot graph with its
 own augmenting-path matcher and never calls the library's cost matrices or
 its Hopcroft-Karp matching.
@@ -26,7 +26,9 @@ from pershom import (
     POS_INF,
     Barcode,
     ComplexValidationError,
+    DiagramPoint,
     DuplicateSimplexError,
+    ExtendedReal,
     FilteredComplex,
     Interval,
     MissingFaceError,
@@ -217,6 +219,31 @@ def parse_filtration_oracle(text: str, source: str = "<filtration>") -> Filtered
     except ComplexValidationError as exc:
         line_of = {tuple(verts): lineno for (verts, _), lineno in zip(entries, linenos)}
         raise FormatError(source, line_of[exc.simplex], str(exc)) from exc
+
+
+def parse_diagram_oracle(text: str, source: str = "<diagram>") -> PersistenceDiagram:
+    """The per-line `.dgm` reader that the bulk one replaced: each content
+    line is split, checked and made a point on its own, the first defective
+    line raising; a repeated point sums its multiplicities."""
+    table = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise FormatError(source, lineno, f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
+        try:
+            degree = int(fields[0])
+            point = DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
+            mult = int(fields[3])
+            if mult < 1:
+                raise ValueError(f"multiplicity must be >= 1, got {mult}")
+        except ValueError as exc:
+            raise FormatError(source, lineno, str(exc)) from exc
+        bucket = table.setdefault(degree, {})
+        bucket[point] = bucket.get(point, 0) + mult
+    return PersistenceDiagram(table)
 
 
 def bar_key(bar):

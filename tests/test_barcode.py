@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -216,6 +217,15 @@ def test_intervals_wrap_each_endpoint_once(monkeypatch):
     assert [str(iv) for _, iv in opened] == ["(0.0,1.0)", "(0.0,1.0)", "(2.5,inf)", "(-inf,3.0]"]
     assert all(type(x) is ExtendedReal for _, iv in opened for x in (iv.lo, iv.hi))
     assert made == []
+
+
+@pytest.mark.parametrize("text", ["0.5", b"0.5", bytearray(b"0.5")])
+def test_interval_endpoints_must_not_be_text(text):
+    # `float` would parse each
+    with pytest.raises(ValueError, match=r"^lo must be a real number, got " + re.escape(repr(text))):
+        Interval.closed_open(text, 1)
+    with pytest.raises(ValueError, match=r"^hi must be a real number, got " + re.escape(repr(text))):
+        Interval(0, text, False, False)
 
 
 def _interval_strategy():

@@ -192,6 +192,18 @@ def test_hawaiian_command(capsys):
     assert capsys.readouterr().err == "error: the earring sweep to k = 632 builds 1001404 simplices, over 1000000\n"
 
 
+def test_compute_makes_no_interval(tmp_path, monkeypatch):
+    # the diagram is built from the bar counts, with no Barcode in between
+    def refuse(*args):
+        raise AssertionError(f"Interval{args} was made")
+
+    monkeypatch.setattr(pershom.filtration, "Interval", refuse)
+    path, out = tmp_path / "path.flt", tmp_path / "out.dgm"
+    path.write_text("simplex 0 0\nsimplex -0.0 1\nsimplex 0.5 2\nsimplex 1 0 1\nsimplex 1 1 2\nsimplex 2 0 2\n")
+    assert main(["compute", "--input", str(path), "--output", str(out)]) == 0
+    assert out.read_text() == "0 -0.0 1.0 1\n0 0.0 inf 1\n0 0.5 1.0 1\n1 2.0 inf 1\n"
+
+
 def test_hawaiian_command_reduces_its_complex_once(monkeypatch, capsys):
     # the barcode and the rank read one pairing
     reductions = []

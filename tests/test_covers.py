@@ -224,6 +224,13 @@ def test_balls_cover_validation():
         balls_cover([[0.0, 1.0], [1.0, 0.0]], 0.0)  # delta must be positive
 
 
+@pytest.mark.parametrize("text", ["1", b"1", bytearray(b"1")])
+def test_balls_cover_rejects_text_distances(text):
+    # numpy would parse each
+    with pytest.raises(ValueError, match=r"^distance matrix has the text .* at \(1, 0\), not a number$"):
+        balls_cover([[0.0, 1.0], [text, 0.0]], 1.5)
+
+
 def test_balls_cover_rejects_a_nan_radius():
     with pytest.raises(ValueError, match="delta must not be NaN"):
         balls_cover([[0.0, 1.0], [1.0, 0.0]], float("nan"))

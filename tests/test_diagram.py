@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,35 @@ def test_quadrant_dominates_long_gap_count():
             if pt.gap > y - x and pt.p.float_value < x and pt.q.float_value > y
         )
         assert quadrant_count(diagram, d, x, y) >= restricted
+
+
+@pytest.mark.parametrize("text", ["0.5", b"0.5", bytearray(b"0.5")])
+def test_diagram_points_must_not_be_text(text):
+    # `float` would parse each
+    message = re.escape(repr(text))
+    with pytest.raises(ValueError, match=r"^p must be a real number, got " + message):
+        DiagramPoint(text, 1)
+    with pytest.raises(ValueError, match=r"^q must be a real number, got " + message):
+        DiagramPoint(0, text)
+    with pytest.raises(ValueError, match=r"^p must be a real number, got " + message):
+        PersistenceDiagram({0: [(text, 1)]})
+
+
+@pytest.mark.parametrize("point, mult, message", [
+    ((2.0, 1.0), 1, r"requires p < q, got \(2.0, 1.0\)"),
+    ((math.inf, math.inf), 1, r"birth coordinate cannot be \+inf"),
+    ((0.0, -math.inf), 1, "death coordinate cannot be -inf"),
+    ((0.0, 1.0), 0, "multiplicity must be >= 1, got 0"),
+])
+def test_points_checked_at_once_name_the_first_offender(point, mult, message):
+    from pershom.diagram import _from_points
+
+    good = ((0, ExtendedReal(0.0), ExtendedReal(1.0)), 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _from_points([good, ((1, *map(ExtendedReal, point)), mult), good])
+    with pytest.raises(ValueError, match=f"^{message}$"):  # the message the per-point constructor gives
+        PersistenceDiagram({1: {point: mult}})
+    assert _from_points([good, good]) == PersistenceDiagram({0: {(0.0, 1.0): 4}})
 
 
 def test_diagram_of_makes_one_point_per_distinct_point(monkeypatch):

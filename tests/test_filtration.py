@@ -13,6 +13,7 @@ from pershom import (
     ComplexValidationError,
     Cover,
     DuplicateSimplexError,
+    ExtendedReal,
     FilteredComplex,
     GF2,
     GF3,
@@ -27,16 +28,18 @@ from pershom import (
     barcode_rank,
     betti_at,
     compute_persistence,
+    diagram_of,
     euler_profile,
     homology_ranks,
     lower_star,
     nerve,
+    persistence_diagram,
     validate,
     vietoris,
 )
 import pershom.filtration
 from pershom.filtration import facets
-from pershom.io import parse_filtration
+from pershom.io import format_diagram, parse_filtration
 
 from helpers import (
     alive_bars,
@@ -327,8 +330,8 @@ def test_vertex_lists_may_be_any_sized_sequence(row):
 def test_vertex_lists_must_be_sized_and_values_numbers():
     with pytest.raises(TypeError):  # a one-shot iterator has no length
         FilteredComplex([(iter((0,)), 0.0)])
-    with pytest.raises(NonFiniteValueError, match=r"simplex \(0,\) has a NaN filtration value"):
-        FilteredComplex([((0,), None)])
+    with pytest.raises(TextValueError, match=r"^simplex \(0,\) has None as its filtration value, not a number$"):
+        FilteredComplex([((0,), None)])  # numpy would read it as NaN
 
 
 @pytest.mark.parametrize("text", ["1.5", b"2", bytearray(b"2")])
@@ -598,6 +601,35 @@ def test_persistence_matches_homology_oracle_with_ties(k, field):
 @given(_lower_star_filtrations(), st.sampled_from(CROSS_CHECK_FIELDS))
 def test_persistence_matches_homology_oracle_on_lower_star(k, field):
     _assert_engine_matches_oracles(k, field)
+
+
+_COMPLEXES = {
+    "closed": lambda rng: FilteredComplex(random_closed_entries(rng, rng.randint(0, 5), rng.randint(1, 3), rng.randint(0, 3))),
+    "rips": lambda rng: random_rips(rng, rng.randint(1, 3), ties=rng.random() < 0.5),
+    "grid": lambda rng: grid_lower_star(rng, n=rng.randint(2, 6)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_COMPLEXES)), st.sampled_from(CROSS_CHECK_FIELDS))
+def test_persistence_diagram_is_the_diagram_of_the_barcode(seed, kind, field):
+    # the closed entries tie -0.0 with 0.0, which repr and the .dgm text tell apart
+    k = _COMPLEXES[kind](random.Random(seed))
+    expected = diagram_of(compute_persistence(k, field))
+    diagram = persistence_diagram(k, field)
+    assert repr(diagram) == repr(expected)
+    assert format_diagram(diagram) == format_diagram(expected)
+    assert all(type(x) is ExtendedReal for d in diagram.degrees() for pt, _ in diagram.items(d) for x in pt)
+    assert diagram == expected
+
+
+@pytest.mark.parametrize("signs, point", [((0.0, -0.0), "(-0.0, 1.0)x2"), ((-0.0, 0.0), "(0.0, 1.0)x2")])
+def test_persistence_diagram_keeps_the_first_key_of_each_point(signs, point):
+    # vertices 1 and 2 die at 1.0; the pairs are listed by descending birth
+    # position, so vertex 2's zero is the first key and gives the point its sign
+    k = FilteredComplex([((0,), 0.0), ((1,), signs[0]), ((2,), signs[1]), ((0, 1), 1.0), ((1, 2), 1.0)])
+    expected = f"PersistenceDiagram(0: {{{point}, (0.0, inf)}})"
+    assert repr(persistence_diagram(k)) == repr(diagram_of(compute_persistence(k))) == expected
 
 
 def test_persistence_matches_homology_oracle_on_projective_plane():

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pershom import Barcode, Interval, PersistenceDiagram
+from pershom import Barcode, ExtendedReal, Interval, PersistenceDiagram
 from pershom.io import (
     FormatError,
     format_barcode,
@@ -102,7 +102,7 @@ def test_diagram_parse_builds_each_point_once(monkeypatch):
     import pershom.diagram
     import pershom.io
 
-    made = []
+    made, converted = [], []
 
     class Counted(pershom.diagram.DiagramPoint):
         __slots__ = ()
@@ -111,10 +111,14 @@ def test_diagram_parse_builds_each_point_once(monkeypatch):
             made.append((p, q))
             return super().__new__(cls, p, q)
 
+    real = ExtendedReal.__new__
+    monkeypatch.setattr(ExtendedReal, "__new__", lambda cls, value: converted.append(value) or real(cls, value))
     monkeypatch.setattr(pershom.io, "DiagramPoint", Counted)
     monkeypatch.setattr(pershom.diagram, "DiagramPoint", Counted)
     diagram = parse_diagram("0 0 1 2\n0 0 1 1\n1 -inf inf 1\n0 0.5 inf 3\n")
-    assert len(made) == 4  # one per line; the diagram keeps them as they are
+    assert made == []  # the rule is checked over all points at once, so none is checked on its own
+    assert sorted(converted) == ["-inf", "0", "0.5", "1", "inf"]  # each distinct token once
+    assert {type(pt) for d in diagram.degrees() for pt, _ in diagram.items(d)} == {Counted}
     assert [list(diagram.items(d)) for d in diagram.degrees()] == [
         [((0.0, 1.0), 3), ((0.5, math.inf), 3)],
         [((-math.inf, math.inf), 1)],
@@ -545,3 +549,60 @@ def test_bulk_filtration_reader_across_blocks():
         broken = "\n".join(lines[:k] + [line] + lines[k:])
         assert _read_with(parse_filtration, broken) == _read_with(parse_filtration_oracle, broken)
         assert _read_with(parse_filtration, broken)[0] == k + 1
+
+
+# --------------------------------------------- bulk .dgm reader against the per-line one
+
+_DGM_DEGREES = ["0", "1", "2", "-1", "03"]
+_DGM_ENDPOINTS = ["-0.0", "0.0", "-0", "0", "0.5", "1", "2.5", "1e1", "-inf", "inf", "-1e999", "1e999"]
+_DGM_MULTS = ["1", "2", "3", "10", "01"]
+_DGM_DEFECTS = ["short", "long", "degree", "nan", "swap", "equal", "inf-birth", "neg-inf-death", "mult-0",
+                "mult-neg", "mult-x", "endpoint-x", "zero-copy"]
+
+
+@st.composite
+def _dgm_documents(draw):
+    """Diagram rows with signed zeros, infinities and repeated points,
+    written with tabs, comments, blank lines and mixed line breaks, then
+    given up to two defects."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        p, q = sorted(draw(st.lists(st.sampled_from(_DGM_ENDPOINTS), min_size=2, max_size=2,
+                                    unique_by=float)), key=float)
+        rows.append([draw(st.sampled_from(_DGM_DEGREES)), p, q, draw(st.sampled_from(_DGM_MULTS))])
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):  # repeated points, spelled alike or not
+        row = list(draw(st.sampled_from(rows)))
+        row[3] = draw(st.sampled_from(_DGM_MULTS))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    for defect in draw(st.lists(st.sampled_from(_DGM_DEFECTS), max_size=2)) if rows else ():
+        k = draw(st.integers(0, len(rows) - 1))
+        d, p, q, m, *_ = rows[k] + ["1"]  # a row made short by the first defect gets a multiplicity back
+        if defect == "zero-copy":  # the point's summed multiplicity stays positive
+            rows.insert(draw(st.integers(0, len(rows))), [d, p, q, "0"])
+            continue
+        rows[k] = {"short": [d, p, q], "long": [d, p, q, m, m], "degree": ["x", p, q, m], "nan": [d, "nan", q, m],
+                   "swap": [d, q, p, m], "equal": [d, p, p, m], "inf-birth": [d, "inf", q, m],
+                   "neg-inf-death": [d, p, "-inf", m], "mult-0": [d, p, q, "0"], "mult-neg": [d, p, q, "-2"],
+                   "mult-x": [d, p, q, "1.5"], "endpoint-x": [d, "x", q, m]}[defect]
+    lines = [draw(st.sampled_from([" ", "\t", "  "])).join(row) + draw(st.sampled_from(["", "", " # c", "\t"]))
+             for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# only a comment", "  "])))
+    return "".join(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\x0c"])) for line in lines)
+
+
+def _read_diagram_with(parse, text):
+    try:
+        diagram = parse(text, source="d.dgm")
+    except FormatError as err:
+        return err.lineno, str(err)
+    endpoints = {type(x) for d in diagram.degrees() for pt, _ in diagram.items(d) for x in pt}
+    return repr(diagram), format_diagram(diagram), endpoints <= {ExtendedReal}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_texts(_DGM_LINE), _dgm_documents()))
+def test_bulk_diagram_reader_matches_the_per_line_one(text):
+    from helpers import parse_diagram_oracle
+
+    assert _read_diagram_with(parse_diagram, text) == _read_diagram_with(parse_diagram_oracle, text)
