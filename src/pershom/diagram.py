@@ -156,18 +156,15 @@ class PersistenceDiagram:
 
 
 def diagram_of(barcode: Barcode) -> PersistenceDiagram:
-    """The diagram of a barcode: its bars counted by value, then summed per
-    (inf, sup) with singletons dropped, so each point is made once.
+    """The diagram of a barcode: its bars counted by value, singletons
+    dropped, then summed per (inf, sup) and checked in bulk, so each point
+    is made once.
 
     Endpoint openness is invisible here, so the radical of a barcode has the
     same diagram as the barcode itself.
     """
-    table: Dict[int, Dict[Tuple[float, float], int]] = {}
-    for (d, iv), mult in Counter(barcode).items():
-        if not iv.is_singleton:
-            bucket = table.setdefault(d, {})
-            bucket[iv.lo, iv.hi] = bucket.get((iv.lo, iv.hi), 0) + mult
-    return PersistenceDiagram(table)
+    return _from_points([((d, iv.lo, iv.hi), mult) for (d, iv), mult in Counter(barcode).items()
+                         if not iv.is_singleton])
 
 
 def quadrant_count(diagram: PersistenceDiagram, d: int, x: float, y: float) -> int:

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain
-from operator import itemgetter
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .barcode import Barcode, ExtendedReal, Interval
 from .covers import Cover, CoverSetError
 from .diagram import DiagramPoint, PersistenceDiagram, _from_points, _multiplicity
-from .filtration import ComplexValidationError, FilteredComplex, _vertex_array
+from .filtration import ComplexValidationError, FilteredComplex
 
 
 class FormatError(ValueError):
@@ -115,11 +114,7 @@ def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:
-    lines = []
-    for d in diagram.degrees():
-        for pt, mult in diagram.items(d):
-            lines.append(f"{d} {pt.p} {pt.q} {mult}\n")
-    return "".join(lines)
+    return "".join(f"{d} {p!r} {q!r} {mult}\n" for d in diagram.degrees() for (p, q), mult in diagram.items(d))
 
 
 def read_diagram(path) -> PersistenceDiagram:
@@ -132,7 +127,28 @@ def write_diagram(path, diagram: PersistenceDiagram) -> None:
         handle.write(format_diagram(diagram))
 
 
-_BLOCK = 1024  # lines of a .flt text split at a time
+_CHUNK = 1 << 17  # characters, so ASCII bytes, of .flt text lexed at a time, cut after a "\n"
+_BREAK = r"\n\r\x0b\x0c\x1c-\x1e"  # the ASCII line breaks of str.splitlines, as a character class
+_BREAKS = re.compile(rf"\r\n|[{_BREAK}]")
+_COMMENT = re.compile(rf"#[^{_BREAK}]*")
+_KEYWORD = np.frombuffer(b"simplex", np.uint8)
+_WIDTH = 32  # value tokens up to this long are compared in numpy, longer ones converted one by one
+_PREFIX = np.tri(_WIDTH + 1, _WIDTH, -1, np.uint8) * np.uint8(255)  # row k keeps the first k bytes
+_DIGITS = 18  # an id of up to 18 digits fits int64
+
+
+def _flt_lines(text: str, source: str) -> Iterator[Tuple[int, str]]:
+    """The (line number, content) of each content line of `.flt` text, whose
+    lines end at ASCII line breaks; a line holding a non-ASCII character
+    outside its comment raises a FormatError naming it."""
+    for lineno, line in enumerate(_BREAKS.split(text), start=1):
+        line = line.partition("#")[0]
+        if not line.isascii():
+            char = next(c for c in line if not c.isascii())
+            raise FormatError(source, lineno, f"non-ASCII character {char!r} (U+{ord(char):04X}) outside a comment")
+        line = line.strip()
+        if line:
+            yield lineno, line
 
 
 def _check_row(line: str, source: str, lineno: int) -> None:
@@ -151,20 +167,70 @@ def _check_row(line: str, source: str, lineno: int) -> None:
         raise FormatError(source, lineno, str(exc)) from exc
 
 
-def _filtration_arrays(rows: List[List[str]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat (vertices, sizes, values) of split content rows, each row's
-    vertices sorted and each distinct token converted once; any defect
-    raises a ValueError without a message."""
-    n = len(rows)
-    sizes = np.fromiter(map(len, rows), np.intp, n) - 2
-    if n and (sizes.min() < 1 or list(map(itemgetter(0), rows)).count("simplex") < n):
+def _chunks(text: str) -> Iterator[bytes]:
+    """The text in pieces of at most `_CHUNK` characters, each cut after a
+    "\n" (a piece with no "\n" in its first `_CHUNK` characters runs to the
+    next one), without comments and as ASCII bytes, in which "?", which no
+    token may hold, stands for any other character."""
+    start = 0
+    while start < len(text):
+        end = start + _CHUNK
+        if end < len(text):
+            end = text.rfind("\n", start, end) + 1 or text.find("\n", end) + 1 or len(text)
+        chunk = text[start:end]
+        yield (_COMMENT.sub("", chunk) if "#" in chunk else chunk).encode("ascii", "replace")
+        start = end
+
+
+def _lex(data: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat (vertices, sizes, values) of a piece of `.flt` bytes without
+    comments, each row's vertices sorted; a token opens a row when a line
+    break lies before it, and each distinct value token is converted once.
+    Any defect raises a ValueError without a message."""
+    # A break before the text opens the first row; the padding lets any token be read _WIDTH wide.
+    b = np.frombuffer(b"\n" + data + b" " * _WIDTH, np.uint8)
+    if ((b < 9) | (b - 14 < 14)).any():  # a control byte, which no token may hold; the other bytes
+        raise ValueError  # up to 32 are the ASCII whitespace of str.split
+    tok = b > 32
+    edges = np.flatnonzero(tok[1:] != tok[:-1]) + 1
+    starts, lens = edges[::2], edges[1::2] - edges[::2]
+    marks = (b - 10 < 4) | (b - 28 < 3)  # the ASCII line breaks of str.splitlines
+    marks[starts] = True
+    opens = tok[np.flatnonzero(marks)]  # the breaks and token starts in text order
+    heads = np.flatnonzero(~opens[:-1][opens[1:]])  # the first token of each row
+    sizes = np.diff(heads, append=len(starts)) - 2
+    n = len(heads)
+    window = sliding_window_view(b, _WIDTH)
+    if n and (sizes.min() < 1 or (lens[heads] != 7).any() or (window[starts[heads], :7] != _KEYWORD).any()):
         raise ValueError
-    tokens = list(map(itemgetter(1), rows))
-    value_of = {token: float(token) for token in set(tokens)}  # by text, so -0.0 and 0.0 stay apart
-    values = np.fromiter(map(value_of.__getitem__, tokens), float, n)
-    tokens = list(chain.from_iterable(map(itemgetter(slice(2, None)), rows)))
-    id_of = {token: int(token) for token in set(tokens)}
-    vertices = _vertex_array(lambda: map(id_of.__getitem__, tokens), len(tokens))
+    at, lens_at = starts[heads + 1], lens[heads + 1]
+    short = lens_at <= _WIDTH
+    width = min(int(lens_at.max(initial=1)), _WIDTH)
+    texts = window[at[short], :width] & _PREFIX[lens_at[short], :width]
+    distinct, inverse = np.unique(texts.view(f"S{width}").ravel(), return_inverse=True)  # by text: -0.0 is not 0.0
+    values = np.empty(n)
+    values[short] = np.array(list(map(float, distinct.tolist())), float)[inverse]
+    for k in np.flatnonzero(~short).tolist():
+        values[k] = float(b[at[k]:at[k] + lens_at[k]].tobytes())
+    is_id = np.ones(len(starts), bool)
+    is_id[heads], is_id[heads + 1] = False, False
+    at, lens_at = starts[is_id], lens[is_id]
+    width = min(int(lens_at.max(initial=0)), _DIGITS)
+    digits = window[at, :width] - np.uint8(48)
+    vertices = np.zeros(len(at), np.int64)
+    plain = lens_at <= _DIGITS
+    for k in range(width):  # Horner's rule; a token that is not all digits is read again below,
+        live = k < lens_at  # and a byte counts at most 10 here, so that no token overflows
+        plain &= ~live | (digits[:, k] <= 9)
+        vertices = np.where(live, vertices * 10 + np.minimum(digits[:, k], 10), vertices)
+    odd = np.flatnonzero(~plain)
+    if len(odd):
+        ids = [int(b[s:s + m].tobytes()) for s, m in zip(at[odd].tolist(), lens_at[odd].tolist())]
+        try:
+            vertices[odd] = ids
+        except OverflowError:  # an id beyond int64: exact Python ints
+            vertices = vertices.astype(object)
+            vertices[odd] = ids
     row = np.repeat(np.arange(n), sizes)
     inner = row[1:] == row[:-1]  # neighbouring slots of one row
     if not (vertices[1:] > vertices[:-1])[inner].all():  # a row out of order: sort each row
@@ -177,26 +243,23 @@ def _filtration_arrays(rows: List[List[str]]) -> Tuple[np.ndarray, np.ndarray, n
 
 
 def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex:
-    """The lines are split and converted in blocks, so that the split text
-    of a large file never lives at once.  The first defective line is
-    reported, and a defect of the complex as a whole (a non-finite value, a
-    duplicate, a missing face, a later-born face) at the last line holding
-    the simplex it names."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
+    """The text is lexed in numpy a piece of about `_CHUNK` characters at a
+    time, so that no per-byte array of a large file lives at once.  Lines
+    end at the ASCII line breaks of `str.splitlines`, fields are split at
+    the ASCII whitespace of `str.split`, and outside comments the text must
+    be ASCII.  The first defective line is reported, and a defect of the
+    complex as a whole (a non-finite value, a duplicate, a missing face, a
+    later-born face) at the last line holding the simplex it names."""
     try:
-        blocks = [_filtration_arrays(list(filter(None, map(str.split, lines[i:i + _BLOCK]))))
-                  for i in range(0, len(lines), _BLOCK)] or [_filtration_arrays([])]
+        parts = [_lex(chunk) for chunk in _chunks(text)] or [_lex(b"")]
     except ValueError:  # the row checks, in line order, name the first defective row
-        for lineno, line in _content_lines(text):
+        for lineno, line in _flt_lines(text, source):
             _check_row(line, source, lineno)
         raise
-    del lines  # not kept through validation
     try:
-        return FilteredComplex._from_arrays(*map(np.concatenate, zip(*blocks)))
+        return FilteredComplex._from_arrays(*map(np.concatenate, zip(*parts)))
     except ComplexValidationError as exc:
-        line_of = {tuple(sorted(map(int, line.split()[2:]))): lineno for lineno, line in _content_lines(text)}
+        line_of = {tuple(sorted(map(int, line.split()[2:]))): lineno for lineno, line in _flt_lines(text, source)}
         raise FormatError(source, line_of[exc.simplex], str(exc)) from exc
 
 

@@ -227,6 +227,7 @@ def test_filtration_vertices_in_any_order():
         ("simplex 0 0\nsimplex 0 1\nsimplex 1 0 3\nsimplex 1 1 2\n", 3, "simplex (0, 3) is missing its face (3,)"),
         ("simplex 0 0\nsimplex 2 0 1\nsimplex 0 1\nsimplex 1 0 2\nsimplex 0 0 1\n", 5,
          "duplicate simplex (0, 1)"),  # at its last line, and before the missing face (2,) of line 4
+        ("simplex 0 -1\nsimplex\xa00 1\n", 1, "vertex ids must be nonnegative"),  # before a non-ASCII line
     ],
 )
 def test_filtration_reports_the_first_defect(text, lineno, message):
@@ -469,7 +470,7 @@ def test_fuzz_cli_exit_codes(tmp_path, capsys, kind_text):
 # --------------------------------------------- bulk .flt reader against the per-line one
 
 _IDS = ["0", "1", "2", "3", "01", "9223372036854775807", "9223372036854775808", "99999999999999999999"]
-_FINITE = ["-0.0", "0.0", "-0", "0", "0.5", "1", "2.5", "1e1"]
+_FINITE = ["-0.0", "0.0", "-0", "0", "0.5", "1", "2.5", "1e1", "0.5000000000000000000000000000000000001"]
 _DEFECTS = ["drop", "repeat-row", "raise", "nan", "inf", "repeat-vertex", "negative", "head", "short", "token"]
 
 
@@ -522,33 +523,133 @@ def _read_with(parse, text):
 
 
 @settings(max_examples=250, deadline=None)
-@given(st.one_of(_texts(_FLT_LINE), _flt_documents()), st.sampled_from([1, 2, 3, 1024]))
-def test_bulk_filtration_reader_matches_the_per_line_one(text, block):
+@given(st.one_of(_texts(_FLT_LINE), _flt_documents()), st.sampled_from([1, 2, 7, 64, None]))
+def test_bulk_filtration_reader_matches_the_per_line_one(text, chunk):
     import pershom.io
     from helpers import parse_filtration_oracle
 
-    default, pershom.io._BLOCK = pershom.io._BLOCK, block  # lines split at a time
+    default = pershom.io._CHUNK  # characters lexed at a time, None for the default
+    pershom.io._CHUNK = chunk or default
     try:
         assert _read_with(parse_filtration, text) == _read_with(parse_filtration_oracle, text)
     finally:
-        pershom.io._BLOCK = default
+        pershom.io._CHUNK = default
+
+
+@pytest.mark.parametrize("text", [  # a valid text, a repeated vertex, a duplicate simplex
+    "# head\r\nsimplex 0 0\r\nsimplex\t0 1 # c\x0csimplex 1 1 0\nsimplex 0 2\x0b\n\nsimplex 2 2 0\r\n"
+    "simplex 2 1 2 #\x1csimplex 3 0 1 2",
+    "simplex 0 0\r\nsimplex 0 1\x0csimplex 1 1 0\r\nsimplex 1 1 1\n",
+    "simplex 0 0\r\nsimplex 0 1\x0c\x0csimplex 1 1 0\r\nsimplex 1 0 1\n",
+])
+def test_filtration_reader_cut_at_every_character(monkeypatch, text):
+    import pershom.io
+    from helpers import parse_filtration_oracle
+
+    expected = _read_with(parse_filtration_oracle, text)
+    for chunk in range(1, len(text) + 2):  # nominal cuts inside lines, between "\r" and "\n", after "\x0c"
+        monkeypatch.setattr(pershom.io, "_CHUNK", chunk)
+        pieces = list(pershom.io._chunks(text))
+        assert b"".join(pieces) == pershom.io._COMMENT.sub("", text).encode()
+        assert all(piece.endswith(b"\n") for piece in pieces[:-1])
+        assert _read_with(parse_filtration, text) == expected
 
 
 def test_bulk_filtration_reader_across_blocks():
     import random
 
+    import pershom.io
     from helpers import parse_filtration_oracle, random_closed_entries
 
     rng = random.Random(11)
-    entries = random_closed_entries(rng, max_dim=10, extra_vertices=3) + [((2**64,), 0.5)]  # over 2,048 lines
+    entries = random_closed_entries(rng, max_dim=11, extra_vertices=3) + [((2**64,), 0.5)]
     lines = [f"simplex {t!r} {' '.join(map(str, rng.sample(s, len(s))))}" for s, t in entries]
     text = "\n".join(lines) + "\n"
+    assert len(list(pershom.io._chunks(text))) >= 3  # pieces of the default size
     assert _read_with(parse_filtration, text) == _read_with(parse_filtration_oracle, text)
-    assert len(parse_filtration(text)) == len(entries) > 2048
-    for k, line in [(1500, "simplex 0 1 1"), (2000, "simplex 0 -5"), (1800, lines[5])]:
+    assert len(parse_filtration(text)) == len(entries)
+    n = len(lines)
+    for k, line in [(n // 5, "simplex 0 1 1"), (n // 2, "simplex 0 -5"), (4 * n // 5, lines[5])]:
         broken = "\n".join(lines[:k] + [line] + lines[k:])
         assert _read_with(parse_filtration, broken) == _read_with(parse_filtration_oracle, broken)
         assert _read_with(parse_filtration, broken)[0] == k + 1
+
+
+@pytest.mark.parametrize("text, lineno, char", [
+    ("simplex 0 0\nsimplex\xa00 1\n", 2, "\xa0"),  # a separator to str.split
+    ("simplex 0 0\nsimplex 0 1\u2028simplex 0 2\n", 2, "\u2028"),  # a line break to str.splitlines
+    ("simplex 0 0\n# c\nsimplex 0 \u0663\n", 3, "\u0663"),  # an id to int
+    ("simplex 0 0 # \xe9\nsimplex 0\t\u0661\r\nsimplex \u0662 2\n", 2, "\u0661"),
+])
+def test_filtration_refuses_non_ascii_outside_comments(text, lineno, char):
+    with pytest.raises(FormatError) as err:
+        parse_filtration(text, source="x.flt")
+    assert str(err.value) == f"x.flt:{lineno}: non-ASCII character {char!r} (U+{ord(char):04X}) outside a comment"
+
+
+def test_filtration_accepts_non_ascii_comments():
+    # a comment runs to the next ASCII line break, so U+2028 and U+2029 do not end it
+    text = "# Gr\xf6\xdfe \u2028simplex 0 9\nsimplex 0 0 # na\xefve \xa0\u0663\nsimplex 0 1\r\nsimplex 1 0 1 #\u2029 x\n"
+    assert parse_filtration(text).simplices == (((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0))
+    with pytest.raises(FormatError, match="missing its face") as err:
+        parse_filtration(text + "simplex 2 0 2 # \u0663\n", source="x.flt")
+    assert err.value.lineno == 5
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("simplex 0 0 simplex 0 1\n", 1, "invalid literal for int() with base 10: 'simplex'"),
+    ("simplex 0 0\nsimplex 0\n1\n", 2, "expected 'simplex <value> <v0> [v1 ...]', got 'simplex 0'"),
+    ("simplex 0 0\x1fsimplex 0 1\n", 1, "invalid literal for int() with base 10: 'simplex'"),  # \x1f splits, no break
+])
+def test_filtration_rows_are_lines(text, lineno, message):
+    with pytest.raises(FormatError) as err:
+        parse_filtration(text, source="x.flt")
+    assert str(err.value) == f"x.flt:{lineno}: {message}"
+
+
+def test_filtration_ids_read_as_int_reads_them():
+    from helpers import parse_filtration_oracle
+
+    text = "simplex 0 01\nsimplex 0 1_0\nsimplex 0 +3\nsimplex 1 +3 01\nsimplex 0 000000000000000000007\n"
+    k = parse_filtration(text)
+    assert k.simplices == (((1,), 0.0), ((10,), 0.0), ((3,), 0.0), ((1, 3), 1.0), ((7,), 0.0))
+    assert _read_with(parse_filtration, text) == _read_with(parse_filtration_oracle, text)
+    for token in ["1__0", "0x1", "1.0", "3-", "_1"]:
+        with pytest.raises(FormatError, match="invalid literal for int"):
+            parse_filtration(f"simplex 0 {token}\n")
+
+
+def test_filtration_lexing_memory_stays_within_a_chunk(monkeypatch):
+    import tracemalloc
+
+    import pershom.io
+
+    lex, peaks = pershom.io._lex, []
+
+    def traced(data):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = lex(data)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    monkeypatch.setattr(pershom.io, "_lex", traced)
+
+    def lexing_peak(rows):
+        text = "".join(f"simplex {i / 7!r} {i}\n" for i in range(rows))
+        del peaks[:]
+        tracemalloc.start()
+        try:
+            assert len(parse_filtration(text)) == rows
+        finally:
+            tracemalloc.stop()
+        return max(peaks), len(text)
+
+    small, small_text = lexing_peak(10_000)
+    large, large_text = lexing_peak(80_000)
+    assert large_text > 8 * pershom.io._CHUNK > 2 * small_text
+    assert large < 1.2 * small  # the same pieces, only more of them
+    assert large < 32 * pershom.io._CHUNK
 
 
 # --------------------------------------------- bulk .dgm reader against the per-line one
