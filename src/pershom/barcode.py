@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Iterator, Tuple
 
+import numpy as np
+
 
 class ExtendedReal(float):
     """A point of the extended real line: a float that is never NaN.
@@ -64,6 +66,15 @@ def query_value(value, name: str, finite: bool = False) -> float:
     if math.isnan(value) or (finite and math.isinf(value)):
         raise ValueError(f"{name} must {'be finite' if finite else 'not be NaN'}, got {value}")
     return value
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """An array argument as floats; an entry given as text, which numpy
+    would parse, raises ValueError naming the argument and the position."""
+    for at, entry in np.ndenumerate(np.asarray(values, dtype=object)):
+        if isinstance(entry, _TEXT):
+            raise ValueError(f"{name} has the text {entry!r} at {at}, not a number")
+    return np.asarray(values, dtype=float)
 
 
 def _endpoint(value, name: str) -> ExtendedReal:

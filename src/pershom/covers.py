@@ -18,7 +18,7 @@ from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import _TEXT, query_value
+from .barcode import query_value, real_array
 from .bottleneck import TooLargeError
 from .filtration import FilteredComplex, homology_ranks
 from .linalg import GF2, PrimeField
@@ -139,10 +139,7 @@ def balls_cover(distances: Sequence[Sequence[float]], delta: float) -> Cover:
     delta = query_value(delta, "delta")
     if delta <= 0:
         raise ValueError(f"requires delta > 0, got {delta}")
-    for at, entry in np.ndenumerate(np.asarray(distances, dtype=object)):  # numpy would parse text
-        if isinstance(entry, _TEXT):
-            raise ValueError(f"distance matrix has the text {entry!r} at {at}, not a number")
-    mat = np.asarray(distances, dtype=float)
+    mat = real_array(distances, "distance matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {mat.shape}")
     if np.isnan(mat).any():

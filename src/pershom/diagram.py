@@ -105,17 +105,14 @@ class PersistenceDiagram:
         """Build from ``{degree: {point: multiplicity}}`` or ``{degree: [point, ...]}``.
 
         Points may be DiagramPoint instances or plain (p, q) pairs; repeats in
-        an iterable accumulate multiplicity.
+        an iterable accumulate multiplicity.  The points are checked at once.
         """
-        table: Dict[int, Dict[DiagramPoint, int]] = {}
+        items = []
         for degree, content in (points or {}).items():
             degree = integer_value(degree, "degree")
-            bucket = table.setdefault(degree, {})
-            for pt, mult in content.items() if isinstance(content, Mapping) else zip(content, repeat(1)):
-                mult = _multiplicity(mult)
-                pt = _as_point(pt)
-                bucket[pt] = bucket.get(pt, 0) + mult
-        object.__setattr__(self, "_points", {d: {pt: b[pt] for pt in sorted(b)} for d, b in table.items() if b})
+            for (p, q), mult in content.items() if isinstance(content, Mapping) else zip(content, repeat(1)):
+                items.append(((degree, _endpoint(p, "p"), _endpoint(q, "q")), integer_value(mult, "multiplicity")))
+        object.__setattr__(self, "_points", _from_points(items)._points)
 
     def __setattr__(self, name, value):
         raise AttributeError("PersistenceDiagram is immutable")

@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .barcode import Barcode, Interval, integer_value
+from .barcode import Barcode, Interval, integer_value, real_array
 from .bottleneck import TooLargeError
 from .filtration import FilteredComplex, betti_at
 from .linalg import GF2
@@ -127,9 +127,9 @@ class DouglasInput:
 
     ``curve_samples`` holds g(2*pi*i/K) for i = 0..K-1 as rows; ``phi``
     holds the reparametrization at the same grid points and must be
-    monotone with phi(t + 2*pi) = phi(t) + 2*pi.  Every sample must be
-    finite.  ``quadrature_n`` sets the integration grid, an integer from 8
-    to QUADRATURE_LIMIT points per axis.
+    monotone with phi(t + 2*pi) = phi(t) + 2*pi.  Every sample must be a
+    finite number, not text.  ``quadrature_n`` sets the integration grid,
+    an integer from 8 to QUADRATURE_LIMIT points per axis.
     """
 
     curve_samples: np.ndarray
@@ -137,12 +137,12 @@ class DouglasInput:
     quadrature_n: int
 
     def __post_init__(self):
-        curve = np.asarray(self.curve_samples, dtype=float)
+        curve = real_array(self.curve_samples, "curve_samples")
         if curve.ndim == 1:
             curve = curve[:, None]
         if curve.ndim != 2:
             raise ValueError(f"curve samples must be a (K, n) array, got shape {curve.shape}")
-        phi = np.asarray(self.phi, dtype=float).ravel()
+        phi = real_array(self.phi, "phi").ravel()
         object.__setattr__(self, "curve_samples", curve)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "quadrature_n", integer_value(self.quadrature_n, "quadrature_n"))
@@ -166,9 +166,8 @@ class DouglasInput:
     @staticmethod
     def identity(curve_samples: np.ndarray, quadrature_n: int) -> "DouglasInput":
         """Input with the identity reparametrization on the curve's grid."""
-        curve = np.asarray(curve_samples, dtype=float)
-        count = curve.shape[0]
-        grid = np.arange(count) * (2 * math.pi / count)
+        curve = real_array(curve_samples, "curve_samples")
+        grid = np.linspace(0.0, 2 * math.pi, len(np.atleast_1d(curve)), endpoint=False)  # empty for no samples
         return DouglasInput(curve, grid, quadrature_n)
 
 

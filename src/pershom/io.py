@@ -1,16 +1,20 @@
 """Text formats: barcodes (.bar), diagrams (.dgm), filtrations (.flt),
 covers (.cov), and the numeric inputs of the command-line tool.
 
-All formats are line based; ``#`` starts a comment and blank lines are
-skipped.  Floats are written with ``repr`` so endpoint values round-trip
-bit-exactly, and infinite endpoints appear as ``inf`` / ``-inf``.
+Every format is read by one text rule.  Lines end at the ASCII line breaks
+of ``str.splitlines`` (LF, CR LF, CR, form feed, ...); ``#`` starts a
+comment that runs to the next such break; blank lines are skipped and
+fields are split at ASCII whitespace.  Outside comments the text must be
+ASCII: any other character is refused at its line.  Floats are written
+with ``repr`` so endpoint values round-trip bit-exactly, and infinite
+endpoints appear as ``inf`` / ``-inf``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator, List, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,6 +23,8 @@ from .barcode import Barcode, ExtendedReal, Interval
 from .covers import Cover, CoverSetError
 from .diagram import DiagramPoint, PersistenceDiagram, _from_points, _multiplicity
 from .filtration import ComplexValidationError, FilteredComplex
+
+T = TypeVar("T")
 
 
 class FormatError(ValueError):
@@ -30,31 +36,44 @@ class FormatError(ValueError):
         super().__init__(f"{source}:{lineno}: {message}")
 
 
-def _content_lines(text: str) -> Iterable[Tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+_BREAK = r"\n\r\x0b\x0c\x1c-\x1e"  # the ASCII line breaks of str.splitlines, as a character class
+_BREAKS = re.compile(rf"\r\n|[{_BREAK}]")
+_COMMENT = re.compile(rf"#[^{_BREAK}]*")
 
 
-_BAR_LINE = re.compile(
-    r"^(?P<degree>-?\d+)\s+(?P<left>[\[(])(?P<lo>[^,]+),(?P<hi>[^])]+)(?P<right>[])])$"
-)
+def _each_line(text: str, source: str, read: Callable[[str], T]) -> List[Tuple[int, T]]:
+    """The (line number, read(content)) of each content line of text in any
+    of these formats, in order.  The first line that holds a non-ASCII
+    character outside its comment, or whose `read` raises a ValueError,
+    raises a FormatError located at it."""
+    rows = []
+    for lineno, line in enumerate(_BREAKS.split(text), start=1):
+        line = line.partition("#")[0]
+        if not line.isascii():
+            char = next(c for c in line if not c.isascii())
+            raise FormatError(source, lineno, f"non-ASCII character {char!r} (U+{ord(char):04X}) outside a comment")
+        line = line.strip()
+        try:
+            if line:
+                rows.append((lineno, read(line)))
+        except ValueError as exc:
+            raise FormatError(source, lineno, str(exc)) from exc
+    return rows
+
+
+_BAR_LINE = re.compile(r"^(?P<degree>-?\d+)\s+(?P<left>[\[(])(?P<lo>[^,]+),(?P<hi>[^])]+)(?P<right>[])])$")
+
+
+def _bar(line: str) -> Tuple[int, Interval]:
+    match = _BAR_LINE.match(line)
+    if not match:
+        raise ValueError(f"expected '<degree> <[|(><lo>,<hi><)|]>', got {line!r}")
+    lo, hi = ExtendedReal(match["lo"]), ExtendedReal(match["hi"])
+    return int(match["degree"]), Interval(lo, hi, match["left"] == "[", match["right"] == "]")
 
 
 def parse_barcode(text: str, source: str = "<barcode>") -> Barcode:
-    bars = []
-    for lineno, line in _content_lines(text):
-        match = _BAR_LINE.match(line)
-        if not match:
-            raise FormatError(source, lineno, f"expected '<degree> <[|(><lo>,<hi><)|]>', got {line!r}")
-        try:
-            lo, hi = ExtendedReal(match["lo"]), ExtendedReal(match["hi"])
-            interval = Interval(lo, hi, match["left"] == "[", match["right"] == "]")
-        except ValueError as exc:
-            raise FormatError(source, lineno, str(exc)) from exc
-        bars.append((int(match["degree"]), interval))
-    return Barcode(bars)
+    return Barcode([bar for _, bar in _each_line(text, source, _bar)])
 
 
 def format_barcode(barcode: Barcode) -> str:
@@ -71,17 +90,14 @@ def write_barcode(path, barcode: Barcode) -> None:
         handle.write(format_barcode(barcode))
 
 
-def _check_point_row(line: str, source: str, lineno: int) -> None:
-    """The checks of one `.dgm` content line, raising a FormatError located at it."""
+def _check_point_row(line: str) -> None:
+    """The checks of one `.dgm` content line, raising a ValueError."""
     fields = line.split()
     if len(fields) != 4:
-        raise FormatError(source, lineno, f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
-    try:
-        int(fields[0])
-        DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
-        _multiplicity(int(fields[3]))
-    except ValueError as exc:
-        raise FormatError(source, lineno, str(exc)) from exc
+        raise ValueError(f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
+    int(fields[0])
+    DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
+    _multiplicity(int(fields[3]))
 
 
 def _diagram_items(rows: List[List[str]]) -> List[Tuple[Tuple[int, ExtendedReal, ExtendedReal], int]]:
@@ -99,17 +115,16 @@ def _diagram_items(rows: List[List[str]]) -> List[Tuple[Tuple[int, ExtendedReal,
 
 
 def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:
-    """The lines are split and converted at once, as the `.flt` reader
-    does; on any defect the per-line checks, in line order, name the first
-    defective line."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
+    """Text that is ASCII once its comments are cut is split and converted
+    at once, as the `.flt` reader does; on any defect, or any other text,
+    the per-line checks, in line order, name the first defective line."""
+    content = _COMMENT.sub("", text) if "#" in text else text
     try:
-        return _from_points(_diagram_items(list(filter(None, map(str.split, lines)))))
+        if not content.isascii():
+            raise ValueError
+        return _from_points(_diagram_items(list(filter(None, map(str.split, content.splitlines())))))
     except ValueError:
-        for lineno, line in _content_lines(text):
-            _check_point_row(line, source, lineno)
+        _each_line(text, source, _check_point_row)
         raise
 
 
@@ -127,56 +142,40 @@ def write_diagram(path, diagram: PersistenceDiagram) -> None:
         handle.write(format_diagram(diagram))
 
 
-_CHUNK = 1 << 17  # characters, so ASCII bytes, of .flt text lexed at a time, cut after a "\n"
-_BREAK = r"\n\r\x0b\x0c\x1c-\x1e"  # the ASCII line breaks of str.splitlines, as a character class
-_BREAKS = re.compile(rf"\r\n|[{_BREAK}]")
-_COMMENT = re.compile(rf"#[^{_BREAK}]*")
+_CHUNK = 1 << 17  # characters, so ASCII bytes, of .flt text lexed at a time, cut after a line break
 _KEYWORD = np.frombuffer(b"simplex", np.uint8)
 _WIDTH = 32  # value tokens up to this long are compared in numpy, longer ones converted one by one
 _PREFIX = np.tri(_WIDTH + 1, _WIDTH, -1, np.uint8) * np.uint8(255)  # row k keeps the first k bytes
 _DIGITS = 18  # an id of up to 18 digits fits int64
 
 
-def _flt_lines(text: str, source: str) -> Iterator[Tuple[int, str]]:
-    """The (line number, content) of each content line of `.flt` text, whose
-    lines end at ASCII line breaks; a line holding a non-ASCII character
-    outside its comment raises a FormatError naming it."""
-    for lineno, line in enumerate(_BREAKS.split(text), start=1):
-        line = line.partition("#")[0]
-        if not line.isascii():
-            char = next(c for c in line if not c.isascii())
-            raise FormatError(source, lineno, f"non-ASCII character {char!r} (U+{ord(char):04X}) outside a comment")
-        line = line.strip()
-        if line:
-            yield lineno, line
-
-
-def _check_row(line: str, source: str, lineno: int) -> None:
-    """The checks of one content line, raising a FormatError located at it."""
+def _check_row(line: str) -> Tuple[int, ...]:
+    """The sorted vertices of a `.flt` content line; a defect raises a ValueError."""
     fields = line.split()
     if fields[0] != "simplex" or len(fields) < 3:
-        raise FormatError(source, lineno, f"expected 'simplex <value> <v0> [v1 ...]', got {line!r}")
-    try:
-        float(fields[1])
-        verts = sorted(map(int, fields[2:]))
-        if verts[0] < 0:
-            raise ValueError("vertex ids must be nonnegative")
-        if len(set(verts)) != len(verts):
-            raise ValueError(f"repeated vertex in {verts}")
-    except ValueError as exc:
-        raise FormatError(source, lineno, str(exc)) from exc
+        raise ValueError(f"expected 'simplex <value> <v0> [v1 ...]', got {line!r}")
+    float(fields[1])
+    verts = sorted(map(int, fields[2:]))
+    if verts[0] < 0:
+        raise ValueError("vertex ids must be nonnegative")
+    if len(set(verts)) != len(verts):
+        raise ValueError(f"repeated vertex in {verts}")
+    return tuple(verts)
 
 
 def _chunks(text: str) -> Iterator[bytes]:
-    """The text in pieces of at most `_CHUNK` characters, each cut after a
-    "\n" (a piece with no "\n" in its first `_CHUNK` characters runs to the
-    next one), without comments and as ASCII bytes, in which "?", which no
-    token may hold, stands for any other character."""
+    """The text in pieces of at most `_CHUNK` characters, each cut after an
+    ASCII line break (a piece with none in its first `_CHUNK` characters runs
+    to the next one), without comments and as ASCII bytes, in which "?",
+    which no token may hold, stands for any other character."""
     start = 0
     while start < len(text):
         end = start + _CHUNK
         if end < len(text):
-            end = text.rfind("\n", start, end) + 1 or text.find("\n", end) + 1 or len(text)
+            found = _BREAKS.search(text, end)
+            end = (text.rfind("\n", start, end) + 1  # the other breaks are looked for only where no "\n" is
+                   or max(text.rfind(c, start, end) for c in "\r\x0b\x0c\x1c\x1d\x1e") + 1
+                   or (found.end() if found else len(text)))
         chunk = text[start:end]
         yield (_COMMENT.sub("", chunk) if "#" in chunk else chunk).encode("ascii", "replace")
         start = end
@@ -253,13 +252,12 @@ def parse_filtration(text: str, source: str = "<filtration>") -> FilteredComplex
     try:
         parts = [_lex(chunk) for chunk in _chunks(text)] or [_lex(b"")]
     except ValueError:  # the row checks, in line order, name the first defective row
-        for lineno, line in _flt_lines(text, source):
-            _check_row(line, source, lineno)
+        _each_line(text, source, _check_row)
         raise
     try:
         return FilteredComplex._from_arrays(*map(np.concatenate, zip(*parts)))
     except ComplexValidationError as exc:
-        line_of = {tuple(sorted(map(int, line.split()[2:]))): lineno for lineno, line in _flt_lines(text, source)}
+        line_of = {verts: lineno for lineno, verts in _each_line(text, source, _check_row)}
         raise FormatError(source, line_of[exc.simplex], str(exc)) from exc
 
 
@@ -280,33 +278,28 @@ def write_filtration(path, complex_: FilteredComplex) -> None:
         handle.write(format_filtration(complex_))
 
 
+def _cover_row(line: str) -> Tuple[Optional[str], List[int]]:
+    """The (set id, elements) of a `.cov` content line, the id None on `ground`."""
+    kind, *fields = line.split()
+    if kind == "ground":
+        return None, [int(v) for v in fields]
+    if kind != "set":
+        raise ValueError(f"expected 'set' or 'ground' line, got {line!r}")
+    if not fields:
+        raise ValueError("expected 'set <id> [elem ...]'")
+    return fields[0], [int(v) for v in fields[1:]]
+
+
 def parse_cover(text: str, source: str = "<cover>") -> Cover:
-    ground = None
-    sets: List[Tuple[str, List[int]]] = []
-    linenos = []
-    for lineno, line in _content_lines(text):
-        fields = line.split()
-        if fields[0] == "ground":
-            if ground is not None or sets:
-                raise FormatError(source, lineno, "'ground' must be the first content line")
-            try:
-                ground = [int(v) for v in fields[1:]]
-            except ValueError as exc:
-                raise FormatError(source, lineno, str(exc)) from exc
-        elif fields[0] == "set":
-            if len(fields) < 2:
-                raise FormatError(source, lineno, "expected 'set <id> [elem ...]'")
-            try:
-                sets.append((fields[1], [int(v) for v in fields[2:]]))
-            except ValueError as exc:
-                raise FormatError(source, lineno, str(exc)) from exc
-            linenos.append(lineno)
-        else:
-            raise FormatError(source, lineno, f"expected 'set' or 'ground' line, got {line!r}")
+    rows = _each_line(text, source, _cover_row)
+    late = [lineno for lineno, (name, _) in rows[1:] if name is None]
+    if late:
+        raise FormatError(source, late[0], "'ground' must be the first content line")
+    ground = rows.pop(0)[1][1] if rows and rows[0][1][0] is None else None
     try:
-        return Cover(sets, ground=ground)
+        return Cover([row for _, row in rows], ground=ground)
     except CoverSetError as exc:
-        raise FormatError(source, linenos[exc.index], str(exc)) from exc
+        raise FormatError(source, rows[exc.index][0], str(exc)) from exc
 
 
 def read_cover(path) -> Cover:
@@ -314,39 +307,38 @@ def read_cover(path) -> Cover:
         return parse_cover(handle.read(), source=str(path))
 
 
-def _numeric_rows(path, sep, expected: str) -> List[Tuple[int, List[float]]]:
-    """The (line number, numbers) rows of a file; a file without content
-    lines is reported at line 0."""
+def _numeric_rows(path, read: Callable[[str], List[float]], expected: str) -> List[Tuple[int, List[float]]]:
+    """The (line number, numbers) rows of a file; a file without any is reported at line 0."""
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    rows = []
-    for lineno, line in _content_lines(text):
-        try:
-            rows.append((lineno, [float(field) for field in line.split(sep)]))
-        except ValueError as exc:
-            raise FormatError(str(path), lineno, str(exc)) from exc
+        rows = _each_line(handle.read(), str(path), read)
     if not rows:
         raise FormatError(str(path), 0, f"expected {expected}, got no rows")
     return rows
 
 
+def _matrix_row(line: str) -> List[float]:
+    row = [float(field) for field in line.split()]
+    for column, entry in enumerate(row, 1):
+        if math.isnan(entry):
+            raise ValueError(f"entry {column} is NaN")
+    return row
+
+
 def read_distance_matrix(path) -> np.ndarray:
     """Square whitespace-separated matrix, one row per line, without NaN."""
-    rows = _numeric_rows(path, None, "a square whitespace-separated matrix")
+    rows = _numeric_rows(path, _matrix_row, "a square whitespace-separated matrix")
     n = len(rows)
     for lineno, row in rows:
         if len(row) != n:
             message = f"a square matrix of {n} rows needs {n} entries per row, got {len(row)}"
             raise FormatError(str(path), lineno, message)
-        for column, entry in enumerate(row, 1):
-            if math.isnan(entry):
-                raise FormatError(str(path), lineno, f"entry {column} is NaN")
     return np.array([row for _, row in rows], dtype=float)
 
 
 def read_csv_samples(path) -> np.ndarray:
     """One sample per line, comma-separated coordinates."""
-    rows = _numeric_rows(path, ",", "comma-separated rows of equal length")
+    rows = _numeric_rows(path, lambda line: [float(field) for field in line.split(",")],
+                         "comma-separated rows of equal length")
     width = len(rows[0][1])
     for lineno, row in rows:
         if len(row) != width:

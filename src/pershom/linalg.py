@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .barcode import integer_value
+
 
 @dataclass(frozen=True)
 class PrimeField:
@@ -13,6 +15,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", integer_value(self.p, "characteristic"))
         if not (2 <= self.p < 2**31):
             raise ValueError(f"characteristic out of range: {self.p}")
         if any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):  # at most 46,339 divisions

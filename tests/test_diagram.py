@@ -186,6 +186,28 @@ def test_diagram_of_makes_one_point_per_distinct_point(monkeypatch):
     assert diagram == diagram_oracle(barcode)
 
 
+def test_diagram_constructor_checks_points_in_bulk(monkeypatch):
+    import pershom.diagram
+
+    made = []
+
+    class Counted(pershom.diagram.DiagramPoint):
+        __slots__ = ()
+
+        def __new__(cls, p, q):
+            made.append((p, q))
+            return super().__new__(cls, p, q)
+
+    monkeypatch.setattr(pershom.diagram, "DiagramPoint", Counted)
+    diagram = PersistenceDiagram({1: [(0.5, 2), (-0.0, 1)], 0: {(0.0, 1): 2, (0, math.inf): 1}, 2: [], -1: {}})
+    assert made == []  # the rules are checked over all points at once, as for `diagram_of`
+    assert diagram.degrees() == (0, 1)
+    assert [list(diagram.items(d)) for d in (0, 1)] == [[((0.0, 1.0), 2), ((0.0, math.inf), 1)],
+                                                      [((-0.0, 1.0), 1), ((0.5, 2.0), 1)]]
+    with pytest.raises(ValueError, match=r"^multiplicity must be an integer, got 1.5$"):
+        PersistenceDiagram({0: {(0, 1): 1.5}})
+
+
 def test_diagram_of_compares_no_intervals(monkeypatch):
     # bars are counted by value; a computed barcode repeats one tuple per
     # distinct bar, which a dict finds by identity, so no Interval.__eq__ runs

@@ -1,6 +1,7 @@
 """Worked constructions: earring truncations, product family, Douglas energy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,7 +214,26 @@ def test_douglas_input_validation():
         DouglasInput.identity(curve, 4)
     with pytest.raises(ValueError, match="quadrature_n must be an integer, got 8.5"):
         DouglasInput.identity(curve, 8.5)
+    with pytest.raises(ValueError, match="^need at least one curve sample$"):  # not a division by zero
+        DouglasInput.identity([], 8)
+    with pytest.raises(ValueError, match=r"^curve samples must be a \(K, n\) array, got shape \(\)$"):
+        DouglasInput.identity(1.0, 8)
     assert type(DouglasInput.identity(curve, np.int64(8)).quadrature_n) is int
+
+
+@pytest.mark.parametrize("text", ["1", b"1", bytearray(b"1")])
+def test_douglas_input_refuses_text_samples(text):
+    # numpy would parse text, so that a curve written as strings gave a value
+    words = [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]]
+    with pytest.raises(ValueError, match=r"^curve_samples has the text '1' at \(0, 0\), not a number$"):
+        DouglasInput(words, ["0", "1.5", "3", "4.5"], 8)
+    curve = circle_samples(4).tolist()
+    curve[2][1] = text
+    with pytest.raises(ValueError, match=rf"^curve_samples has the text {re.escape(repr(text))} at \(2, 1\)"):
+        DouglasInput.identity(curve, 8)
+    phi = [0.0, 1.5, text, 4.5]
+    with pytest.raises(ValueError, match=rf"^phi has the text {re.escape(repr(text))} at \(2,\), not a number$"):
+        DouglasInput(circle_samples(4), phi, 8)
 
 
 def test_douglas_input_refuses_a_grid_over_the_limit():

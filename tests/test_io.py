@@ -551,7 +551,7 @@ def test_filtration_reader_cut_at_every_character(monkeypatch, text):
         monkeypatch.setattr(pershom.io, "_CHUNK", chunk)
         pieces = list(pershom.io._chunks(text))
         assert b"".join(pieces) == pershom.io._COMMENT.sub("", text).encode()
-        assert all(piece.endswith(b"\n") for piece in pieces[:-1])
+        assert all(piece[-1] in b"\n\r\x0b\x0c\x1c\x1d\x1e" for piece in pieces[:-1])  # an ASCII line break
         assert _read_with(parse_filtration, text) == expected
 
 
@@ -596,6 +596,78 @@ def test_filtration_accepts_non_ascii_comments():
     assert err.value.lineno == 5
 
 
+# --------------------------------------------- one text rule for every reader
+
+
+def _read_text(reader, text, tmp_path):
+    if reader in (read_csv_samples, read_distance_matrix):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return reader(path).tolist()
+    read = reader(text, source="in.txt")
+    return read.simplices if reader is parse_filtration else read
+
+
+_GOOD = {  # two content lines of each format, the first with a comment at "@", the second with a " " and a "1"
+    parse_barcode: ("0 [0,1) @", "1 [0.5,inf)"),
+    parse_diagram: ("0 0 1 1 @", "1 0.5 inf 2"),
+    parse_cover: ("set A 1 2 @", "set B 1 3"),
+    parse_filtration: ("simplex 0 0 @", "simplex 0 1"),
+    read_csv_samples: ("1,0 @", "0, 1"),
+    read_distance_matrix: ("0 1 @", "1 0"),
+}
+
+
+def _lines_of(reader, comment):
+    first, second = _GOOD[reader]
+    return first.replace("@", comment), second
+
+
+@pytest.mark.parametrize("reader", list(_GOOD), ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize("char", [
+    "\xa0",  # a separator to str.split
+    "\u2028",  # a line break to str.splitlines
+    "\u0661",  # a digit to int and float
+])
+def test_every_reader_refuses_non_ascii_outside_comments(tmp_path, reader, char):
+    first, second = _lines_of(reader, "")
+    bad = second.replace("1", char, 1) if char == "\u0661" else second.replace(" ", char, 1)
+    with pytest.raises(FormatError) as err:
+        _read_text(reader, f"# header\n{first}\n{bad}\n", tmp_path)
+    assert err.value.lineno == 3
+    assert str(err.value).endswith(f":3: non-ASCII character {char!r} (U+{ord(char):04X}) outside a comment")
+
+
+@pytest.mark.parametrize("reader", list(_GOOD), ids=lambda reader: reader.__name__)
+def test_every_reader_accepts_non_ascii_comments(tmp_path, reader):
+    plain = _read_text(reader, "\n".join(_lines_of(reader, "")) + "\n", tmp_path)
+    first, second = _lines_of(reader, "# na\xefve \xa0\u0661 \x85 x")
+    # a comment runs to the next ASCII line break, so U+2028 and U+0085 do not end it
+    text = "# Gr\xf6\xdfe \u2028 " + second + "\n" + first + "\r\n" + second + "\n"
+    assert _read_text(reader, text, tmp_path) == plain
+
+
+@pytest.mark.parametrize("reader", list(_GOOD), ids=lambda reader: reader.__name__)
+def test_every_reader_ends_lines_and_comments_at_ascii_breaks(tmp_path, reader):
+    plain = _read_text(reader, "\n".join(_lines_of(reader, "")) + "\n", tmp_path)
+    first, second = _lines_of(reader, "# c")
+    for end in ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]:
+        assert _read_text(reader, first + end + second + end, tmp_path) == plain
+
+
+@pytest.mark.parametrize("reader, text", [
+    (parse_diagram, "0\xa00 \u0661 1\n"),
+    (parse_barcode, "0 [0,\u0661)\n"),
+    (parse_cover, "set A \u0661 2\n"),
+    (read_distance_matrix, "0 \u0661\n\u0661\xa00\n"),
+    (read_csv_samples, "\u0661,0\n"),
+    (parse_cover, "set \xc4 1\n"),  # a set id too
+])
+def test_unicode_digits_and_separators_are_not_read(tmp_path, reader, text):
+    with pytest.raises(FormatError, match=r":1: non-ASCII character .* outside a comment$"):
+        _read_text(reader, text, tmp_path)
+
+
 @pytest.mark.parametrize("text, lineno, message", [
     ("simplex 0 0 simplex 0 1\n", 1, "invalid literal for int() with base 10: 'simplex'"),
     ("simplex 0 0\nsimplex 0\n1\n", 2, "expected 'simplex <value> <v0> [v1 ...]', got 'simplex 0'"),
@@ -635,8 +707,8 @@ def test_filtration_lexing_memory_stays_within_a_chunk(monkeypatch):
 
     monkeypatch.setattr(pershom.io, "_lex", traced)
 
-    def lexing_peak(rows):
-        text = "".join(f"simplex {i / 7!r} {i}\n" for i in range(rows))
+    def lexing_peak(rows, end="\n"):
+        text = "".join(f"simplex {i / 7!r} {i}{end}" for i in range(rows))
         del peaks[:]
         tracemalloc.start()
         try:
@@ -646,10 +718,12 @@ def test_filtration_lexing_memory_stays_within_a_chunk(monkeypatch):
         return max(peaks), len(text)
 
     small, small_text = lexing_peak(10_000)
-    large, large_text = lexing_peak(80_000)
-    assert large_text > 8 * pershom.io._CHUNK > 2 * small_text
-    assert large < 1.2 * small  # the same pieces, only more of them
-    assert large < 32 * pershom.io._CHUNK
+    for end in ["\n", "\r"]:  # a piece is cut after any ASCII line break
+        large, large_text = lexing_peak(80_000, end)
+        assert len(peaks) >= 10
+        assert large_text > 8 * pershom.io._CHUNK > 2 * small_text
+        assert large < 1.2 * small  # the same pieces, only more of them
+        assert large < 32 * pershom.io._CHUNK
 
 
 # --------------------------------------------- bulk .dgm reader against the per-line one

@@ -40,6 +40,21 @@ def test_prime_field_at_the_edges_of_its_range():
         assert str(err.value) == f"characteristic out of range: {n}"
 
 
+@pytest.mark.parametrize("p", [3.0, "3", b"3", None, 2.5])
+def test_prime_field_takes_its_characteristic_by_the_integer_rule(p):
+    # `int` would truncate or parse each; a named ValueError, not a TypeError from inside the check
+    with pytest.raises(ValueError) as err:
+        PrimeField(p)
+    assert str(err.value) == f"characteristic must be an integer, got {p!r}"
+
+
+def test_prime_field_keeps_an_index_as_an_int():
+    import numpy as np
+
+    field = PrimeField(np.int64(5))
+    assert type(field.p) is int and field == PrimeField(5)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
 def test_inverse_times_its_element_is_one(p):
     field = PrimeField(p)
