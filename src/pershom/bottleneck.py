@@ -41,12 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import sub
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .barcode import POS_INF, Barcode, ExtendedReal, query_value
-from .diagram import DiagramPoint, PersistenceDiagram, diagram_of
+from .diagram import DiagramPoint, PersistenceDiagram, _made, diagram_of
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -91,29 +92,36 @@ def _diagonal_cost(pt: DiagramPoint) -> float:
     return math.inf
 
 
-def _classes(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> Iterator[
-    Tuple[Tuple[bool, bool], List[DiagramPoint], List[DiagramPoint]]
-]:
+Side = Tuple[np.ndarray, np.ndarray]  # the births and deaths of a class's points in one diagram, one per copy
+
+
+def _classes(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> Iterator[Tuple[Tuple[bool, bool], Side, Side]]:
     """Each infinity class that holds a degree-d point, in sorted order, with
-    its points in a and in b, each side sorted."""
-    split: Tuple[Dict, Dict] = ({}, {})
-    for side, diagram in zip(split, (a, b)):
-        for pt in _expand(diagram, d):
-            side.setdefault(_infinity_class(pt), []).append(pt)
-    for cls in sorted(split[0].keys() | split[1].keys()):
-        yield cls, split[0].get(cls, []), split[1].get(cls, [])
+    its points in a and in b, each side sorted, read from the diagrams'
+    arrays with one entry per copy of a point."""
+    sides = []
+    for diagram in (a, b):
+        p, q, mult = diagram.arrays(d)
+        copies = mult.astype(np.intp)
+        p, q = p.repeat(copies), q.repeat(copies)
+        sides.append((p, q, 2 * np.isfinite(p) + np.isfinite(q)))  # the class as a number, in the order of the pairs
+    for cls in sorted(set(sides[0][2].tolist()).union(sides[1][2].tolist())):
+        masks = [code == cls for _, _, code in sides]
+        yield (cls > 1, cls % 2 == 1), *((p[mask], q[mask]) for (p, q, _), mask in zip(sides, masks))
 
 
-def _class_costs(
-    points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _line(cls: Tuple[bool, bool], side: Side) -> List[float]:
+    """The finite coordinate of each point of a class with an infinite one,
+    0 for each (-inf, inf): its position on the line the class lies on."""
+    p, q = side
+    return (p if cls[0] else q if cls[1] else np.zeros(len(p))).tolist()
+
+
+def _class_costs(a: Side, b: Side) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair costs of the finite class as an n x m matrix, by the float
     expressions of `_pair_cost`, and the diagonal costs of each side by
     those of `_diagonal_cost`."""
-    pa = np.array([pt.p for pt in points_a], dtype=float)
-    qa = np.array([pt.q for pt in points_a], dtype=float)
-    pb = np.array([pt.p for pt in points_b], dtype=float)
-    qb = np.array([pt.q for pt in points_b], dtype=float)
+    (pa, qa), (pb, qb) = a, b
     cost = np.maximum(np.abs(np.subtract.outer(pa, pb)), np.abs(np.subtract.outer(qa, qb)))
     return cost, (qa - pa) / 2.0, (qb - pb) / 2.0
 
@@ -249,10 +257,8 @@ def _matched_costs(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, par
     ))
 
 
-def _finite_class_bottleneck(
-    points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint]
-) -> float:
-    cost, diag_a, diag_b = _class_costs(points_a, points_b)
+def _finite_class_bottleneck(a: Side, b: Side) -> float:
+    cost, diag_a, diag_b = _class_costs(a, b)
     grid = np.unique(np.concatenate(([0.0], diag_a, diag_b, cost.ravel())))
     # The bound is one of the costs, so it sits exactly in the grid.  Leaving
     # every point unmatched is allowed at the largest diagonal cost, so the
@@ -278,22 +284,19 @@ def _finite_class_bottleneck(
     return float(grid[lo])
 
 
-def _line_matching(
-    points_a: Sequence[DiagramPoint], points_b: Sequence[DiagramPoint], delta: float
-) -> List[int]:
+def _line_matching(xa: Sequence[float], xb: Sequence[float], delta: float) -> List[int]:
     """The B partner of every A point (-1 when unmatched) in a maximum
     matching within delta of a class with an infinite coordinate, each side
-    given sorted.  Such a class lies on a line, in sorted order along it:
-    walk both sides, pair the two leading points when they are within delta,
-    and otherwise drop the lower one, which is too far from every point left
-    on the other side."""
-    partner = [-1] * len(points_a)
+    given sorted, by its `_line` positions.  Walk both sides, pair the two
+    leading points when they are within delta, and otherwise drop the lower
+    one, which is too far from every point left on the other side."""
+    partner = [-1] * len(xa)
     i = j = 0
-    while i < len(points_a) and j < len(points_b):
-        if _pair_cost(points_a[i], points_b[j]) <= delta:
+    while i < len(xa) and j < len(xb):
+        if abs(xa[i] - xb[j]) <= delta:
             partner[i] = j
             i, j = i + 1, j + 1
-        elif points_a[i] < points_b[j]:
+        elif xa[i] < xb[j]:
             i += 1
         else:
             j += 1
@@ -309,13 +312,13 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> Extended
     essential counts make matching impossible.
     """
     worst = 0.0
-    for cls, pts_a, pts_b in _classes(a, b, d):
+    for cls, side_a, side_b in _classes(a, b, d):
         if cls == (True, True):
-            worst = max(worst, _finite_class_bottleneck(pts_a, pts_b))
-        elif len(pts_a) != len(pts_b):
+            worst = max(worst, _finite_class_bottleneck(side_a, side_b))
+        elif len(side_a[0]) != len(side_b[0]):
             return POS_INF
         else:  # `_line_matching` at delta = inf: the sorted pairing
-            worst = max(worst, *map(_pair_cost, pts_a, pts_b))
+            worst = max(worst, *map(abs, map(sub, _line(cls, side_a), _line(cls, side_b))))
     return ExtendedReal(worst)
 
 
@@ -324,7 +327,8 @@ def matching_at(
 ) -> MatchingResult:
     """Explicit matching with every matched pair within L-inf distance delta
     and every unmatched point within delta of the diagonal, if one exists;
-    else the maximum matching that shows there is none."""
+    else the maximum matching that shows there is none.  Its points are the
+    only ones made."""
     delta = query_value(delta, "delta")
     if delta < 0:
         raise ValueError(f"requires delta >= 0, got {delta}")
@@ -332,14 +336,15 @@ def matching_at(
     unmatched_a: List[DiagramPoint] = []
     unmatched_b: List[DiagramPoint] = []
     feasible = True
-    for cls, pts_a, pts_b in _classes(a, b, d):
-        n, m = len(pts_a), len(pts_b)
+    for cls, side_a, side_b in _classes(a, b, d):
+        n, m = len(side_a[0]), len(side_b[0])
         if cls == (True, True):
-            ok, partner = _probe(*_class_costs(pts_a, pts_b), delta, None)
+            ok, partner = _probe(*_class_costs(side_a, side_b), delta, None)
             partner = [j if j < m else -1 for j in partner[:n]]
         else:
-            partner = _line_matching(pts_a, pts_b, delta)
+            partner = _line_matching(_line(cls, side_a), _line(cls, side_b), delta)
             ok = n == m == n - partner.count(-1)
+        pts_a, pts_b = _made(*side_a), _made(*side_b)
         matched.extend((pts_a[i], pts_b[j]) for i, j in enumerate(partner) if j >= 0)
         unmatched_a.extend(pts_a[i] for i, j in enumerate(partner) if j < 0)
         taken = set(partner)

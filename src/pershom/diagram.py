@@ -2,18 +2,30 @@
 
 A diagram point is an endpoint pair (p, q) with p < q, p != +inf and
 q != -inf; openness of the originating interval endpoints is forgotten.
+
+A `PersistenceDiagram` is its arrays.  Each degree keeps its births ``p``
+and deaths ``q`` as float64 and its multiplicities as int64, one row per
+distinct point, sorted by (p, q).  Where a sum of multiplicities could leave
+int64, they are exact Python ints in an object array instead.  Counts are
+masked sums over these arrays.  `DiagramPoint`s, with `ExtendedReal`
+endpoints, are made only when `items` or `multiplicity` asks for them, and
+for a `matching_at` result.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+import math
+from collections import namedtuple
+from functools import partial
 from itertools import repeat
-from operator import itemgetter, lt
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Tuple, Union
+
+import numpy as np
 
 from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, _endpoint, integer_value, query_value
 
 PointLike = Union["DiagramPoint", Tuple[float, float]]
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]  # p, q and multiplicity of the points of one degree
 
 
 class DiagramPoint(namedtuple("DiagramPoint", "p q")):
@@ -44,7 +56,7 @@ class DiagramPoint(namedtuple("DiagramPoint", "p q")):
         return f"({self.p}, {self.q})"
 
 
-def _off_half_plane(p: ExtendedReal, q: ExtendedReal) -> ValueError:
+def _off_half_plane(p: float, q: float) -> ValueError:
     """Why (p, q) breaks the point rule p < q, which also keeps p below +inf
     and q above -inf."""
     if p == POS_INF:
@@ -62,44 +74,68 @@ def _multiplicity(mult) -> int:
     return mult
 
 
-def _from_points(items: Sequence[Tuple[Tuple[int, ExtendedReal, ExtendedReal], int]]) -> "PersistenceDiagram":
-    """The diagram of ``((degree, p, q), multiplicity)`` items with int
-    degrees and multiplicities and ExtendedReal endpoints, a repeated point
-    summing its multiplicities under its first key.  The point rule and the
-    multiplicity rule are checked over all items at once, so each point is
-    then made without a check of its own; the first offender raises what
-    `DiagramPoint` or `PersistenceDiagram` would."""
-    keys, mults = tuple(zip(*items)) or ((), ())
-    if not all(map(lt, map(itemgetter(1), keys), map(itemgetter(2), keys))) or min(mults, default=1) < 1:
-        for (_, p, q), mult in items:
-            _multiplicity(mult)
-            if not p < q:
-                raise _off_half_plane(p, q)
-    counts = dict(items)
-    if len(counts) < len(items):  # a point repeats
-        counts = {}
-        for key, mult in items:
-            counts[key] = counts.get(key, 0) + mult
-    table: Dict[int, Dict[DiagramPoint, int]] = {}
-    for (d, p, q), mult in sorted(counts.items()):  # each key once, so no two items tie
-        table.setdefault(d, {})[tuple.__new__(DiagramPoint, (p, q))] = mult
+_INT64_MAX = np.iinfo(np.int64).max
+_EMPTY: Rows = (np.empty(0), np.empty(0), np.empty(0, np.int64))  # of a degree without points; nothing to write
+_endpoint_of = partial(float.__new__, ExtendedReal)  # an ExtendedReal from a float known not to be NaN
+
+
+def _int_array(values) -> np.ndarray:
+    """Integers as int64, or as exact Python ints in an object array when one does not fit."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
+def _made(p: np.ndarray, q: np.ndarray) -> List[DiagramPoint]:
+    """The points of rows whose rule is already checked, each endpoint made
+    an ExtendedReal and each point a DiagramPoint without a check of its own."""
+    endpoints = zip(map(_endpoint_of, p.tolist()), map(_endpoint_of, q.tolist()))
+    return list(map(tuple.__new__, repeat(DiagramPoint), endpoints))
+
+
+def _from_rows(degree: np.ndarray, p: np.ndarray, q: np.ndarray, mult: np.ndarray) -> "PersistenceDiagram":
+    """The diagram of rows (degree, p, q, multiplicity): integer degrees,
+    float endpoints and integer multiplicities (int64, or Python ints in an
+    object array), a repeated point summing its multiplicities.
+
+    The point rule (p < q, no NaN) and the multiplicity rule (at least 1)
+    are checked over all rows at once; the first offending row raises what
+    `DiagramPoint` or the multiplicity check would.  A stable sort by
+    (degree, p, q) then brings equal points together, by value, and the
+    first of them in row order keeps its bits, so a -0.0 or a 0.0 endpoint
+    stays as it came first."""
+    if not (p < q).all() or mult.min(initial=1) < 1:  # a NaN endpoint fails p < q too
+        k = int(np.flatnonzero(~(p < q) | (mult < 1))[0])
+        if math.isnan(p[k]) or math.isnan(q[k]):
+            raise ValueError("extended real cannot be NaN")
+        _multiplicity(mult[k])
+        raise _off_half_plane(float(p[k]), float(q[k]))
+    if mult.dtype != object and mult.max(initial=0) > _INT64_MAX // max(len(mult), 1):
+        mult = mult.astype(object)  # a sum might leave int64
+    order = np.lexsort((q, p, degree))
+    degree, p, q, mult = degree[order], p[order], q[order], mult[order]
+    repeated = (degree[1:] == degree[:-1]) & (p[1:] == p[:-1]) & (q[1:] == q[:-1])
+    if repeated.any():
+        firsts = np.concatenate(([0], (~repeated).nonzero()[0] + 1))
+        degree, p, q, mult = degree[firsts], p[firsts], q[firsts], np.add.reduceat(mult, firsts)
+    for part in (p, q, mult):
+        part.flags.writeable = False
+    cuts = ((degree[1:] != degree[:-1]).nonzero()[0] + 1).tolist()
+    starts = [0, *cuts] if len(degree) else []
     diagram = object.__new__(PersistenceDiagram)
-    object.__setattr__(diagram, "_points", table)
+    object.__setattr__(diagram, "_rows", {
+        d: (p[start:end], q[start:end], mult[start:end])
+        for d, start, end in zip(degree[starts].tolist(), starts, [*cuts, len(degree)])
+    })
     return diagram
-
-
-def _as_point(value: PointLike) -> DiagramPoint:
-    if isinstance(value, DiagramPoint):
-        return value
-    p, q = value
-    return DiagramPoint(p, q)
 
 
 class PersistenceDiagram:
     """Per-degree multiplicity map with finite support and positive counts,
-    each degree's points kept in canonical order, by p, then q."""
+    each degree's points kept as arrays in canonical order, by p, then q."""
 
-    __slots__ = ("_points",)
+    __slots__ = ("_rows",)
 
     def __init__(self, points: Mapping[int, Union[Mapping[PointLike, int], Iterable[PointLike]]] = None):
         """Build from ``{degree: {point: multiplicity}}`` or ``{degree: [point, ...]}``.
@@ -107,61 +143,72 @@ class PersistenceDiagram:
         Points may be DiagramPoint instances or plain (p, q) pairs; repeats in
         an iterable accumulate multiplicity.  The points are checked at once.
         """
-        items = []
+        rows = []
         for degree, content in (points or {}).items():
             degree = integer_value(degree, "degree")
             for (p, q), mult in content.items() if isinstance(content, Mapping) else zip(content, repeat(1)):
-                items.append(((degree, _endpoint(p, "p"), _endpoint(q, "q")), integer_value(mult, "multiplicity")))
-        object.__setattr__(self, "_points", _from_points(items)._points)
+                rows.append((degree, _endpoint(p, "p"), _endpoint(q, "q"), integer_value(mult, "multiplicity")))
+        degrees, ps, qs, mults = zip(*rows) if rows else ((),) * 4
+        diagram = _from_rows(_int_array(degrees), np.array(ps, float), np.array(qs, float), _int_array(mults))
+        object.__setattr__(self, "_rows", diagram._rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("PersistenceDiagram is immutable")
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._points))
+        return tuple(self._rows)  # made in ascending order
 
-    def _bucket(self, d: int) -> Dict[DiagramPoint, int]:
-        return self._points.get(integer_value(d, "degree"), {})
+    def arrays(self, d: int) -> Rows:
+        """The births, deaths and multiplicities of the degree-d points, as
+        read-only arrays in canonical order, by p, then q."""
+        return self._rows.get(integer_value(d, "degree"), _EMPTY)
 
     def items(self, d: int) -> Iterator[Tuple[DiagramPoint, int]]:
         """The (point, multiplicity) pairs in degree d, by p, then q."""
-        return iter(self._bucket(d).items())
+        p, q, mult = self.arrays(d)
+        return zip(_made(p, q), mult.tolist())
 
     def multiplicity(self, d: int, point: PointLike) -> int:
-        return self._bucket(d).get(_as_point(point), 0)
+        p, q, mult = self.arrays(d)
+        x, y = point if isinstance(point, DiagramPoint) else DiagramPoint(*point)
+        return int(mult[(p == x) & (q == y)].sum())
 
     def count(self, d: int) -> int:
         """Total point count, with multiplicity, in degree d."""
-        return sum(self._bucket(d).values())
+        return int(self.arrays(d)[2].sum())
 
     def total(self) -> int:
-        return sum(self.count(d) for d in self._points)
+        return sum(int(mult.sum()) for _, _, mult in self._rows.values())
 
     def __eq__(self, other):
         if not isinstance(other, PersistenceDiagram):
             return NotImplemented
-        return self._points == other._points
+        return self._rows.keys() == other._rows.keys() and all(
+            np.array_equal(mine, theirs) for d in self._rows for mine, theirs in zip(self._rows[d], other._rows[d])
+        )
 
     def __repr__(self):
         parts = []
-        for d in self.degrees():
-            inner = ", ".join(
-                f"{pt}" if m == 1 else f"{pt}x{m}" for pt, m in self.items(d)
-            )
+        for d, (p, q, mult) in self._rows.items():
+            inner = ", ".join(f"({x}, {y})" if m == 1 else f"({x}, {y})x{m}"
+                              for x, y, m in zip(p.tolist(), q.tolist(), mult.tolist()))
             parts.append(f"{d}: {{{inner}}}")
         return f"PersistenceDiagram({'; '.join(parts)})"
 
 
 def diagram_of(barcode: Barcode) -> PersistenceDiagram:
-    """The diagram of a barcode: its bars counted by value, singletons
-    dropped, then summed per (inf, sup) and checked in bulk, so each point
-    is made once.
+    """The diagram of a barcode: one row per bar, singletons dropped, then
+    checked, sorted and summed per (inf, sup) in bulk.
 
     Endpoint openness is invisible here, so the radical of a barcode has the
     same diagram as the barcode itself.
     """
-    return _from_points([((d, iv.lo, iv.hi), mult) for (d, iv), mult in Counter(barcode).items()
-                         if not iv.is_singleton])
+    bars = barcode.bars
+    p = np.array([iv.lo for _, iv in bars], float)
+    q = np.array([iv.hi for _, iv in bars], float)
+    kept = p < q  # a singleton [a,a] has no point
+    degree = _int_array([d for d, _ in bars])[kept]
+    return _from_rows(degree, p[kept], q[kept], np.ones(len(degree), np.int64))
 
 
 def quadrant_count(diagram: PersistenceDiagram, d: int, x: float, y: float) -> int:
@@ -172,7 +219,8 @@ def quadrant_count(diagram: PersistenceDiagram, d: int, x: float, y: float) -> i
     raises ValueError.
     """
     x, y = query_value(x, "x"), query_value(y, "y")
-    return sum(m for pt, m in diagram.items(d) if pt.p < x and y < pt.q)
+    p, q, mult = diagram.arrays(d)
+    return int(mult[(p < x) & (y < q)].sum())
 
 
 __all__ = ["DiagramPoint", "PersistenceDiagram", "diagram_of", "quadrant_count"]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from operator import ge, index, is_
@@ -31,8 +30,8 @@ from typing import Callable, Collection, Dict, Iterable, Iterator, Mapping, Sequ
 
 import numpy as np
 
-from .barcode import _TEXT, POS_INF, Barcode, ExtendedReal, Interval, integer_value, query_value
-from .diagram import PersistenceDiagram, _from_points
+from .barcode import _TEXT, Barcode, Interval, integer_value, query_value
+from .diagram import PersistenceDiagram, _from_rows
 from .linalg import GF2, PrimeField
 
 Simplex = Tuple[int, ...]
@@ -259,25 +258,16 @@ def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[
     return FilteredComplex((s, max(map(vertex_values.__getitem__, s), default=math.nan)) for s in simplices)
 
 
-def _bar_counts(complex_: FilteredComplex, field: PrimeField) -> Counter:
-    """The bars of the complex over F_p counted by (degree, birth, death),
-    the endpoints ExtendedReals made once per distinct value (by its bits,
-    so -0.0 and 0.0 stay apart) and an essential bar's death +inf.  A pair
-    born and killed at one value is in no sublevel set's homology, so a mask
-    drops it before counting.  Its key (d, v, v) equals no kept key, so the
-    first key of each count, and with it a -0.0 or 0.0 endpoint, stays the
-    one the unmasked pairs give."""
+def _bars(complex_: FilteredComplex, field: PrimeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degree, birth and death of each bar of the complex over F_p, the
+    finite bars first, an essential bar's death +inf.  A pair born and
+    killed at one value is in no sublevel set's homology, so a mask drops it."""
     _, sizes, values, _, _ = complex_._table
     born, died, essential = _pairs(complex_, field)
     kept = values[born] < values[died]
     born, died = born[kept], died[kept]
-    bits, slot = np.unique(values[np.concatenate((born, died, essential))].view(np.int64), return_inverse=True)
-    distinct = list(map(ExtendedReal, bits.view(float).tolist()))
-    value = list(map(distinct.__getitem__, slot.tolist()))  # the births, then the deaths, then the essential births
-    k = len(born)
-    counts = Counter(zip((sizes[born] - 1).tolist(), value[:k], value[k:2 * k]))
-    counts.update(zip((sizes[essential] - 1).tolist(), value[2 * k:], repeat(POS_INF)))
-    return counts
+    births = np.concatenate((born, essential))
+    return sizes[births] - 1, values[births], np.concatenate((values[died], np.full(len(essential), np.inf)))
 
 
 def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2) -> Barcode:
@@ -285,19 +275,23 @@ def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2) -> B
     Finite bars are closed-left/open-right ``[b, e)``; unpaired cycles give
     essential bars ``[b, inf)``.  A pair born and killed at one value is in
     no sublevel set's homology, so it gives no bar.  Each distinct bar is one
-    Interval, repeated as one shared tuple; `persistence_diagram` reads the
-    same counts without making bars."""
+    Interval, made from a row of `persistence_diagram` and repeated as one
+    shared tuple."""
+    diagram = persistence_diagram(complex_, field)
     bars = []
-    for (degree, birth, death), multiplicity in _bar_counts(complex_, field).items():
-        bars += [(degree, Interval(birth, death, True, False))] * multiplicity
+    for degree in diagram.degrees():
+        for birth, death, multiplicity in zip(*(part.tolist() for part in diagram.arrays(degree))):
+            bars += [(degree, Interval(birth, death, True, False))] * multiplicity
     return Barcode(bars)
 
 
 def persistence_diagram(complex_: FilteredComplex, field: PrimeField = GF2) -> PersistenceDiagram:
     """The persistence diagram of the complex over F_p, equal to
-    ``diagram_of(compute_persistence(complex_, field))``, built from the bar
-    counts without making an Interval or a Barcode."""
-    return _from_points(list(_bar_counts(complex_, field).items()))
+    ``diagram_of(compute_persistence(complex_, field))``: its bars, one row
+    each, counted by the diagram's bulk constructor without making an
+    Interval or a Barcode."""
+    degree, birth, death = _bars(complex_, field)
+    return _from_rows(degree, birth, death, np.ones(len(degree), np.int64))
 
 
 def _column(cofacets: array, offsets: array, j: int, p: int) -> Dict[int, int]:

@@ -7,7 +7,8 @@ comment that runs to the next such break; blank lines are skipped and
 fields are split at ASCII whitespace.  Outside comments the text must be
 ASCII: any other character is refused at its line.  Floats are written
 with ``repr`` so endpoint values round-trip bit-exactly, and infinite
-endpoints appear as ``inf`` / ``-inf``.
+endpoints appear as ``inf`` / ``-inf``.  Filtrations and diagrams are read
+into, and diagrams written from, the arrays the library keeps them as.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .barcode import Barcode, ExtendedReal, Interval
 from .covers import Cover, CoverSetError
-from .diagram import DiagramPoint, PersistenceDiagram, _from_points, _multiplicity
+from .diagram import DiagramPoint, PersistenceDiagram, _from_rows, _int_array, _multiplicity
 from .filtration import ComplexValidationError, FilteredComplex
 
 T = TypeVar("T")
@@ -100,36 +101,37 @@ def _check_point_row(line: str) -> None:
     _multiplicity(int(fields[3]))
 
 
-def _diagram_items(rows: List[List[str]]) -> List[Tuple[Tuple[int, ExtendedReal, ExtendedReal], int]]:
-    """The ((degree, p, q), multiplicity) items of split content rows, each
-    distinct token converted once; a row that is not four numbers raises a
-    ValueError.  The diagram checks the point and multiplicity rules."""
-    if set(map(len, rows)) - {4}:
-        raise ValueError
-    degrees, ps, qs, mults = zip(*rows) if rows else ((),) * 4
-    degree_of = {token: int(token) for token in set(degrees)}
-    endpoint_of = {token: ExtendedReal(token) for token in set(ps).union(qs)}  # by text: -0.0 and 0.0 stay apart
-    mult_of = {token: int(token) for token in set(mults)}
-    keys = zip(map(degree_of.__getitem__, degrees), map(endpoint_of.__getitem__, ps), map(endpoint_of.__getitem__, qs))
-    return list(zip(keys, map(mult_of.__getitem__, mults)))
+def _each_once(tokens: Tuple[str, ...], convert: Callable[[str], T]) -> List[T]:
+    """The tokens converted, each distinct one once."""
+    value_of = {token: convert(token) for token in set(tokens)}
+    return list(map(value_of.__getitem__, tokens))
 
 
 def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:
-    """Text that is ASCII once its comments are cut is split and converted
-    at once, as the `.flt` reader does; on any defect, or any other text,
-    the per-line checks, in line order, name the first defective line."""
+    """Text that is ASCII once its comments are cut is split at once, each
+    distinct token converted once by `int` or `float` (by text, so -0.0 and
+    0.0 stay apart), and the rows go to the diagram's bulk constructor, which
+    checks them; on any defect, or any other text, the per-line checks, in
+    line order, name the first defective line."""
     content = _COMMENT.sub("", text) if "#" in text else text
     try:
         if not content.isascii():
             raise ValueError
-        return _from_points(_diagram_items(list(filter(None, map(str.split, content.splitlines())))))
+        rows = list(filter(None, map(str.split, content.splitlines())))
+        if set(map(len, rows)) - {4}:
+            raise ValueError
+        degrees, ps, qs, mults = zip(*rows) if rows else ((),) * 4
+        endpoints = np.array(_each_once(ps + qs, float), np.float64)
+        return _from_rows(_int_array(_each_once(degrees, int)), endpoints[:len(rows)], endpoints[len(rows):],
+                          _int_array(_each_once(mults, int)))
     except ValueError:
         _each_line(text, source, _check_point_row)
         raise
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:
-    return "".join(f"{d} {p!r} {q!r} {mult}\n" for d in diagram.degrees() for (p, q), mult in diagram.items(d))
+    return "".join(f"{d} {p!r} {q!r} {mult}\n"
+                   for d in diagram.degrees() for p, q, mult in zip(*(part.tolist() for part in diagram.arrays(d))))
 
 
 def read_diagram(path) -> PersistenceDiagram:
@@ -335,10 +337,17 @@ def read_distance_matrix(path) -> np.ndarray:
     return np.array([row for _, row in rows], dtype=float)
 
 
+def _sample_row(line: str) -> List[float]:
+    row = [float(field) for field in line.split(",")]
+    for column, entry in enumerate(row, 1):
+        if not math.isfinite(entry):
+            raise ValueError(f"entry {column} is {entry}, not a finite number")
+    return row
+
+
 def read_csv_samples(path) -> np.ndarray:
-    """One sample per line, comma-separated coordinates."""
-    rows = _numeric_rows(path, lambda line: [float(field) for field in line.split(",")],
-                         "comma-separated rows of equal length")
+    """One sample per line, comma-separated finite coordinates."""
+    rows = _numeric_rows(path, _sample_row, "comma-separated rows of equal length")
     width = len(rows[0][1])
     for lineno, row in rows:
         if len(row) != width:

@@ -1,6 +1,7 @@
 """Cap numbers, essential dimensions, and generalized Morse inequalities.
 
-All quantities are integer sums over a persistence diagram.  Two cap-number
+All quantities are integer sums over a persistence diagram: masked sums
+over its arrays, exact Python ints, with no point made.  Two cap-number
 flavors exist side by side: the per-value count sums only over finite
 endpoints at a fixed value t, while the aggregated count also admits
 essential deaths (in the lower degree) and infinite births (in the upper
@@ -18,9 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .barcode import NEG_INF, integer_value, query_value
+import numpy as np
+
+from .barcode import integer_value, query_value
 from .bottleneck import TooLargeError
-from .diagram import DiagramPoint, PersistenceDiagram, quadrant_count
+from .diagram import _EMPTY, DiagramPoint, PersistenceDiagram, Rows, quadrant_count
 
 CAP_GRID_LIMIT = 10**6  # quadrant corners of one cap_finiteness_bound call
 
@@ -42,9 +45,9 @@ class MorseCheckFailed(Exception):
         super().__init__(f"degree {degree}: {message}")
 
 
-def _items(diagram: PersistenceDiagram, d: int):
+def _arrays(diagram: PersistenceDiagram, d: int) -> Rows:
     d = integer_value(d, "degree")
-    return diagram.items(d) if d >= 0 else ()
+    return diagram.arrays(d) if d >= 0 else _EMPTY
 
 
 def _check_eps(eps: float) -> float:
@@ -66,14 +69,10 @@ def cap_number_at(diagram: PersistenceDiagram, d: int, t: float, eps: float) -> 
     t = query_value(t, "t")
     if not math.isfinite(t):
         return 0
-    total = 0
-    for pt, mult in _items(diagram, d - 1):
-        if pt.q == t and math.isfinite(pt.p) and t - pt.p > eps:
-            total += mult
-    for pt, mult in _items(diagram, d):
-        if pt.p == t and math.isfinite(pt.q) and pt.q - t > eps:
-            total += mult
-    return total
+    p, q, mult = _arrays(diagram, d - 1)
+    deaths = int(mult[(q == t) & np.isfinite(p) & (t - p > eps)].sum())
+    p, q, mult = _arrays(diagram, d)
+    return deaths + int(mult[(p == t) & np.isfinite(q) & (q - t > eps)].sum())
 
 
 def cap_number(diagram: PersistenceDiagram, d: int, eps: float) -> int:
@@ -84,29 +83,23 @@ def cap_number(diagram: PersistenceDiagram, d: int, eps: float) -> int:
     included in the second sum, -inf births in the first).
     """
     d, eps = integer_value(d, "degree"), _check_eps(eps)
-    total = 0
-    for pt, mult in _items(diagram, d - 1):
-        if math.isfinite(pt.q) and pt.gap > eps:
-            total += mult
-    for pt, mult in _items(diagram, d):
-        if pt.p != NEG_INF and pt.gap > eps:
-            total += mult
-    return total
+    p, q, mult = _arrays(diagram, d - 1)
+    deaths = int(mult[np.isfinite(q) & (q - p > eps)].sum())
+    p, q, mult = _arrays(diagram, d)
+    return deaths + int(mult[(p != -np.inf) & (q - p > eps)].sum())
 
 
 def essential_dimension(diagram: PersistenceDiagram, d: int) -> int:
     """Number of degree-d points with death at +inf (births at -inf included)."""
-    return sum(m for pt, m in _items(diagram, d) if math.isinf(pt.q))
+    _, q, mult = _arrays(diagram, d)
+    return int(mult[np.isinf(q)].sum())
 
 
 def nu(diagram: PersistenceDiagram, d: int, eps: float) -> int:
     """Number of degree-d points with both endpoints finite and lifetime > eps."""
     eps = _check_eps(eps)
-    return sum(
-        m
-        for pt, m in _items(diagram, d)
-        if math.isfinite(pt.p) and math.isfinite(pt.q) and pt.gap > eps
-    )
+    p, q, mult = _arrays(diagram, d)
+    return int(mult[np.isfinite(p) & np.isfinite(q) & (q - p > eps)].sum())
 
 
 @dataclass(frozen=True)
@@ -144,9 +137,9 @@ def morse_check(diagram: PersistenceDiagram, eps: float, n_max: int) -> MorseRep
     if n_max < 0:
         raise ValueError(f"requires n_max >= 0, got {n_max}")
     for d in diagram.degrees():
-        for pt, _ in diagram.items(d):
-            if pt.p == NEG_INF:
-                raise PreconditionViolated(d, pt)
+        p, q, _ = diagram.arrays(d)
+        if len(p) and p[0] == -np.inf:  # sorted by p, so a -inf birth comes first
+            raise PreconditionViolated(d, DiagramPoint(p[0], q[0]))
 
     rows = []
     nus = {-1: 0}
@@ -193,7 +186,8 @@ def cap_finiteness_bound(
         corners = math.ceil(span) + 1 if math.isfinite(span) else "more than 1e308"
         raise TooLargeError(f"the quadrant grid has {corners} corners, over {CAP_GRID_LIMIT}")
     steps = math.ceil(span)
-    lhs = sum(m for pt, m in _items(diagram, d) if t0 <= pt.p and pt.q <= t1 and pt.gap >= eps)
+    p, q, mult = _arrays(diagram, d)
+    lhs = int(mult[(t0 <= p) & (q <= t1) & (q - p >= eps)].sum())
     rhs = sum(
         quadrant_count(diagram, d, t0 + i * eps / 2, t0 + i * eps / 2 + eps / 2)
         for i in range(steps + 1)

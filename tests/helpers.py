@@ -7,7 +7,9 @@ or reads the face table a complex keeps.  The face-index oracle is the
 tuple-keyed validation that the integer-coded index replaced, the `.flt`
 and `.dgm` oracles the per-line readers that the bulk ones replaced, the
 bar-order oracle the Python sort key that `Barcode` replaced by the order
-of its bars, and the diagram oracle makes one point per bar.  The bottleneck
+of its bars, and the diagram oracle makes one point per bar.  The point
+table and the Morse oracles are the dict of checked points and the loops
+over `items` that the array-backed diagram replaced.  The bottleneck
 oracle decides feasibility on the complete diagonal-slot graph with its
 own augmenting-path matcher and never calls the library's cost matrices or
 its Hopcroft-Karp matching.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -32,9 +34,11 @@ from pershom import (
     FilteredComplex,
     Interval,
     MissingFaceError,
+    MorseReport,
     NonFiniteValueError,
     NonMonotoneError,
     PersistenceDiagram,
+    PreconditionViolated,
     lower_star,
 )
 from pershom.bottleneck import _diagonal_cost, _pair_cost
@@ -42,7 +46,10 @@ from pershom.filtration import facets
 from pershom.io import FormatError
 
 
-def random_diagram(
+_TIES = (-math.inf, -0.0, 0.0, 1.0, math.inf)
+
+
+def random_diagram_rows(
     rng: random.Random,
     max_points: int = 50,
     max_degree: int = 4,
@@ -50,9 +57,14 @@ def random_diagram(
     neg_inf_rate: float = 0.0,
     low: float = -10.0,
     high: float = 10.0,
-) -> PersistenceDiagram:
-    """A random diagram with continuous coordinates (ties have measure zero)."""
-    table = {}
+    tie_rate: float = 0.0,
+    mults: Tuple[int, ...] = (1, 1, 1, 2, 3),
+) -> List[Tuple[int, float, float, int]]:
+    """The (degree, p, q, multiplicity) rows of a random diagram, with
+    continuous coordinates (ties have measure zero).  With ``tie_rate``,
+    that share of the rows repeats an earlier point or takes its endpoints
+    from -inf, -0.0, 0.0, 1.0 and inf."""
+    rows = []
     for _ in range(rng.randint(0, max_points)):
         d = rng.randint(0, max_degree)
         p = rng.uniform(low, high)
@@ -62,7 +74,22 @@ def random_diagram(
             q = math.inf
         else:
             q = p + rng.uniform(1e-3, high - low) if p != -math.inf else rng.uniform(low, high)
-        mult = rng.choice([1, 1, 1, 2, 3])
+        mult = rng.choice(mults)
+        if tie_rate and rng.random() < tie_rate:
+            if rows and rng.random() < 0.5:
+                d, p, q, _ = rng.choice(rows)
+            else:
+                p, q = sorted(rng.sample(_TIES, 2))
+                q = q if p < q else 1.0  # -0.0 and 0.0 drawn together
+        rows.append((d, p, q, mult))
+    return rows
+
+
+def random_diagram(rng: random.Random, **shape) -> PersistenceDiagram:
+    """A random diagram of `random_diagram_rows`, a repeated point summing
+    its multiplicities."""
+    table = {}
+    for d, p, q, mult in random_diagram_rows(rng, **shape):
         bucket = table.setdefault(d, {})
         key = (p, q)
         bucket[key] = bucket.get(key, 0) + mult
@@ -262,6 +289,87 @@ def diagram_oracle(barcode: Barcode) -> PersistenceDiagram:
             bucket = table.setdefault(d, {})
             bucket[float(iv.lo), float(iv.hi)] = bucket.get((float(iv.lo), float(iv.hi)), 0) + 1
     return PersistenceDiagram(table)
+
+
+def point_table_oracle(rows) -> Dict[int, Dict[DiagramPoint, int]]:
+    """The per-point table that the array diagram replaced: each row's point
+    made a checked DiagramPoint and counted in a dict, so a repeated point
+    sums its multiplicities under its first key, each degree then sorted."""
+    table = {}
+    for d, p, q, mult in rows:
+        bucket = table.setdefault(d, {})
+        point = DiagramPoint(p, q)
+        bucket[point] = bucket.get(point, 0) + mult
+    return {d: dict(sorted(table[d].items())) for d in sorted(table)}
+
+
+def table_repr_oracle(table) -> str:
+    parts = []
+    for d, bucket in table.items():
+        inner = ", ".join(f"{pt}" if m == 1 else f"{pt}x{m}" for pt, m in bucket.items())
+        parts.append(f"{d}: {{{inner}}}")
+    return f"PersistenceDiagram({'; '.join(parts)})"
+
+
+def table_format_oracle(table) -> str:
+    return "".join(f"{d} {p!r} {q!r} {mult}\n" for d, bucket in table.items() for (p, q), mult in bucket.items())
+
+
+def _items_oracle(diagram: PersistenceDiagram, d: int):
+    return diagram.items(d) if d >= 0 else ()
+
+
+def quadrant_count_oracle(diagram: PersistenceDiagram, d: int, x: float, y: float) -> int:
+    return sum(m for pt, m in diagram.items(d) if pt.p < x and y < pt.q)
+
+
+def cap_number_at_oracle(diagram: PersistenceDiagram, d: int, t: float, eps: float) -> int:
+    if not math.isfinite(t):
+        return 0
+    total = 0
+    for pt, mult in _items_oracle(diagram, d - 1):
+        if pt.q == t and math.isfinite(pt.p) and t - pt.p > eps:
+            total += mult
+    for pt, mult in _items_oracle(diagram, d):
+        if pt.p == t and math.isfinite(pt.q) and pt.q - t > eps:
+            total += mult
+    return total
+
+
+def cap_number_oracle(diagram: PersistenceDiagram, d: int, eps: float) -> int:
+    total = 0
+    for pt, mult in _items_oracle(diagram, d - 1):
+        if math.isfinite(pt.q) and pt.gap > eps:
+            total += mult
+    for pt, mult in _items_oracle(diagram, d):
+        if pt.p != -math.inf and pt.gap > eps:
+            total += mult
+    return total
+
+
+def essential_dimension_oracle(diagram: PersistenceDiagram, d: int) -> int:
+    return sum(m for pt, m in _items_oracle(diagram, d) if math.isinf(pt.q))
+
+
+def nu_oracle(diagram: PersistenceDiagram, d: int, eps: float) -> int:
+    return sum(m for pt, m in _items_oracle(diagram, d)
+               if math.isfinite(pt.p) and math.isfinite(pt.q) and pt.gap > eps)
+
+
+def morse_check_oracle(diagram: PersistenceDiagram, eps: float, n_max: int) -> MorseReport:
+    """The Morse report from the per-point counts, with no check of the
+    identity or of the partial sums; a -inf birth raises as `morse_check` does."""
+    for d in diagram.degrees():
+        for pt, _ in diagram.items(d):
+            if pt.p == -math.inf:
+                raise PreconditionViolated(d, pt)
+    rows = tuple((d, cap_number_oracle(diagram, d, eps), essential_dimension_oracle(diagram, d),
+                  nu_oracle(diagram, d, eps)) for d in range(n_max + 1))
+    sums, s = [], 0
+    for _, m_eps, p_d, _ in rows:
+        s = m_eps - p_d - s
+        sums.append(s)
+    return MorseReport(eps, rows, tuple(sums))
 
 
 def grid_lower_star(rng: random.Random, n: int = 10, levels: int = 3) -> FilteredComplex:

@@ -259,7 +259,7 @@ def test_douglas_rejects_nan_samples(tmp_path, capsys):
     assert main(["douglas", "--curve", str(curve), "--phi", "id", "--n", "64"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: curve samples must be finite" in captured.err
+    assert captured.err == f"error: {curve}:2: entry 1 is nan, not a finite number\n"  # the file's line, not the curve
 
 
 @pytest.mark.parametrize(
@@ -326,3 +326,41 @@ def test_the_parser_is_built_once_and_reused(tmp_path, flt_file, capsys):
         main(["compute", "--input", str(flt_file)])  # --output is required
     assert exc.value.code == 2
     assert main(["morse", "--dgm", str(out), "--epsilon", "0.5", "--max-degree", "1"]) == 0
+
+
+def test_compute_morse_and_bottleneck_make_points_only_for_a_matching(tmp_path, monkeypatch, capsys):
+    # the diagram stays arrays from the pairing to the .dgm file, the Morse sums and the bottleneck
+    # distance; DiagramPoints, and ExtendedReal endpoints, are made for a `matching_at` result alone
+    import random
+    import sys
+
+    import pershom.diagram
+    from pershom import ExtendedReal, matching_at
+    from pershom.io import write_filtration
+
+    from helpers import random_rips
+
+    made, wrapped = [], []
+    real_made, real_new = pershom.diagram._made, ExtendedReal.__new__
+
+    def counted(p, q):
+        made.append(len(p))
+        return real_made(p, q)
+
+    for module in (pershom.diagram, sys.modules["pershom.bottleneck"]):  # the package's `bottleneck` is the function
+        monkeypatch.setattr(module, "_made", counted)
+    monkeypatch.setattr(ExtendedReal, "__new__", lambda cls, value: wrapped.append(value) or real_new(cls, value))
+    paths = []
+    for seed in (5, 6):
+        flt, dgm = tmp_path / f"rips{seed}.flt", tmp_path / f"rips{seed}.dgm"
+        write_filtration(flt, random_rips(random.Random(seed)))
+        assert main(["compute", "--input", str(flt), "--output", str(dgm)]) == 0
+        assert main(["morse", "--dgm", str(dgm), "--epsilon", "0.02", "--max-degree", "2"]) == 0
+        paths.append(dgm)
+    assert "partial_sum" in capsys.readouterr().out
+    assert (made, wrapped) == ([], [])
+    assert main(["bottleneck", *map(str, paths), "--degree", "0"]) == 0
+    distance = float(capsys.readouterr().out)
+    assert made == [] and len(wrapped) == 1  # the distance itself
+    result = matching_at(read_diagram(paths[0]), read_diagram(paths[1]), 0, distance)
+    assert result.feasible and sum(made) == 2 * len(result.matched) + len(result.unmatched_a) + len(result.unmatched_b)

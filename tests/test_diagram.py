@@ -16,15 +16,35 @@ from pershom import (
     NEG_INF,
     POS_INF,
     PersistenceDiagram,
+    PreconditionViolated,
+    cap_number,
+    cap_number_at,
     diagram_of,
+    essential_dimension,
+    morse_check,
+    nu,
     quadrant_count,
     radical,
 )
 
 from pershom.filtration import compute_persistence
-from pershom.io import format_diagram
+from pershom.io import format_diagram, parse_diagram
 
-from helpers import diagram_oracle, grid_lower_star, random_diagram
+from helpers import (
+    cap_number_at_oracle,
+    cap_number_oracle,
+    diagram_oracle,
+    essential_dimension_oracle,
+    grid_lower_star,
+    morse_check_oracle,
+    nu_oracle,
+    point_table_oracle,
+    quadrant_count_oracle,
+    random_diagram,
+    random_diagram_rows,
+    table_format_oracle,
+    table_repr_oracle,
+)
 
 
 def test_diagram_point_validation():
@@ -156,14 +176,18 @@ def test_diagram_points_must_not_be_text(text):
     ((0.0, 1.0), 0, "multiplicity must be >= 1, got 0"),
 ])
 def test_points_checked_at_once_name_the_first_offender(point, mult, message):
-    from pershom.diagram import _from_points
+    from pershom.diagram import _from_rows
 
-    good = ((0, ExtendedReal(0.0), ExtendedReal(1.0)), 2)
+    def rows(*points):  # (degree, p, q, multiplicity) rows, as the bulk constructor takes them
+        degree, p, q, mults = zip(*points)
+        return np.array(degree), np.array(p, float), np.array(q, float), np.array(mults)
+
+    good = (0, 0.0, 1.0, 2)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        _from_points([good, ((1, *map(ExtendedReal, point)), mult), good])
+        _from_rows(*rows(good, (1, *point, mult), good))
     with pytest.raises(ValueError, match=f"^{message}$"):  # the message the per-point constructor gives
         PersistenceDiagram({1: {point: mult}})
-    assert _from_points([good, good]) == PersistenceDiagram({0: {(0.0, 1.0): 4}})
+    assert _from_rows(*rows(good, good)) == PersistenceDiagram({0: {(0.0, 1.0): 4}})
 
 
 def test_diagram_of_makes_one_point_per_distinct_point(monkeypatch):
@@ -289,3 +313,61 @@ def test_diagram_items_make_no_sort(monkeypatch):
     monkeypatch.setattr(pershom.diagram, "sorted", refused, raising=False)
     assert {d: list(diagram.items(d)) for d in degrees} == expected
     assert len(degrees) > 1
+
+
+_MULTS = (1, 2, 3, 2**62, 2**70)  # two rows of 2**62 already leave int64
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([0.05, 0.5, 3.0]))
+def test_array_diagram_matches_the_per_point_oracles(rnd, eps):
+    # rows with signed zeros, infinite endpoints, repeated points and multiplicities beyond int64
+    rows = random_diagram_rows(rnd, max_points=30, max_degree=3, neg_inf_rate=0.1, tie_rate=0.5, mults=_MULTS)
+    diagram = parse_diagram("".join(f"{d} {p!r} {q!r} {m}\n" for d, p, q, m in rows))
+    table = point_table_oracle(rows)
+    assert diagram.degrees() == tuple(table)
+    for d in range(-1, 5):
+        assert repr(list(diagram.items(d))) == repr(list(table.get(d, {}).items()))  # the bits of each endpoint
+        assert diagram.count(d) == sum(table.get(d, {}).values())
+    assert diagram.total() == sum(sum(bucket.values()) for bucket in table.values())
+    assert repr(diagram) == table_repr_oracle(table)
+    assert format_diagram(diagram) == table_format_oracle(table)
+
+    other = rnd.sample(rows, len(rows))
+    if other and rnd.random() < 0.5:
+        d, p, q, m = other[0]
+        other[0] = (d, p, q, m + 1)
+    assert (parse_diagram("".join(f"{d} {p!r} {q!r} {m}\n" for d, p, q, m in other)) == diagram) == (
+        point_table_oracle(other) == table)
+
+    values = sorted({x for _, p, q, _ in rows for x in (p, q)} | {0.5})
+    for d in range(-1, 5):
+        assert cap_number(diagram, d, eps) == cap_number_oracle(diagram, d, eps)
+        assert nu(diagram, d, eps) == nu_oracle(diagram, d, eps)
+        assert essential_dimension(diagram, d) == essential_dimension_oracle(diagram, d)
+        for t in rnd.sample(values, min(6, len(values))):
+            assert cap_number_at(diagram, d, t, eps) == cap_number_at_oracle(diagram, d, t, eps)
+            assert quadrant_count(diagram, d, t, t + eps) == quadrant_count_oracle(diagram, d, t, t + eps)
+    try:
+        expected = morse_check_oracle(diagram, eps, 3)
+    except PreconditionViolated as exc:
+        with pytest.raises(PreconditionViolated, match=f"^{re.escape(str(exc))}$"):
+            morse_check(diagram, eps, 3)
+    else:
+        assert morse_check(diagram, eps, 3) == expected
+
+
+def test_multiplicities_beyond_int64_stay_exact():
+    text = "0 0 1 1180591620717411303424\n0 0 1 1180591620717411303424\n1 0.5 inf 9223372036854775807\n1 -0.0 2 1\n"
+    diagram = parse_diagram(text)
+    assert (diagram.count(0), diagram.count(1), diagram.total()) == (2**71, 2**63, 2**71 + 2**63)
+    assert format_diagram(diagram) == "0 0.0 1.0 2361183241434822606848\n1 -0.0 2.0 1\n1 0.5 inf 9223372036854775807\n"
+    assert repr(diagram) == ("PersistenceDiagram(0: {(0.0, 1.0)x2361183241434822606848}; "
+                             "1: {(-0.0, 2.0), (0.5, inf)x9223372036854775807})")
+    report = morse_check(diagram, 0.1, 2)
+    assert report.rows == ((0, 2**71, 0, 2**71), (1, 2**71 + 2**63, 2**63 - 1, 1), (2, 1, 0, 0))
+    assert report.partial_sums == (2**71, 1, 0)
+    # each row fits int64, their sum does not
+    halves = parse_diagram("0 0 1 4611686018427387904\n0 0 2 4611686018427387904\n0 0 1 1\n")
+    assert (halves.count(0), quadrant_count(halves, 0, 1, 0.5), cap_number(halves, 0, 0.1)) == (2**63 + 1,) * 3
+    assert halves.multiplicity(0, (0, 1)) == 2**62 + 1

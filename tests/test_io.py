@@ -111,13 +111,16 @@ def test_diagram_parse_builds_each_point_once(monkeypatch):
             made.append((p, q))
             return super().__new__(cls, p, q)
 
+    wrapped = []
     real = ExtendedReal.__new__
-    monkeypatch.setattr(ExtendedReal, "__new__", lambda cls, value: converted.append(value) or real(cls, value))
+    monkeypatch.setattr(ExtendedReal, "__new__", lambda cls, value: wrapped.append(value) or real(cls, value))
+    monkeypatch.setattr(pershom.io, "float", lambda token: converted.append(token) or float(token), raising=False)
     monkeypatch.setattr(pershom.io, "DiagramPoint", Counted)
     monkeypatch.setattr(pershom.diagram, "DiagramPoint", Counted)
     diagram = parse_diagram("0 0 1 2\n0 0 1 1\n1 -inf inf 1\n0 0.5 inf 3\n")
     assert made == []  # the rule is checked over all points at once, so none is checked on its own
     assert sorted(converted) == ["-inf", "0", "0.5", "1", "inf"]  # each distinct token once
+    assert wrapped == []  # and no endpoint is made an ExtendedReal before a point is asked for
     assert {type(pt) for d in diagram.degrees() for pt, _ in diagram.items(d)} == {Counted}
     assert [list(diagram.items(d)) for d in diagram.degrees()] == [
         [((0.0, 1.0), 3), ((0.5, math.inf), 3)],
@@ -299,6 +302,9 @@ def test_numeric_inputs(tmp_path):
         (read_csv_samples, "1,0\nx,1\n", 2, "could not convert string to float: 'x'"),
         (read_csv_samples, "1,0\n# note\n\n2,1,0\n", 4, "expected 2 values as on the first row, got 3"),
         (read_csv_samples, "1,0\n1,\n", 2, "could not convert string to float: ''"),
+        (read_csv_samples, "1,0\n0,1\nnan,0\n", 3, "entry 1 is nan, not a finite number"),
+        (read_csv_samples, "1,0\n# note\n0,-inf\n", 3, "entry 2 is -inf, not a finite number"),
+        (read_csv_samples, "1,0\n1e999,0\n", 2, "entry 1 is inf, not a finite number"),
         (read_distance_matrix, "0 1\n1 y\n", 2, "could not convert string to float: 'y'"),
         (read_distance_matrix, "0 1\n1\n", 2, "a square matrix of 2 rows needs 2 entries per row, got 1"),
         (read_distance_matrix, "0 1 2\n1 0 2\n", 1, "a square matrix of 2 rows needs 2 entries per row, got 3"),

@@ -88,6 +88,7 @@ DEGREE_CALLS = {
     "hawaiian_rank_sweep": (lambda d: hawaiian_rank_sweep(d, 2), 1, "d"),
     "Barcode.in_degree": (lambda d: _BARCODE.in_degree(d), 0, "degree"),
     "PersistenceDiagram.items": (lambda d: list(_DIAGRAM.items(d)), 0, "degree"),
+    "PersistenceDiagram.arrays": (lambda d: [part.tolist() for part in _DIAGRAM.arrays(d)], 0, "degree"),
     "PersistenceDiagram.count": (lambda d: _DIAGRAM.count(d), 0, "degree"),
     "PersistenceDiagram.multiplicity": (lambda d: _DIAGRAM.multiplicity(d, (0, 1)), 0, "degree"),
 }
