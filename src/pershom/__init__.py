@@ -1,136 +1,27 @@
 """Persistent homology of finite filtered complexes and the surrounding
 algebra: barcodes, persistence diagrams, cap numbers and generalized Morse
-inequalities, bottleneck distance, and nerve/Vietoris duality."""
+inequalities, bottleneck distance, and nerve/Vietoris duality.  The package
+re-exports the ``__all__`` of each module below."""
 
-from .barcode import (
-    NEG_INF,
-    POS_INF,
-    Barcode,
-    ConstancyWitness,
-    ExtendedReal,
-    Interval,
-    barcode_rank,
-    constancy_witness,
-    interval_module_rank,
-    radical,
-)
-from .bottleneck import (
-    MatchingResult,
-    TooLargeError,
-    bottleneck,
-    bottleneck_bruteforce,
-    interleaving_distance,
-    matching_at,
-)
-from .covers import (
-    Cover,
-    CoverSetError,
-    balls_cover,
-    dowker_check,
-    nerve,
-    vietoris,
-)
-from .diagram import DiagramPoint, PersistenceDiagram, diagram_of, quadrant_count
-from .filtration import (
-    ComplexValidationError,
-    DuplicateSimplexError,
-    FilteredComplex,
-    MissingFaceError,
-    MissingVertexValueError,
-    NonFiniteValueError,
-    NonIntegerVertexError,
-    NonMonotoneError,
-    TextValueError,
-    betti_at,
-    compute_persistence,
-    euler_profile,
-    homology_ranks,
-    lower_star,
-    persistence_diagram,
-    validate,
-)
-from .gallery import (
-    DouglasInput,
-    HawaiianSpec,
-    douglas_eval,
-    hawaiian_complex,
-    hawaiian_rank_sweep,
-    product_family,
-)
-from .linalg import GF2, GF3, PrimeField
-from .morse import (
-    MorseCheckFailed,
-    MorseReport,
-    PreconditionViolated,
-    cap_finiteness_bound,
-    cap_number,
-    cap_number_at,
-    essential_dimension,
-    morse_check,
-    nu,
-)
+# Each module under a private name first: the star import of `.bottleneck`
+# rebinds the package's `bottleneck` to the function.
+from . import barcode as _barcode, bottleneck as _bottleneck, covers as _covers, diagram as _diagram
+from . import filtration as _filtration, gallery as _gallery, morse as _morse
+from .barcode import *
+from .bottleneck import *
+from .covers import *
+from .diagram import *
+from .filtration import *
+from .gallery import *
+from .morse import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Barcode",
-    "ConstancyWitness",
-    "Cover",
-    "CoverSetError",
-    "DiagramPoint",
-    "DouglasInput",
-    "ExtendedReal",
-    "FilteredComplex",
-    "GF2",
-    "GF3",
-    "HawaiianSpec",
-    "Interval",
-    "MatchingResult",
-    "MorseReport",
-    "NEG_INF",
-    "POS_INF",
-    "PersistenceDiagram",
-    "PrimeField",
-    "TooLargeError",
-    "ComplexValidationError",
-    "DuplicateSimplexError",
-    "MissingFaceError",
-    "MissingVertexValueError",
-    "NonFiniteValueError",
-    "NonIntegerVertexError",
-    "TextValueError",
-    "NonMonotoneError",
-    "MorseCheckFailed",
-    "PreconditionViolated",
-    "balls_cover",
-    "barcode_rank",
-    "betti_at",
-    "bottleneck",
-    "bottleneck_bruteforce",
-    "cap_finiteness_bound",
-    "cap_number",
-    "cap_number_at",
-    "compute_persistence",
-    "constancy_witness",
-    "diagram_of",
-    "douglas_eval",
-    "dowker_check",
-    "essential_dimension",
-    "euler_profile",
-    "hawaiian_complex",
-    "hawaiian_rank_sweep",
-    "homology_ranks",
-    "interleaving_distance",
-    "interval_module_rank",
-    "lower_star",
-    "matching_at",
-    "morse_check",
-    "nerve",
-    "nu",
-    "persistence_diagram",
-    "product_family",
-    "quadrant_count",
-    "radical",
-    "validate",
-    "vietoris",
-]
+__all__ = []
+__all__ += _barcode.__all__
+__all__ += _bottleneck.__all__
+__all__ += _covers.__all__
+__all__ += _diagram.__all__
+__all__ += _filtration.__all__
+__all__ += _gallery.__all__
+__all__ += _morse.__all__

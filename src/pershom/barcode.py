@@ -53,6 +53,13 @@ POS_INF = ExtendedReal(math.inf)
 _TEXT = (str, bytes, bytearray)  # `float` would parse these, so no value may be one
 
 
+class TooLargeError(ValueError):
+    """An input too large to process: the diagrams of a matching or of the
+    brute-force oracle, the simplices of a Vietoris complex, of an earring
+    truncation or of all the truncations an earring sweep builds, a Douglas
+    quadrature grid, or a cap-count quadrant grid."""
+
+
 def query_value(value, name: str, finite: bool = False) -> float:
     """A query argument as a float; text, a value that `float` refuses, NaN,
     or an infinity where ``finite`` is asked for, raises ValueError naming
@@ -287,6 +294,7 @@ def constancy_witness(barcode: Barcode, d: int) -> ConstancyWitness:
 
 
 __all__ = [
+    "TooLargeError",
     "Interval",
     "Barcode",
     "ConstancyWitness",

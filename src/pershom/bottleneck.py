@@ -46,16 +46,14 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import POS_INF, Barcode, ExtendedReal, query_value
+from .barcode import POS_INF, Barcode, ExtendedReal, TooLargeError, query_value
 from .diagram import DiagramPoint, PersistenceDiagram, _made, diagram_of
 
 BRUTE_FORCE_LIMIT = 8
-
-
-class TooLargeError(ValueError):
-    """An input too large to process: the brute-force oracle's diagrams, the
-    simplices of a Vietoris complex, of an earring truncation or of all the
-    truncations an earring sweep builds, or a Douglas quadrature grid."""
+# Most points, with multiplicity, that `bottleneck` or `matching_at` expands
+# from one diagram in one degree: the finite class's cost matrix is n x m
+# float64, 800 MB at this limit on both sides.
+MATCHING_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,9 @@ def _classes(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> Iterator[T
     sides = []
     for diagram in (a, b):
         p, q, mult = diagram.arrays(d)
+        count = int(mult.sum())  # exact, also for multiplicities beyond int64
+        if count > MATCHING_LIMIT:
+            raise TooLargeError(f"matching limited to {MATCHING_LIMIT} points per diagram, got {count} in degree {d}")
         copies = mult.astype(np.intp)
         p, q = p.repeat(copies), q.repeat(copies)
         sides.append((p, q, 2 * np.isfinite(p) + np.isfinite(q)))  # the class as a number, in the order of the pairs
@@ -359,14 +360,10 @@ def bottleneck_bruteforce(a: PersistenceDiagram, b: PersistenceDiagram, d: int) 
     Independent test oracle; each diagram may hold at most 8 points (with
     multiplicity) in the requested degree.
     """
-    points_a = _expand(a, d)
-    points_b = _expand(b, d)
-    if len(points_a) > BRUTE_FORCE_LIMIT or len(points_b) > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(
-            f"brute force limited to {BRUTE_FORCE_LIMIT} points per diagram, "
-            f"got {len(points_a)} and {len(points_b)}"
-        )
-    n, m = len(points_a), len(points_b)
+    n, m = a.count(d), b.count(d)
+    if n > BRUTE_FORCE_LIMIT or m > BRUTE_FORCE_LIMIT:
+        raise TooLargeError(f"brute force limited to {BRUTE_FORCE_LIMIT} points per diagram, got {n} and {m}")
+    points_a, points_b = _expand(a, d), _expand(b, d)
     pair = [[_pair_cost(x, y) for y in points_b] for x in points_a]
     diag_a = [_diagonal_cost(x) for x in points_a]
     diag_b = [_diagonal_cost(y) for y in points_b]
@@ -401,8 +398,8 @@ def interleaving_distance(a: Barcode, b: Barcode, d: int) -> ExtendedReal:
 
 __all__ = [
     "MatchingResult",
-    "TooLargeError",
     "BRUTE_FORCE_LIMIT",
+    "MATCHING_LIMIT",
     "bottleneck",
     "matching_at",
     "bottleneck_bruteforce",

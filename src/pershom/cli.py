@@ -15,9 +15,8 @@ from . import io
 from .barcode import radical
 from .bottleneck import bottleneck
 from .covers import dowker_check
-from .filtration import ComplexValidationError, betti_at, compute_persistence, persistence_diagram
+from .filtration import GF2, ComplexValidationError, PrimeField, betti_at, compute_persistence, persistence_diagram
 from .gallery import DouglasInput, HawaiianSpec, douglas_eval, hawaiian_complex, hawaiian_rank_sweep, product_family
-from .linalg import GF2, PrimeField
 from .morse import MorseCheckFailed, PreconditionViolated, cap_number, cap_number_at, morse_check
 
 

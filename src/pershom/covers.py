@@ -18,10 +18,8 @@ from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import query_value, real_array
-from .bottleneck import TooLargeError
-from .filtration import FilteredComplex, homology_ranks
-from .linalg import GF2, PrimeField
+from .barcode import TooLargeError, query_value, real_array
+from .filtration import GF2, FilteredComplex, PrimeField, homology_ranks
 
 # Most simplices `vietoris` may enumerate, counted as the nonempty subsets of
 # each cover set; two 13-element sets count 16,382, one 30-element set 2^30 - 1.

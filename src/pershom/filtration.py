@@ -32,9 +32,33 @@ import numpy as np
 
 from .barcode import _TEXT, Barcode, Interval, integer_value, query_value
 from .diagram import PersistenceDiagram, _from_rows
-from .linalg import GF2, PrimeField
 
 Simplex = Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PrimeField:
+    """The field with p elements, the coefficients of the reduction; any
+    prime 2 <= p < 2**31 is accepted."""
+
+    p: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", integer_value(self.p, "characteristic"))
+        if not (2 <= self.p < 2**31):
+            raise ValueError(f"characteristic out of range: {self.p}")
+        if any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):  # at most 46,339 divisions
+            raise ValueError(f"{self.p} is not prime")
+
+    def inv(self, a: int) -> int:
+        a %= self.p
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return pow(a, -1, self.p)
+
+
+GF2 = PrimeField(2)
+GF3 = PrimeField(3)
 
 
 class ComplexValidationError(ValueError):
@@ -432,8 +456,8 @@ def euler_profile(complex_: FilteredComplex) -> Tuple[Tuple[float, int], ...]:
 
 
 __all__ = [
-    "Simplex", "FilteredComplex", "ComplexValidationError", "NonFiniteValueError", "TextValueError",
-    "DuplicateSimplexError", "MissingFaceError", "NonMonotoneError", "NonIntegerVertexError", "MissingVertexValueError",
-    "facets", "validate", "lower_star", "compute_persistence", "persistence_diagram", "homology_ranks", "betti_at",
-    "euler_profile",
+    "PrimeField", "GF2", "GF3", "Simplex", "FilteredComplex", "ComplexValidationError", "NonFiniteValueError",
+    "TextValueError", "DuplicateSimplexError", "MissingFaceError", "NonMonotoneError", "NonIntegerVertexError",
+    "MissingVertexValueError", "facets", "validate", "lower_star", "compute_persistence", "persistence_diagram",
+    "homology_ranks", "betti_at", "euler_profile",
 ]

@@ -16,10 +16,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .barcode import Barcode, Interval, integer_value, real_array
-from .bottleneck import TooLargeError
-from .filtration import FilteredComplex, betti_at
-from .linalg import GF2
+from .barcode import Barcode, Interval, TooLargeError, integer_value, real_array
+from .filtration import GF2, FilteredComplex, betti_at
 
 # Most points per axis of the Douglas quadrature grid: evaluation holds
 # several n x n float64 arrays, 128 MiB each at 4096.

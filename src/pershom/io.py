@@ -144,7 +144,7 @@ def write_diagram(path, diagram: PersistenceDiagram) -> None:
         handle.write(format_diagram(diagram))
 
 
-_CHUNK = 1 << 17  # characters, so ASCII bytes, of .flt text lexed at a time, cut after a line break
+_CHUNK = 1 << 17  # characters, so ASCII bytes, of .flt text lexed at a time, then on to a line break
 _KEYWORD = np.frombuffer(b"simplex", np.uint8)
 _WIDTH = 32  # value tokens up to this long are compared in numpy, longer ones converted one by one
 _PREFIX = np.tri(_WIDTH + 1, _WIDTH, -1, np.uint8) * np.uint8(255)  # row k keeps the first k bytes
@@ -166,18 +166,14 @@ def _check_row(line: str) -> Tuple[int, ...]:
 
 
 def _chunks(text: str) -> Iterator[bytes]:
-    """The text in pieces of at most `_CHUNK` characters, each cut after an
-    ASCII line break (a piece with none in its first `_CHUNK` characters runs
-    to the next one), without comments and as ASCII bytes, in which "?",
-    which no token may hold, stands for any other character."""
+    """The text in pieces, each ending at the first ASCII line break at or
+    after `_CHUNK` characters (the last at the end of the text), without
+    comments and as ASCII bytes, in which "?", which no token may hold,
+    stands for any other character."""
     start = 0
     while start < len(text):
-        end = start + _CHUNK
-        if end < len(text):
-            found = _BREAKS.search(text, end)
-            end = (text.rfind("\n", start, end) + 1  # the other breaks are looked for only where no "\n" is
-                   or max(text.rfind(c, start, end) for c in "\r\x0b\x0c\x1c\x1d\x1e") + 1
-                   or (found.end() if found else len(text)))
+        found = _BREAKS.search(text, start + _CHUNK)
+        end = found.end() if found else len(text)
         chunk = text[start:end]
         yield (_COMMENT.sub("", chunk) if "#" in chunk else chunk).encode("ascii", "replace")
         start = end

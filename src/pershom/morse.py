@@ -21,8 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .barcode import integer_value, query_value
-from .bottleneck import TooLargeError
+from .barcode import TooLargeError, integer_value, query_value
 from .diagram import _EMPTY, DiagramPoint, PersistenceDiagram, Rows, quadrant_count
 
 CAP_GRID_LIMIT = 10**6  # quadrant corners of one cap_finiteness_bound call

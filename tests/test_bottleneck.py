@@ -106,6 +106,32 @@ def test_bruteforce_size_guard():
         bottleneck_bruteforce(big, PersistenceDiagram(), 0)
 
 
+@pytest.mark.parametrize("mult", [2**70, 10**11])
+def test_diagrams_too_large_to_expand_are_refused_before_expanding(mult):
+    # counted with multiplicity first: expanding 2**70 copies overflows, 10**11 asks for 745 GiB
+    big, one = dgm({(0, 1): mult}), dgm([(0, 1)])
+    message = rf"^matching limited to 10000 points per diagram, got {mult} in degree 0$"
+    for call in (lambda: bottleneck(big, one, 0), lambda: bottleneck(one, big, 0), lambda: matching_at(big, one, 0, 1)):
+        with pytest.raises(TooLargeError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("mult", [2**70, 10**11])
+def test_bruteforce_counts_copies_before_listing_them(mult):
+    with pytest.raises(TooLargeError, match=rf"^brute force limited to 8 points per diagram, got 1 and {mult}$"):
+        bottleneck_bruteforce(dgm([(0, 1)]), dgm({(0, 1): mult}), 0)
+
+
+def test_the_matching_limit_counts_copies_per_diagram():
+    at_limit = dgm({(0, 1): B.MATCHING_LIMIT})
+    assert bottleneck(at_limit, dgm([(0, 1)]), 0) == 0.5
+    assert matching_at(at_limit, PersistenceDiagram(), 0, 0.5).feasible
+    over = dgm({(0, 1): B.MATCHING_LIMIT - 1, (0, 2): 2})
+    with pytest.raises(TooLargeError, match=rf"got {B.MATCHING_LIMIT + 1} in degree 0"):
+        bottleneck(over, at_limit, 0)
+    assert bottleneck(over, at_limit, 1) == 0.0  # another degree is counted on its own
+
+
 # ----------------------------------------------------------------- invariants
 
 def test_bottleneck_matches_bruteforce():

@@ -143,6 +143,18 @@ def test_bottleneck_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "inf"
 
 
+@pytest.mark.parametrize("mult", [2**70, 10**11])
+def test_bottleneck_refuses_a_diagram_too_large_to_expand(tmp_path, capsys, mult):
+    big, one = tmp_path / "big.dgm", tmp_path / "one.dgm"
+    big.write_text(f"0 0 1 {mult}\n")
+    one.write_text("0 0 1 1\n")
+    assert main(["bottleneck", str(big), str(one), "--degree", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"got {mult} in degree 0" in captured.err
+
+
 def test_radical_command(tmp_path):
     src = tmp_path / "in.bar"
     src.write_text("0 [0,1)\n0 [0,0.5)\n2 [3,3]\n")

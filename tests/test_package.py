@@ -1,6 +1,7 @@
 """Properties of the library's source as a whole."""
 
 import ast
+import importlib.util
 import inspect
 import math
 import os
@@ -48,6 +49,31 @@ def test_library_holds_no_assert_statement():
     found = [f"{path.name}:{node.lineno}" for path in modules
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+_MODULES = ("barcode", "bottleneck", "covers", "diagram", "filtration", "gallery", "morse")
+
+
+def test_the_package_exports_each_module_all_once():
+    modules = [sys.modules[f"pershom.{name}"] for name in _MODULES]  # `pershom.bottleneck` is the function
+    assert pershom.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(pershom.__all__)) == len(pershom.__all__)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(pershom, name) is obj, name
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name  # defined there, not imported
+
+
+def test_each_name_has_one_home():
+    assert importlib.util.find_spec("pershom.linalg") is None
+    assert pershom.PrimeField is pershom.filtration.PrimeField and pershom.GF3 is pershom.filtration.GF3
+    assert pershom.TooLargeError.__module__ == "pershom.barcode"
+    for name in ("covers", "gallery", "morse"):  # the size refusal is a shared check, not a bottleneck one
+        tree = ast.parse(Path(pershom.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+        imports = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "bottleneck" not in imports, name
 
 
 def test_importing_the_library_and_its_cli_leaves_scipy_unloaded():
