@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from operator import index
 from typing import Iterable, Iterator, Tuple
 
@@ -107,7 +109,7 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     Invariants: ``lo <= hi``; a closed endpoint is always finite; equal
     endpoints force a (finite) singleton ``[a,a]``.  A tuple of two
-    ExtendedReals and two flags, checked once when made; an endpoint given
+    ExtendedReals and two bool flags, checked once when made; an endpoint given
     as text is refused.  Hashing, equality and order are those of the tuple.
     """
 
@@ -116,6 +118,9 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
     def __new__(cls, lo, hi, lo_closed: bool, hi_closed: bool):
         lo = lo if type(lo) is ExtendedReal else _endpoint(lo, "lo")
         hi = hi if type(hi) is ExtendedReal else _endpoint(hi, "hi")
+        for name, flag in (("lo_closed", lo_closed), ("hi_closed", hi_closed)):
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {flag!r}")
         self = super().__new__(cls, lo, hi, lo_closed, hi_closed)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {self}")
@@ -156,17 +161,36 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
         """Membership of a point, respecting openness flags; -inf and +inf
         belong to no interval, since closed endpoints are finite.  Text or NaN
         raises ValueError naming ``t``."""
-        t = query_value(t, "t")
-        if t < self.lo or (t == self.lo and not self.lo_closed):
-            return False
-        if t > self.hi or (t == self.hi and not self.hi_closed):
-            return False
-        return True
+        return bool(_inside(*self, query_value(t, "t")))
 
     def __str__(self) -> str:
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{self.lo},{self.hi}{right}"
+        return _text(*self)
+
+
+def _inside(lo, hi, lo_closed, hi_closed, t):
+    """Whether t lies above lo or at a closed lo, and below hi or at a closed hi; on scalars or columns."""
+    return ((lo < t) | ((lo == t) & lo_closed)) & ((t < hi) | ((t == hi) & hi_closed))
+
+
+def _text(lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> str:
+    return f"{'[' if lo_closed else '('}{lo},{hi}{']' if hi_closed else ')'}"
+
+
+_endpoint_of = partial(float.__new__, ExtendedReal)  # an ExtendedReal from a float known not to be NaN
+
+
+def _made(cls, lo: np.ndarray, hi: np.ndarray, *flags: np.ndarray) -> list:
+    """The `cls` rows (Intervals or DiagramPoints) of checked columns, made without a check of their own."""
+    rows = zip(map(_endpoint_of, lo.tolist()), map(_endpoint_of, hi.tolist()), *(flag.tolist() for flag in flags))
+    return list(map(tuple.__new__, repeat(cls), rows))
+
+
+def _int_array(values) -> np.ndarray:
+    """Integers as int64, or as exact Python ints in an object array when one does not fit."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
 
 
 @dataclass(frozen=True)
@@ -188,65 +212,72 @@ class Barcode:
     """A finite multiset of (degree, interval) bars, sorted stably by value
     when made: by degree, then the interval's fields in order.
 
-    Equality is multiset equality; degrees may be any integers.  A given
-    ``(int, Interval)`` tuple is kept, so bars the caller shares stay shared.
+    Its bars are five columns (integer degrees, float64 endpoints, bool flags),
+    made `Interval`s on demand.  Equality is multiset equality; degrees may be any integers.
     """
 
-    __slots__ = ("_bars",)
+    __slots__ = ("_columns",)
 
     def __init__(self, bars: Iterable[Tuple[int, Interval]] = ()):
-        checked = []
-        for bar in bars:
-            d, iv = bar
+        rows = []
+        for d, iv in bars:
             if not isinstance(iv, Interval):
                 raise TypeError(f"expected Interval, got {type(iv).__name__}")
-            checked.append(bar if type(bar) is tuple and type(d) is int else (integer_value(d, "degree"), iv))
-        checked.sort()  # equal bars spelled apart, as [-0.0,1.0) and [0.0,1.0), keep their input order
-        object.__setattr__(self, "_bars", tuple(checked))
+            rows.append((integer_value(d, "degree"), *iv))
+        degree, *interval = zip(*rows) if rows else ((),) * 5
+        barcode = Barcode._from_arrays(_int_array(degree), *map(np.array, interval, (float, float, bool, bool)))
+        object.__setattr__(self, "_columns", barcode._columns)
+
+    @classmethod
+    def _from_arrays(cls, *columns: np.ndarray) -> "Barcode":
+        """The barcode of checked degree, lo, hi, lo_closed and hi_closed columns; equal
+        bars spelled apart, as [-0.0,1.0) and [0.0,1.0), keep their bits and input order."""
+        order = np.lexsort(columns[::-1])
+        barcode = object.__new__(cls)
+        object.__setattr__(barcode, "_columns", tuple(column[order] for column in columns))
+        return barcode
 
     @property
     def bars(self) -> Tuple[Tuple[int, Interval], ...]:
-        return self._bars
+        return tuple(self)
 
     def __iter__(self) -> Iterator[Tuple[int, Interval]]:
-        return iter(self._bars)
+        return zip(self._columns[0].tolist(), _made(Interval, *self._columns[1:]))
 
     def __len__(self) -> int:
-        return len(self._bars)
+        return len(self._columns[0])
 
     def __eq__(self, other):
         if not isinstance(other, Barcode):
             return NotImplemented
-        return self._bars == other._bars
+        return all(map(np.array_equal, self._columns, other._columns))
 
     def __hash__(self):
-        return hash(self._bars)
+        return hash(self.bars)
 
     def __setattr__(self, name, value):
         raise AttributeError("Barcode is immutable")
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted({d for d, _ in self._bars}))
+        return tuple(dict.fromkeys(self._columns[0].tolist()))  # in ascending order, as sorted
+
+    def _in_degree(self, d: int) -> Tuple[np.ndarray, ...]:
+        kept = self._columns[0] == integer_value(d, "degree")
+        return tuple(column[kept] for column in self._columns[1:])
 
     def in_degree(self, d: int) -> Tuple[Interval, ...]:
-        d = integer_value(d, "degree")
-        return tuple(iv for deg, iv in self._bars if deg == d)
+        return tuple(_made(Interval, *self._in_degree(d)))
 
     def __repr__(self):
-        inner = ", ".join(f"{d}: {iv}" for d, iv in self._bars)
+        inner = ", ".join(f"{d}: {iv}" for d, iv in self)
         return f"Barcode({{{inner}}})"
 
 
 def interval_module_rank(interval: Interval, s: float, t: float) -> int:
-    """Rank of the structure map of a one-interval summand from value s to t.
-
-    Equals 1 exactly when both s and t lie in the interval, else 0.  NaN
-    raises ValueError naming the argument.
-    """
-    s, t = query_value(s, "s"), query_value(t, "t")
-    if s > t:
-        raise ValueError(f"requires s <= t, got s={s}, t={t}")
-    return int(interval.contains(s) and interval.contains(t))
+    """Rank of the structure map of a one-interval summand from value s to t:
+    that of the barcode of its one bar, 1 exactly when both s and t lie in the
+    interval, else 0.  NaN raises ValueError naming the argument."""
+    return barcode_rank(Barcode([(0, interval)]), 0, s, t)
 
 
 def barcode_rank(barcode: Barcode, d: int, s: float, t: float) -> int:
@@ -259,7 +290,8 @@ def barcode_rank(barcode: Barcode, d: int, s: float, t: float) -> int:
     s, t = query_value(s, "s"), query_value(t, "t")
     if s > t:
         raise ValueError(f"requires s <= t, got s={s}, t={t}")
-    return sum(1 for iv in barcode.in_degree(d) if iv.contains(s) and iv.contains(t))
+    interval = barcode._in_degree(d)
+    return int(np.count_nonzero(_inside(*interval, s) & _inside(*interval, t)))
 
 
 def radical(barcode: Barcode) -> Barcode:
@@ -268,15 +300,9 @@ def radical(barcode: Barcode) -> Barcode:
     Attained (closed, finite) left endpoints open up; singleton bars vanish;
     everything else is unchanged.
     """
-    out = []
-    for d, iv in barcode:
-        if iv.is_singleton:
-            continue
-        if iv.lo_closed:
-            out.append((d, Interval(iv.lo, iv.hi, False, iv.hi_closed)))
-        else:
-            out.append((d, iv))
-    return Barcode(out)
+    kept = barcode._columns[1] < barcode._columns[2]  # a singleton [a,a] has lo == hi
+    degree, lo, hi, lo_closed, hi_closed = (column[kept] for column in barcode._columns)
+    return Barcode._from_arrays(degree, lo, hi, np.zeros_like(lo_closed), hi_closed)
 
 
 def constancy_witness(barcode: Barcode, d: int) -> ConstancyWitness:
@@ -285,12 +311,11 @@ def constancy_witness(barcode: Barcode, d: int) -> ConstancyWitness:
     Convention: one unit below the smallest finite endpoint and one unit
     above the largest; (0, 0) when no finite endpoint exists in degree d.
     """
-    finite = []
-    for iv in barcode.in_degree(d):
-        finite += [x for x in (iv.lo, iv.hi) if math.isfinite(x)]
-    if not finite:
+    ends = np.concatenate(barcode._in_degree(d)[:2])
+    finite = ends[np.isfinite(ends)]
+    if not len(finite):
         return ConstancyWitness(0.0, 0.0)
-    return ConstancyWitness(min(finite) - 1.0, max(finite) + 1.0)
+    return ConstancyWitness(float(finite.min()) - 1.0, float(finite.max()) + 1.0)
 
 
 __all__ = [

@@ -46,8 +46,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import POS_INF, Barcode, ExtendedReal, TooLargeError, query_value
-from .diagram import DiagramPoint, PersistenceDiagram, _made, diagram_of
+from .barcode import POS_INF, Barcode, ExtendedReal, TooLargeError, _made, query_value
+from .diagram import DiagramPoint, PersistenceDiagram, diagram_of
 
 BRUTE_FORCE_LIMIT = 8
 # Most points, with multiplicity, that `bottleneck` or `matching_at` expands
@@ -345,7 +345,7 @@ def matching_at(
         else:
             partner = _line_matching(_line(cls, side_a), _line(cls, side_b), delta)
             ok = n == m == n - partner.count(-1)
-        pts_a, pts_b = _made(*side_a), _made(*side_b)
+        pts_a, pts_b = _made(DiagramPoint, *side_a), _made(DiagramPoint, *side_b)
         matched.extend((pts_a[i], pts_b[j]) for i, j in enumerate(partner) if j >= 0)
         unmatched_a.extend(pts_a[i] for i, j in enumerate(partner) if j < 0)
         taken = set(partner)

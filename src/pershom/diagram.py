@@ -7,22 +7,21 @@ A `PersistenceDiagram` is its arrays.  Each degree keeps its births ``p``
 and deaths ``q`` as float64 and its multiplicities as int64, one row per
 distinct point, sorted by (p, q).  Where a sum of multiplicities could leave
 int64, they are exact Python ints in an object array instead.  Counts are
-masked sums over these arrays.  `DiagramPoint`s, with `ExtendedReal`
-endpoints, are made only when `items` or `multiplicity` asks for them, and
-for a `matching_at` result.
+masked sums over these arrays, and `diagram_of` reads a barcode's columns.
+`DiagramPoint`s, with `ExtendedReal` endpoints, are made on demand for
+`items` and a `matching_at` result, as a barcode makes its `Interval`s.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import partial
 from itertools import repeat
-from typing import Iterable, Iterator, List, Mapping, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
-from .barcode import NEG_INF, POS_INF, Barcode, ExtendedReal, _endpoint, integer_value, query_value
+from .barcode import Barcode, ExtendedReal, _endpoint, _int_array, _made, integer_value, query_value
 
 PointLike = Union["DiagramPoint", Tuple[float, float]]
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]  # p, q and multiplicity of the points of one degree
@@ -59,9 +58,9 @@ class DiagramPoint(namedtuple("DiagramPoint", "p q")):
 def _off_half_plane(p: float, q: float) -> ValueError:
     """Why (p, q) breaks the point rule p < q, which also keeps p below +inf
     and q above -inf."""
-    if p == POS_INF:
+    if p == math.inf:
         return ValueError("birth coordinate cannot be +inf")
-    if q == NEG_INF:
+    if q == -math.inf:
         return ValueError("death coordinate cannot be -inf")
     return ValueError(f"requires p < q, got ({p}, {q})")
 
@@ -76,22 +75,6 @@ def _multiplicity(mult) -> int:
 
 _INT64_MAX = np.iinfo(np.int64).max
 _EMPTY: Rows = (np.empty(0), np.empty(0), np.empty(0, np.int64))  # of a degree without points; nothing to write
-_endpoint_of = partial(float.__new__, ExtendedReal)  # an ExtendedReal from a float known not to be NaN
-
-
-def _int_array(values) -> np.ndarray:
-    """Integers as int64, or as exact Python ints in an object array when one does not fit."""
-    try:
-        return np.array(values, np.int64)
-    except OverflowError:
-        return np.array(values, object)
-
-
-def _made(p: np.ndarray, q: np.ndarray) -> List[DiagramPoint]:
-    """The points of rows whose rule is already checked, each endpoint made
-    an ExtendedReal and each point a DiagramPoint without a check of its own."""
-    endpoints = zip(map(_endpoint_of, p.tolist()), map(_endpoint_of, q.tolist()))
-    return list(map(tuple.__new__, repeat(DiagramPoint), endpoints))
 
 
 def _from_rows(degree: np.ndarray, p: np.ndarray, q: np.ndarray, mult: np.ndarray) -> "PersistenceDiagram":
@@ -166,7 +149,7 @@ class PersistenceDiagram:
     def items(self, d: int) -> Iterator[Tuple[DiagramPoint, int]]:
         """The (point, multiplicity) pairs in degree d, by p, then q."""
         p, q, mult = self.arrays(d)
-        return zip(_made(p, q), mult.tolist())
+        return zip(_made(DiagramPoint, p, q), mult.tolist())
 
     def multiplicity(self, d: int, point: PointLike) -> int:
         p, q, mult = self.arrays(d)
@@ -198,17 +181,14 @@ class PersistenceDiagram:
 
 def diagram_of(barcode: Barcode) -> PersistenceDiagram:
     """The diagram of a barcode: one row per bar, singletons dropped, then
-    checked, sorted and summed per (inf, sup) in bulk.
+    sorted and summed per (inf, sup) in bulk.
 
     Endpoint openness is invisible here, so the radical of a barcode has the
     same diagram as the barcode itself.
     """
-    bars = barcode.bars
-    p = np.array([iv.lo for _, iv in bars], float)
-    q = np.array([iv.hi for _, iv in bars], float)
+    degree, p, q, _, _ = barcode._columns
     kept = p < q  # a singleton [a,a] has no point
-    degree = _int_array([d for d, _ in bars])[kept]
-    return _from_rows(degree, p[kept], q[kept], np.ones(len(degree), np.int64))
+    return _from_rows(degree[kept], p[kept], q[kept], np.ones(np.count_nonzero(kept), np.int64))
 
 
 def quadrant_count(diagram: PersistenceDiagram, d: int, x: float, y: float) -> int:

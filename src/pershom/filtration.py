@@ -30,7 +30,7 @@ from typing import Callable, Collection, Dict, Iterable, Iterator, Mapping, Sequ
 
 import numpy as np
 
-from .barcode import _TEXT, Barcode, Interval, integer_value, query_value
+from .barcode import _TEXT, Barcode, integer_value, query_value
 from .diagram import PersistenceDiagram, _from_rows
 
 Simplex = Tuple[int, ...]
@@ -298,22 +298,15 @@ def compute_persistence(complex_: FilteredComplex, field: PrimeField = GF2) -> B
     """Barcode of the sublevel filtration's homology over F_p, all degrees.
     Finite bars are closed-left/open-right ``[b, e)``; unpaired cycles give
     essential bars ``[b, inf)``.  A pair born and killed at one value is in
-    no sublevel set's homology, so it gives no bar.  Each distinct bar is one
-    Interval, made from a row of `persistence_diagram` and repeated as one
-    shared tuple."""
-    diagram = persistence_diagram(complex_, field)
-    bars = []
-    for degree in diagram.degrees():
-        for birth, death, multiplicity in zip(*(part.tolist() for part in diagram.arrays(degree))):
-            bars += [(degree, Interval(birth, death, True, False))] * multiplicity
-    return Barcode(bars)
+    no sublevel set's homology, so it gives no bar.  No Interval is made."""
+    degree, birth, death = _bars(complex_, field)
+    return Barcode._from_arrays(degree, birth, death, np.ones(len(degree), bool), np.zeros(len(degree), bool))
 
 
 def persistence_diagram(complex_: FilteredComplex, field: PrimeField = GF2) -> PersistenceDiagram:
     """The persistence diagram of the complex over F_p, equal to
     ``diagram_of(compute_persistence(complex_, field))``: its bars, one row
-    each, counted by the diagram's bulk constructor without making an
-    Interval or a Barcode."""
+    each, counted by the diagram's bulk constructor without a Barcode."""
     degree, birth, death = _bars(complex_, field)
     return _from_rows(degree, birth, death, np.ones(len(degree), np.int64))
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .barcode import Barcode, ExtendedReal, Interval
+from .barcode import Barcode, ExtendedReal, Interval, _text
 from .covers import Cover, CoverSetError
 from .diagram import DiagramPoint, PersistenceDiagram, _from_rows, _int_array, _multiplicity
 from .filtration import ComplexValidationError, FilteredComplex
@@ -78,7 +78,8 @@ def parse_barcode(text: str, source: str = "<barcode>") -> Barcode:
 
 
 def format_barcode(barcode: Barcode) -> str:
-    return "".join(f"{d} {iv}\n" for d, iv in barcode)
+    degree, *interval = (column.tolist() for column in barcode._columns)
+    return "".join([f"{d} {text}\n" for d, text in zip(degree, map(_text, *interval))])
 
 
 def read_barcode(path) -> Barcode:

@@ -281,6 +281,43 @@ def bar_key(bar):
     return (degree, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
 
 
+class BarcodeOracle:
+    """A barcode as a tuple of (int, Interval) bars, sorted stably by
+    `bar_key`, each operation a loop over the bars: the oracle for the
+    array-backed `Barcode`."""
+
+    def __init__(self, bars):
+        self.bars = tuple(sorted(((int(d), iv) for d, iv in bars), key=bar_key))
+
+    def __eq__(self, other):
+        return self.bars == other.bars
+
+    def __hash__(self):
+        return hash(self.bars)
+
+    def __repr__(self):
+        return "Barcode({" + ", ".join(f"{d}: {iv}" for d, iv in self.bars) + "})"
+
+    def text(self) -> str:
+        return "".join(f"{d} {iv}\n" for d, iv in self.bars)
+
+    @staticmethod
+    def contains(iv: Interval, t: float) -> bool:
+        """Membership by the endpoint comparisons, apart from `Interval.contains`."""
+        return (iv.lo < t or (iv.lo == t and iv.lo_closed)) and (t < iv.hi or (t == iv.hi and iv.hi_closed))
+
+    def rank(self, d: int, s: float, t: float) -> int:
+        return sum(1 for degree, iv in self.bars if degree == d and self.contains(iv, s) and self.contains(iv, t))
+
+    def radical(self) -> "BarcodeOracle":
+        return BarcodeOracle((d, Interval(iv.lo, iv.hi, False, iv.hi_closed))
+                             for d, iv in self.bars if not iv.is_singleton)
+
+    def witness(self, d: int) -> Tuple[float, float]:
+        finite = [x for degree, iv in self.bars if degree == d for x in iv[:2] if math.isfinite(x)]
+        return (min(finite) - 1.0, max(finite) + 1.0) if finite else (0.0, 0.0)
+
+
 def diagram_oracle(barcode: Barcode) -> PersistenceDiagram:
     """One point per non-singleton bar, counted into a table by (p, q)."""
     table = {}

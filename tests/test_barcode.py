@@ -18,11 +18,13 @@ from pershom import (
     POS_INF,
     barcode_rank,
     constancy_witness,
+    diagram_of,
     interval_module_rank,
     radical,
 )
+from pershom.io import format_barcode
 
-from helpers import bar_key, grid_module_rank
+from helpers import BarcodeOracle, bar_key, diagram_oracle, grid_module_rank
 
 
 # ---------------------------------------------------------------- extended reals
@@ -219,6 +221,17 @@ def test_intervals_wrap_each_endpoint_once(monkeypatch):
     assert made == []
 
 
+@pytest.mark.parametrize("flag", ["yes", None, 1, 0, 1.0, "False"])
+def test_interval_flags_must_be_bools(flag):
+    with pytest.raises(ValueError) as err:
+        Interval(0, 1, flag, False)
+    assert str(err.value) == f"lo_closed must be a bool, got {flag!r}"
+    with pytest.raises(ValueError) as err:
+        Interval(0, 1, True, flag)
+    assert str(err.value) == f"hi_closed must be a bool, got {flag!r}"
+    assert str(Interval(0, 1, np.True_, np.False_)) == "[0.0,1.0)"
+
+
 @pytest.mark.parametrize("text", ["0.5", b"0.5", bytearray(b"0.5")])
 def test_interval_endpoints_must_not_be_text(text):
     # `float` would parse each
@@ -347,10 +360,42 @@ def test_barcode_keeps_each_given_bar_and_counts_repeats():
     assert all(type(d) is int for d, _ in barcode)
 
 
-def test_barcode_keeps_given_int_degree_tuples_and_rebuilds_the_rest():
+def test_barcode_bars_are_int_degree_tuples_however_given():
     iv = Interval.closed_open(0.0, 1.0)
     given_bar = (1, iv)
-    assert all(bar is given_bar for bar in Barcode([given_bar] * 3))
-    for other in [(True, iv), (np.int64(1), iv), [1, iv]]:
+    for other in [given_bar, (True, iv), (np.int64(1), iv), [1, iv]]:
         (bar,) = Barcode([other]).bars
-        assert bar is not other and type(bar) is tuple and type(bar[0]) is int and bar == given_bar
+        assert type(bar) is tuple and type(bar[0]) is int and bar == given_bar
+
+
+_QUERIES = (-math.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0, math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-1, 0, 1, 2**70]), st.sampled_from(_valid_intervals()), st.integers(1, 3)),
+                max_size=30),
+       st.data())
+def test_barcode_arrays_agree_with_the_per_bar_oracle(draws, data):
+    # signed zeros, infinities, singletons, repeats and a degree beyond int64
+    bars = [(d, iv) for d, iv, repeats in draws for _ in range(repeats)]
+    barcode, oracle = Barcode(bars), BarcodeOracle(bars)
+    assert repr(barcode.bars) == repr(oracle.bars) == repr(tuple(sorted(bars, key=bar_key)))
+    assert repr(barcode) == repr(oracle) and format_barcode(barcode) == oracle.text()
+    assert hash(barcode) == hash(oracle)
+    other = data.draw(st.permutations(bars))
+    if data.draw(st.booleans()):  # flip the sign of a zero endpoint, or make a bar a singleton
+        at = data.draw(st.integers(0, max(len(other) - 1, 0)))
+        other[at:at + 1] = [(d, Interval(-iv.lo if iv.lo == 0 else iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
+                             if iv.lo != iv.hi else Interval.singleton(0.5)) for d, iv in other[at:at + 1]]
+    assert (Barcode(other) == barcode) == (BarcodeOracle(other) == oracle)
+    for d in (-1, 0, 1, 2, 2**70):
+        assert barcode.in_degree(d) == tuple(iv for degree, iv in oracle.bars if degree == d)
+        w = constancy_witness(barcode, d)
+        assert (w.t0, w.t1) == oracle.witness(d)
+        s, t = sorted(data.draw(st.lists(st.sampled_from(_QUERIES), min_size=2, max_size=2)))
+        assert barcode_rank(barcode, d, s, t) == oracle.rank(d, s, t)
+    for _, iv in oracle.bars:
+        assert [iv.contains(q) for q in _QUERIES] == [oracle.contains(iv, q) for q in _QUERIES]
+    assert repr(radical(barcode).bars) == repr(oracle.radical().bars)
+    assert repr(diagram_of(barcode)) == repr(diagram_oracle(oracle.bars))
+    assert diagram_of(barcode) == diagram_oracle(oracle.bars)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import pershom.barcode
 import pershom.filtration
 from pershom import Barcode, Interval, PersistenceDiagram
 from pershom.cli import main
@@ -206,10 +207,11 @@ def test_hawaiian_command(capsys):
 
 def test_compute_makes_no_interval(tmp_path, monkeypatch):
     # the diagram is built from the bar counts, with no Barcode in between
-    def refuse(*args):
-        raise AssertionError(f"Interval{args} was made")
+    def refuse(cls, *args):
+        raise AssertionError(f"{cls.__name__}{args} was made")
 
-    monkeypatch.setattr(pershom.filtration, "Interval", refuse)
+    monkeypatch.setattr(Interval, "__new__", refuse)
+    monkeypatch.setattr(pershom.barcode, "_made", refuse)
     path, out = tmp_path / "path.flt", tmp_path / "out.dgm"
     path.write_text("simplex 0 0\nsimplex -0.0 1\nsimplex 0.5 2\nsimplex 1 0 1\nsimplex 1 1 2\nsimplex 2 0 2\n")
     assert main(["compute", "--input", str(path), "--output", str(out)]) == 0
@@ -355,9 +357,9 @@ def test_compute_morse_and_bottleneck_make_points_only_for_a_matching(tmp_path, 
     made, wrapped = [], []
     real_made, real_new = pershom.diagram._made, ExtendedReal.__new__
 
-    def counted(p, q):
+    def counted(cls, p, q):
         made.append(len(p))
-        return real_made(p, q)
+        return real_made(cls, p, q)
 
     for module in (pershom.diagram, sys.modules["pershom.bottleneck"]):  # the package's `bottleneck` is the function
         monkeypatch.setattr(module, "_made", counted)

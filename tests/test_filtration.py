@@ -278,17 +278,18 @@ def test_face_index_is_exact_on_both_sides_of_the_int64_edge(extra, defect):
     _assert_matches_validate_oracle(_with_defects(entries, rng, [defect] if defect else []))
 
 
-def test_compute_persistence_makes_one_interval_per_distinct_bar(monkeypatch):
-    import pershom.filtration
+def test_compute_persistence_makes_no_interval(monkeypatch):
+    import pershom.barcode
 
     complex_ = grid_lower_star(random.Random(3))
     made = []
-    real = pershom.filtration.Interval
-    monkeypatch.setattr(pershom.filtration, "Interval", lambda *args: made.append(args) or real(*args))
+    real_made, real_new = pershom.barcode._made, Interval.__new__
+    monkeypatch.setattr(pershom.barcode, "_made", lambda cls, *columns: made.append(cls) or real_made(cls, *columns))
+    monkeypatch.setattr(Interval, "__new__", lambda cls, *args: made.append(args) or real_new(cls, *args))
     barcode = compute_persistence(complex_, GF2)
-    distinct = {(d, iv.lo, iv.hi) for d, iv in barcode}
-    assert len(barcode) > len(distinct)  # the bars repeat
-    assert len(made) == len(distinct)
+    assert made == []
+    assert len(barcode) > len({(d, iv.lo, iv.hi) for d, iv in barcode})  # the bars repeat
+    assert made == [Interval]  # iterating made them, on demand
     assert barcode == persistence_oracle(complex_, GF2)
 
 
