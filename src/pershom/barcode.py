@@ -258,6 +258,9 @@ class Barcode:
     def __setattr__(self, name, value):
         raise AttributeError("Barcode is immutable")
 
+    def __reduce__(self):
+        return Barcode._from_arrays, self._columns  # copied and pickled as its columns
+
     def degrees(self) -> Tuple[int, ...]:
         return tuple(dict.fromkeys(self._columns[0].tolist()))  # in ascending order, as sorted
 

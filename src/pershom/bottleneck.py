@@ -10,36 +10,44 @@ differ are infinitely far apart.  Its points lie on a line, at their finite
 coordinate, and a greedy walk along it matches them maximally at any
 delta; at delta = inf it is the sorted pairing.
 
-The finite class's costs are built once, as a numpy matrix, by the same
-float expressions as the scalar helpers, and the optimum is located by a
-search over their distinct values, so results are exact.  Feasibility of a
-threshold delta is decided by a maximum matching on an augmented bipartite
-graph in which each point has a private diagonal slot.  The slot block is
-mirrored: the slot of b_j joins the slot of a_i exactly when a_i and b_j
-are within delta of each other, in place of the complete block of the
-usual construction.  Feasibility is unchanged, because the two slots of a
-matched pair a_i, b_j can always pair off.  Each probe lists the graph's
-edges at its delta from the matrix and matches by Hopcroft-Karp.
+Feasibility of a threshold delta in the finite class is decided by a
+maximum matching on an augmented bipartite graph in which each point has a
+private diagonal slot.  The slot block is mirrored: the slot of b_j joins
+the slot of a_i exactly when a_i and b_j are within delta of each other, in
+place of the complete block of the usual construction.  Feasibility is
+unchanged, because the two slots of a matched pair a_i, b_j can always pair
+off.  Sending every point to the diagonal is feasible at the largest
+diagonal cost, so the class's edges are listed once, from a cost matrix
+built by the same float expressions as the scalar helpers, keeping only
+those at or below that cost, and sorted by cost; the optimum is one of
+their costs, so results are exact.  The graph at delta is a prefix of that
+list.  Its rows are grown in cost order as delta rises and cut back to
+per-row prefixes when it falls, and each probe matches by Hopcroft-Karp,
+warm-started from the previous probe's matching less its edges above delta.
 
 The search works from below, where the graphs are sparse.  Every point is
 matched or sent to the diagonal, so no delta is feasible below the largest,
 over the points, of the cheaper of a point's diagonal cost and its nearest
 opposite point; that bound is one of the costs.  From it the search gallops
-up the candidates (the bound, then 1, 3, 7, ... places above it) to the
-first feasible one and bisects the last bracket, as in Efrat, Itai & Katz,
-*Geometry helps in bottleneck matching* (Algorithmica 2001), and Kerber,
-Morozov & Nigmetov, *Geometry helps to compare persistence diagrams* (ACM
-JEA 2017).  A perfect matching is feasible already at its costliest edge,
-which caps the bracket.  Each step's Hopcroft-Karp starts from the previous
-step's matching: raising delta only adds edges, and lowering it drops the
-matched edges above it.  `matching_at` makes the same probe, from the empty
-matching, at its one delta.
+up the list (the bound, then 1, 3, 7, ... places above its lower end) to
+the first feasible threshold and bisects the last bracket, as in Efrat,
+Itai & Katz, *Geometry helps in bottleneck matching* (Algorithmica 2001),
+and Kerber, Morozov & Nigmetov, *Geometry helps to compare persistence
+diagrams* (ACM JEA 2017).  An infeasible probe names a Hall violator: the
+left vertices Z that the matching's last search reached by alternating
+paths from a free one, whose neighbours are all matched into Z.  No delta
+is feasible until Z gains a neighbour, so the lower end jumps to the
+cheapest edge not yet in the graph from Z to a right vertex outside its
+neighbourhood, while the gallop's offsets keep doubling.  A perfect
+matching is feasible already at its costliest edge, which caps the
+bracket.  `matching_at` matches the same graph, from the empty matching, at
+its one delta, and its result keeps each side's points and each A point's
+partner as arrays, making `DiagramPoint`s only when its fields are read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -56,16 +64,67 @@ BRUTE_FORCE_LIMIT = 8
 MATCHING_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
+Side = Tuple[np.ndarray, np.ndarray]  # the births and deaths of a class's points in one diagram, one per copy
+
+
 class MatchingResult:
     """An explicit partial matching between two diagrams at a threshold;
     feasible or not, a maximum matching in every infinity class (of the
-    augmented graph for the finite class, of the pairs within it for the rest)."""
+    augmented graph for the finite class, of the pairs within it for the rest).
 
-    matched: Tuple[Tuple[DiagramPoint, DiagramPoint], ...]
-    unmatched_a: Tuple[DiagramPoint, ...]
-    unmatched_b: Tuple[DiagramPoint, ...]
-    feasible: bool
+    Kept as arrays: the births and deaths of each diagram's points, one
+    entry per copy and the infinity classes in order, and the B partner of
+    each A point (-1 when unmatched).  ``matched``, ``unmatched_a`` and
+    ``unmatched_b`` make their `DiagramPoint`s each time they are read, in
+    A order for the first two and B order for the third; equality, hash and
+    repr are those of these three fields and ``feasible``.  Immutable, and
+    copied or pickled as its arrays."""
+
+    __slots__ = ("_a", "_b", "_partner", "feasible")
+
+    def __init__(self, a: Side, b: Side, partner: np.ndarray, feasible: bool):
+        for name, value in zip(self.__slots__, (a, b, partner, feasible)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return MatchingResult, (self._a, self._b, self._partner, self.feasible)
+
+    @property
+    def matched(self) -> Tuple[Tuple[DiagramPoint, DiagramPoint], ...]:
+        rows = np.flatnonzero(self._partner >= 0)
+        (pa, qa), (pb, qb), cols = self._a, self._b, self._partner[rows]
+        return tuple(zip(_made(DiagramPoint, pa[rows], qa[rows]), _made(DiagramPoint, pb[cols], qb[cols])))
+
+    @property
+    def unmatched_a(self) -> Tuple[DiagramPoint, ...]:
+        (p, q), free = self._a, self._partner < 0
+        return tuple(_made(DiagramPoint, p[free], q[free]))
+
+    @property
+    def unmatched_b(self) -> Tuple[DiagramPoint, ...]:
+        (p, q), free = self._b, np.ones(len(self._b[0]), bool)
+        free[self._partner[self._partner >= 0]] = False
+        return tuple(_made(DiagramPoint, p[free], q[free]))
+
+    def _fields(self) -> tuple:
+        return self.matched, self.unmatched_a, self.unmatched_b, self.feasible
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "MatchingResult(matched=%r, unmatched_a=%r, unmatched_b=%r, feasible=%r)" % self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MatchingResult is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MatchingResult is immutable")
 
 
 def _expand(diagram: PersistenceDiagram, d: int) -> List[DiagramPoint]:
@@ -88,9 +147,6 @@ def _diagonal_cost(pt: DiagramPoint) -> float:
     if math.isfinite(pt.p) and math.isfinite(pt.q):
         return (pt.q - pt.p) / 2.0
     return math.inf
-
-
-Side = Tuple[np.ndarray, np.ndarray]  # the births and deaths of a class's points in one diagram, one per copy
 
 
 def _classes(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> Iterator[Tuple[Tuple[bool, bool], Side, Side]]:
@@ -121,22 +177,27 @@ def _line(cls: Tuple[bool, bool], side: Side) -> List[float]:
 def _class_costs(a: Side, b: Side) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair costs of the finite class as an n x m matrix, by the float
     expressions of `_pair_cost`, and the diagonal costs of each side by
-    those of `_diagonal_cost`."""
+    those of `_diagonal_cost`.  The matrix is made in place, so at most two
+    n x m arrays are alive at once."""
     (pa, qa), (pb, qb) = a, b
-    cost = np.maximum(np.abs(np.subtract.outer(pa, pb)), np.abs(np.subtract.outer(qa, qb)))
+    cost, dq = np.subtract.outer(pa, pb), np.subtract.outer(qa, qb)
+    np.maximum(np.abs(cost, out=cost), np.abs(dq, out=dq), out=cost)
     return cost, (qa - pa) / 2.0, (qb - pb) / 2.0
 
 
 def _hopcroft_karp(
     adjacency: List[List[int]], n_right: int, start: Optional[List[int]] = None
-) -> Tuple[List[int], int]:
+) -> Tuple[List[int], int, List[int]]:
     """Maximum bipartite matching by Hopcroft-Karp.
 
     ``adjacency[u]`` lists the right neighbours of left vertex u.  The
     search grows ``start`` in place, a matching of the graph given as the
     right partner of every left vertex (-1 when unmatched), or else the
     empty matching; rows matched already are left out of the greedy pass.
-    Returns the right partner of every left vertex and the matching's size.
+    Returns the right partner of every left vertex, the matching's size and
+    the last search's layers: the left vertices it reached by alternating
+    paths from a free one have a layer >= 0, and every right neighbour of
+    theirs is matched to one of them.
     """
     match_left = [-1] * len(adjacency) if start is None else start
     match_right = [-1] * n_right
@@ -193,35 +254,10 @@ def _hopcroft_karp(
                     break
                 if layer[w] == layer[u] + 1:
                     stack.append(w)
-    return match_left, len(match_left) - match_left.count(-1)
+    return match_left, len(match_left) - match_left.count(-1), layer
 
 
-def _row_lists(mask: np.ndarray, offset: int) -> List[List[int]]:
-    """Per row of a boolean matrix, the column indices of its true entries
-    plus offset."""
-    n, m = mask.shape
-    flat = np.flatnonzero(mask)  # far faster than a 2-d nonzero
-    bounds = np.searchsorted(flat, np.arange(n + 1) * m).tolist()
-    cols = (flat % max(m, 1) + offset).tolist()  # flat is empty when m is 0
-    return [cols[start:stop] for start, stop in zip(bounds, bounds[1:])]
-
-
-def _augmented_adjacency(
-    within: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, delta: float
-) -> List[List[int]]:
-    """Adjacency of the augmented graph at threshold delta, given the n x m
-    pair mask ``within``: left vertices are the n A points and then the m
-    slots of the B points, right vertices the m B points and then the n
-    slots of the A points; a point joins its own slot within delta of the
-    diagonal, and slot b_j joins slot a_i exactly when a_i joins b_j."""
-    n, m = within.shape
-    adjacency = _row_lists(within, 0)
-    for i in np.flatnonzero(diag_a <= delta).tolist():
-        adjacency[i].append(m + i)
-    slots = _row_lists(within.T, m)
-    for j in np.flatnonzero(diag_b <= delta).tolist():
-        slots[j].append(j)
-    return adjacency + slots
+Edges = Tuple[np.ndarray, np.ndarray, np.ndarray]  # cost, left and right vertex of the finite class's edges, by cost
 
 
 def _lower_bound(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray) -> float:
@@ -233,56 +269,144 @@ def _lower_bound(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray) -> fl
     return max(near_a.max(initial=0.0), near_b.max(initial=0.0))
 
 
-def _probe(
-    cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, delta: float, start: Optional[List[int]]
-) -> Tuple[bool, List[int]]:
-    """Whether delta is feasible, and the maximum matching of the augmented
-    graph that decides it, grown from ``start`` (a matching of that graph,
-    or None)."""
+def _class_edges(a: Side, b: Side) -> Tuple[Edges, float]:
+    """The edges of the finite class's augmented graph that cost at most its
+    largest diagonal cost, sorted by cost, and the search's lower bound.
+
+    Left vertices are the n A points and then the m slots of the B points,
+    right vertices the m B points and then the n slots of the A points.  A
+    pair a_i, b_j is one edge (i, j), which also stands for its mirror from
+    slot b_j to slot a_i, (n + j, m + i); a point joins its own slot by an
+    edge (i, m + i) or (n + j, j)."""
+    cost, diag_a, diag_b = _class_costs(a, b)
+    bound = _lower_bound(cost, diag_a, diag_b)
     n, m = cost.shape
-    adjacency = _augmented_adjacency(cost <= delta, diag_a, diag_b, delta)
-    partner, size = _hopcroft_karp(adjacency, n + m, start)
-    return size == n + m, partner
+    within = cost <= max(diag_a.max(initial=0.0), diag_b.max(initial=0.0))
+    values = np.concatenate((cost[within], diag_a, diag_b))
+    del cost
+    left = np.concatenate((
+        np.arange(n, dtype=np.int32).repeat(np.count_nonzero(within, axis=1)),
+        np.arange(n + m, dtype=np.int32),
+    ))
+    right = np.concatenate((
+        np.broadcast_to(np.arange(m, dtype=np.int32), (n, m))[within],
+        np.arange(m, m + n, dtype=np.int32),
+        np.arange(m, dtype=np.int32),
+    ))
+    del within
+    order = np.argsort(values)
+    return (values[order], left[order], right[order]), bound
 
 
-def _matched_costs(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, partner: List[int]) -> np.ndarray:
-    """The cost of each left vertex's edge in a perfect matching of the
-    augmented graph: a_i's edge goes to b_j (j < m) or to its own slot, slot
-    b_j's to the slot of a_i (m + i) or to b_j."""
-    n, m = cost.shape
+class _Graph:
+    """The augmented graph of the finite class at a prefix of its edges:
+    ``adjacency[u]`` lists the right neighbours of left vertex u in the
+    order of the edges, so that a shorter prefix cuts each row to a prefix."""
+
+    def __init__(self, edges: Edges, n: int, m: int):
+        self.cost, self.left, self.right = edges
+        self.n, self.m = n, m
+        self.adjacency: List[List[int]] = [[] for _ in range(n + m)]
+        self.stop = 0  # the edges in the graph are those before this position
+
+    def _entries(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The adjacency entries (left, right) of the edges from start to
+        stop, mirrors included, and the position of each entry's edge."""
+        u, v = self.left[start:stop], self.right[start:stop]
+        pair = (u < self.n) & (v < self.m)
+        at = np.arange(start, start + len(u))
+        return np.concatenate((u, self.n + v[pair])), np.concatenate((v, self.m + u[pair])), np.concatenate((at, at[pair]))
+
+    def grow(self, stop: int) -> None:
+        """Add the edges up to ``stop``, in order."""
+        n, m, adjacency = self.n, self.m, self.adjacency
+        for u, v in zip(self.left[self.stop:stop].tolist(), self.right[self.stop:stop].tolist()):
+            adjacency[u].append(v)
+            if u < n and v < m:
+                adjacency[n + v].append(m + u)
+        self.stop = stop
+
+    def cut(self, stop: int, partner: List[int]) -> List[int]:
+        """Drop the edges from ``stop`` on, and unmatch them in ``partner``."""
+        rows, cols, _ = self._entries(stop, self.stop)
+        for u, count in enumerate(np.bincount(rows, minlength=self.n + self.m).tolist()):
+            if count:
+                del self.adjacency[u][-count:]
+        self.stop = stop
+        partner = np.array(partner)
+        partner[rows[partner[rows] == cols]] = -1
+        return partner.tolist()
+
+    def jump(self, layer: List[int], partner: List[int]) -> int:
+        """The position of the cheapest edge not yet in the graph from a left
+        vertex of Z, those with a layer >= 0, to a right vertex outside N(Z),
+        the partners of Z's matched vertices.
+
+        When the matching is not perfect, |N(Z)| < |Z|, so by Hall's
+        condition no prefix ending before that edge has a perfect matching;
+        below the top, which is feasible, such an edge always exists."""
+        reached, partner = np.array(layer) >= 0, np.array(partner)
+        neighbours = np.zeros(self.n + self.m, bool)
+        neighbours[partner[reached & (partner >= 0)]] = True
+        start, size = self.stop, 1024
+        while start < len(self.cost):  # in growing chunks, as the edge is often near
+            rows, cols, at = self._entries(start, start + size)
+            useful = reached[rows] & ~neighbours[cols]
+            if useful.any():
+                return int(at[useful].min())
+            start, size = start + size, 2 * size
+        return len(self.cost)
+
+
+def _probe(graph: _Graph, at: int, start: Optional[List[int]]) -> Tuple[bool, List[int], List[int]]:
+    """Whether the threshold ``graph.cost[at]`` is feasible, with the maximum
+    matching of the graph at it, grown from ``start`` (a matching of the
+    graph as it was, or None), and the layers of its last search."""
+    stop = int(np.searchsorted(graph.cost, graph.cost[at], "right"))
+    if stop < graph.stop:
+        start = graph.cut(stop, start)
+    graph.grow(stop)
+    partner, size, layer = _hopcroft_karp(graph.adjacency, graph.n + graph.m, start)
+    return size == graph.n + graph.m, partner, layer
+
+
+def _matched_cost(a: Side, b: Side, partner: List[int]) -> float:
+    """The costliest edge of a perfect matching of the augmented graph, by
+    the float expressions of `_class_costs`: a_i's edge goes to b_j (j < m)
+    or to its own slot, slot b_j's to the slot of a_i (m + i) or to b_j."""
+    (pa, qa), (pb, qb) = a, b
+    n, m = len(pa), len(pb)
     partner = np.asarray(partner)
     rows, slots = partner[:n], partner[n:]
-    return np.concatenate((
-        np.where(rows < m, cost[np.arange(n), rows % m], diag_a),
-        np.where(slots >= m, cost[(slots - m) % n, np.arange(m)], diag_b),
-    ))
+    i = np.concatenate((np.flatnonzero(rows < m), slots[slots >= m] - m))
+    j = np.concatenate((rows[rows < m], np.flatnonzero(slots >= m)))
+    pairs = np.maximum(np.abs(pa[i] - pb[j]), np.abs(qa[i] - qb[j]))
+    diagonal = np.concatenate((((qa - pa) / 2.0)[rows >= m], ((qb - pb) / 2.0)[slots < m]))
+    return max(pairs.max(initial=0.0), diagonal.max(initial=0.0))
 
 
 def _finite_class_bottleneck(a: Side, b: Side) -> float:
-    cost, diag_a, diag_b = _class_costs(a, b)
-    grid = np.unique(np.concatenate(([0.0], diag_a, diag_b, cost.ravel())))
-    # The bound is one of the costs, so it sits exactly in the grid.  Leaving
-    # every point unmatched is allowed at the largest diagonal cost, so the
-    # top candidate is always feasible.
-    floor = int(np.searchsorted(grid, _lower_bound(cost, diag_a, diag_b)))
-    lo, hi = floor, len(grid) - 1
-    offset, galloping, partner, edge = 0, True, None, None
+    edges, bound = _class_edges(a, b)
+    graph = _Graph(edges, len(a[0]), len(b[0]))
+    cost = edges[0]
+    # Leaving every point unmatched is allowed at the last cost, so the top
+    # is always feasible; the bound is one of the costs.
+    lo, hi = np.searchsorted(cost, (bound, cost[-1])).tolist()
+    offset, galloping, partner = 0, True, None
     while lo < hi:
-        if galloping and floor + offset < hi:
-            mid = floor + offset
+        if galloping and lo + offset < hi:
+            mid = lo + offset
             offset = 2 * offset + 1
         else:
             mid = (lo + hi) // 2
-        if edge is not None:  # the last probe was feasible, so delta fell
-            partner = np.where(edge > grid[mid], -1, partner).tolist()
-        feasible, partner = _probe(cost, diag_a, diag_b, grid[mid], partner)
-        edge = None
-        if feasible:  # and so at its costliest edge, which is at most delta
-            edge = _matched_costs(cost, diag_a, diag_b, partner)
-            hi, galloping = min(mid, int(np.searchsorted(grid, edge.max()))), False
-        else:
-            lo = mid + 1
-    return float(grid[lo])
+        feasible, partner, layer = _probe(graph, mid, partner)
+        if not feasible:
+            lo = int(np.searchsorted(cost, cost[graph.jump(layer, partner)]))
+        elif mid == lo:
+            hi = lo
+        else:  # feasible already at its costliest edge, which is at most delta
+            hi, galloping = int(np.searchsorted(cost, _matched_cost(a, b, partner))), False
+    return float(cost[lo])
 
 
 def _line_matching(xa: Sequence[float], xb: Sequence[float], delta: float) -> List[int]:
@@ -328,30 +452,32 @@ def matching_at(
 ) -> MatchingResult:
     """Explicit matching with every matched pair within L-inf distance delta
     and every unmatched point within delta of the diagonal, if one exists;
-    else the maximum matching that shows there is none.  Its points are the
-    only ones made."""
+    else the maximum matching that shows there is none.  It makes no point:
+    its fields make theirs when read."""
     delta = query_value(delta, "delta")
     if delta < 0:
         raise ValueError(f"requires delta >= 0, got {delta}")
-    matched: List[Tuple[DiagramPoint, DiagramPoint]] = []
-    unmatched_a: List[DiagramPoint] = []
-    unmatched_b: List[DiagramPoint] = []
-    feasible = True
+    # per class: its sides and each A point's B partner, numbered across classes
+    parts, taken, feasible = [(*(np.empty(0),) * 4, np.empty(0, np.intp))], 0, True
     for cls, side_a, side_b in _classes(a, b, d):
         n, m = len(side_a[0]), len(side_b[0])
         if cls == (True, True):
-            ok, partner = _probe(*_class_costs(side_a, side_b), delta, None)
-            partner = [j if j < m else -1 for j in partner[:n]]
+            edges, _ = _class_edges(side_a, side_b)
+            graph = _Graph(edges, n, m)
+            graph.grow(int(np.searchsorted(edges[0], delta, "right")))
+            partner, size, _ = _hopcroft_karp(graph.adjacency, n + m)
+            partner, ok = np.array(partner[:n], dtype=np.intp), size == n + m
+            partner[partner >= m] = -1  # a slot is the diagonal
         else:
-            partner = _line_matching(_line(cls, side_a), _line(cls, side_b), delta)
-            ok = n == m == n - partner.count(-1)
-        pts_a, pts_b = _made(DiagramPoint, *side_a), _made(DiagramPoint, *side_b)
-        matched.extend((pts_a[i], pts_b[j]) for i, j in enumerate(partner) if j >= 0)
-        unmatched_a.extend(pts_a[i] for i, j in enumerate(partner) if j < 0)
-        taken = set(partner)
-        unmatched_b.extend(pt for j, pt in enumerate(pts_b) if j not in taken)
+            partner = np.array(_line_matching(_line(cls, side_a), _line(cls, side_b), delta), dtype=np.intp)
+            ok = n == m == np.count_nonzero(partner >= 0)
+        parts.append((*side_a, *side_b, np.where(partner >= 0, partner + taken, -1)))
+        taken += m
         feasible = feasible and ok
-    return MatchingResult(tuple(matched), tuple(unmatched_a), tuple(unmatched_b), feasible)
+    pa, qa, pb, qb, partner = (np.concatenate(column) for column in zip(*parts))
+    for column in (pa, qa, pb, qb, partner):
+        column.flags.writeable = False
+    return MatchingResult((pa, qa), (pb, qb), partner, feasible)
 
 
 def bottleneck_bruteforce(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> ExtendedReal:

@@ -138,6 +138,12 @@ class PersistenceDiagram:
     def __setattr__(self, name, value):
         raise AttributeError("PersistenceDiagram is immutable")
 
+    def __reduce__(self):
+        """Copied and pickled as its rows, through the bulk constructor."""
+        rows = [_EMPTY, *self._rows.values()]  # _EMPTY gives an empty diagram its dtypes
+        degree = _int_array(list(self._rows)).repeat([len(p) for p, _, _ in rows[1:]])
+        return _from_rows, (degree, *map(np.concatenate, zip(*rows)))
+
     def degrees(self) -> Tuple[int, ...]:
         return tuple(self._rows)  # made in ascending order
 

@@ -1,6 +1,8 @@
 """Interval/barcode algebra: ranks, radical, constancy thresholds."""
 
+import copy
 import math
+import pickle
 import random
 import re
 from itertools import product
@@ -399,3 +401,13 @@ def test_barcode_arrays_agree_with_the_per_bar_oracle(draws, data):
     assert repr(radical(barcode).bars) == repr(oracle.radical().bars)
     assert repr(diagram_of(barcode)) == repr(diagram_oracle(oracle.bars))
     assert diagram_of(barcode) == diagram_oracle(oracle.bars)
+
+
+@pytest.mark.parametrize("barcode", [
+    Barcode(),
+    Barcode([(0, Interval.closed_open(0, 1)), (2**70, Interval.open_open(-0.0, math.inf)), (1, Interval.singleton(2))]),
+])
+def test_barcodes_copy_and_pickle_through_their_columns(barcode):
+    for other in (copy.copy(barcode), copy.deepcopy(barcode), pickle.loads(pickle.dumps(barcode))):
+        assert type(other) is Barcode and other == barcode and repr(other) == repr(barcode)
+        assert all(mine.dtype == theirs.dtype for mine, theirs in zip(other._columns, barcode._columns))

@@ -1,10 +1,14 @@
 """Bottleneck distance: examples, oracle agreement, metric axioms, stability,
 and the matching and search underneath."""
 
+import copy
 import importlib
 import math
+import pickle
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +87,26 @@ def test_matching_at_examples():
 
     with pytest.raises(ValueError):
         matching_at(dgm([(0, 2)]), dgm([(0, 2)]), 0, -0.1)
+
+
+def test_matching_results_are_immutable_values_that_copy_and_pickle():
+    a = PersistenceDiagram({0: [(0, 2), (1, 5), (0, math.inf)]})
+    b = PersistenceDiagram({0: [(0.5, 2.5), (3, math.inf)]})
+    result = matching_at(a, b, 0, 3.0)
+    assert result.feasible and len(result.matched) == 2 and len(result.unmatched_a) == 1
+    assert result == matching_at(a, b, 0, 3.0) and hash(result) == hash(matching_at(a, b, 0, 3.0))
+    assert result != matching_at(a, b, 0, 2.9) and result != (result.matched, result.unmatched_a)
+    assert repr(result) == (
+        f"MatchingResult(matched={result.matched!r}, unmatched_a={result.unmatched_a!r}, "
+        f"unmatched_b={result.unmatched_b!r}, feasible=True)"
+    )
+    for other in (copy.copy(result), copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert type(other) is B.MatchingResult and other == result and repr(other) == repr(result)
+    for name in ("matched", "feasible", "_partner"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
+        with pytest.raises(AttributeError):
+            delattr(result, name)
 
 
 def test_matching_respects_multiplicity():
@@ -265,39 +289,52 @@ def _graph_and_matching(draw):
 @given(_graph_and_matching())
 def test_warm_started_hopcroft_karp_finds_a_maximum_matching(case):
     adjacency, n_right, start = case
-    partner, size = B._hopcroft_karp(adjacency, n_right, list(start))
+    partner, size, layer = B._hopcroft_karp(adjacency, n_right, list(start))
     matched = [(u, v) for u, v in enumerate(partner) if v >= 0]
     assert all(v in adjacency[u] for u, v in matched)
     assert len({v for _, v in matched}) == len(matched) == size
     assert size == _kuhn_matching_size(adjacency, n_right)
+    # the last search's reached vertices Z violate Hall's condition when some
+    # left vertex is free: every neighbour of Z is matched into Z
+    reached = {u for u, at in enumerate(layer) if at >= 0}
+    neighbours = {v for u in reached for v in adjacency[u]}
+    assert reached == {u for u, v in enumerate(partner) if v < 0 or v in neighbours}
+    assert len(neighbours) == len(reached) - (len(adjacency) - size)
     # a cold start is the same search from the empty matching
     assert B._hopcroft_karp(adjacency, n_right)[1] == size
 
 
 def _recorded_search(a, b):
     """The bottleneck of a and b in degree 0, with the finite class's lower
-    bound and every threshold the search probed, with its verdict."""
-    floors, probes = [], []
-    lower_bound, probe = B._lower_bound, B._probe
+    bound, every threshold the search probed, with its verdict, and the
+    lower end each infeasible probe's jump gave."""
+    floors, probes, jumps = [], [], []
+    lower_bound, probe, jump = B._lower_bound, B._probe, B._Graph.jump
 
     def recording_bound(*args):
         floors.append(lower_bound(*args))
         return floors[-1]
 
-    def recording_probe(cost, diag_a, diag_b, delta, start):
-        feasible, partner = probe(cost, diag_a, diag_b, delta, start)
-        probes.append((float(delta), feasible))
-        return feasible, partner
+    def recording_probe(graph, at, start):
+        feasible, partner, layer = probe(graph, at, start)
+        probes.append((float(graph.cost[at]), feasible))
+        return feasible, partner, layer
+
+    def recording_jump(graph, layer, partner):
+        at = jump(graph, layer, partner)
+        jumps.append(float(graph.cost[at]))
+        return at
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(B, "_lower_bound", recording_bound)
         patch.setattr(B, "_probe", recording_probe)
+        patch.setattr(B._Graph, "jump", recording_jump)
         value = bottleneck(a, b, 0)
-    return value, floors, probes
+    return value, floors, probes, jumps
 
 
 def _check_search(a, b):
-    value, floors, probes = _recorded_search(a, b)
+    value, floors, probes, jumps = _recorded_search(a, b)
     expected = bottleneck_oracle(a, b, 0)
     assert value.float_value == expected
     assert len(floors) <= 1
@@ -307,6 +344,9 @@ def _check_search(a, b):
             assert probes[0][0] == floor
     for delta, feasible in probes:
         assert feasible == bottleneck_feasible_oracle(a, b, 0, delta), delta
+    assert len(jumps) == sum(not feasible for _, feasible in probes)
+    for lower_end in jumps:  # no threshold below a Hall violator's cheapest new neighbour is feasible
+        assert lower_end <= expected
 
 
 _FINITE_QUARTER_GRID = st.lists(st.tuples(_QUARTER, _GAP).map(lambda t: (t[0], t[0] + t[1])), max_size=30).map(dgm)
@@ -344,6 +384,39 @@ def test_the_search_hands_hopcroft_karp_at_most_half_the_entries_of_a_plain_bise
         value = bottleneck(a, b, 0)
     assert value.is_finite and value.value > 0
     assert entries <= 241_777 // 2, (calls, entries)
+
+
+def test_the_search_jumps_past_infeasible_thresholds():
+    # the plain gallop from the lower bound made 75 matchings on these pairs
+    calls = 0
+    hopcroft_karp = B._hopcroft_karp
+
+    def counting(adjacency, n_right, start=None):
+        nonlocal calls
+        calls += 1
+        return hopcroft_karp(adjacency, n_right, start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(B, "_hopcroft_karp", counting)
+        for seed, n in [(1, 300), (60, 60), (61, 75), (90, 90), (120, 120)]:
+            assert bottleneck(*perturbed_diagram_pair(random.Random(seed), n), 0).is_finite
+    assert calls < 75
+
+
+def test_the_cost_matrix_is_built_with_at_most_two_matrices_alive():
+    rng = np.random.default_rng(5)
+    n = m = 400
+    pa, pb = rng.random(n), rng.random(m)
+    a, b = (pa, pa + rng.uniform(0.02, 0.5, n)), (pb, pb + rng.uniform(0.02, 0.5, m))
+    tracemalloc.start()
+    try:
+        cost, diag_a, diag_b = B._class_costs(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * n * m * 8, peak
+    assert np.array_equal(cost, np.maximum(np.abs(np.subtract.outer(a[0], b[0])), np.abs(np.subtract.outer(a[1], b[1]))))
+    assert np.array_equal(diag_a, (a[1] - a[0]) / 2.0) and np.array_equal(diag_b, (b[1] - b[0]) / 2.0)
 
 
 def test_metric_axioms_on_samples():

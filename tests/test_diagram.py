@@ -1,6 +1,8 @@
 """Diagram construction, multiplicity bookkeeping, and quadrant counts."""
 
+import copy
 import math
+import pickle
 import random
 import re
 
@@ -371,3 +373,13 @@ def test_multiplicities_beyond_int64_stay_exact():
     halves = parse_diagram("0 0 1 4611686018427387904\n0 0 2 4611686018427387904\n0 0 1 1\n")
     assert (halves.count(0), quadrant_count(halves, 0, 1, 0.5), cap_number(halves, 0, 0.1)) == (2**63 + 1,) * 3
     assert halves.multiplicity(0, (0, 1)) == 2**62 + 1
+
+
+@pytest.mark.parametrize("diagram", [
+    PersistenceDiagram(),
+    PersistenceDiagram({0: [(0, 1), (-0.0, math.inf)], 1: {(0, 1): 2**70}, 2**70: {(-math.inf, 2): 3}}),
+])
+def test_diagrams_copy_and_pickle_through_their_rows(diagram):
+    for other in (copy.copy(diagram), copy.deepcopy(diagram), pickle.loads(pickle.dumps(diagram))):
+        assert type(other) is PersistenceDiagram and other == diagram and repr(other) == repr(diagram)
+        assert other.degrees() == diagram.degrees()
