@@ -109,6 +109,24 @@ def test_matching_results_are_immutable_values_that_copy_and_pickle():
             delattr(result, name)
 
 
+def test_matching_at_pairs_points_costlier_than_every_diagonal_cost():
+    # the pair costs 3, each point 0.5 to the diagonal: above 3 the witness pairs them
+    a, b = dgm([(0, 1)]), dgm([(3, 4)])
+    result = matching_at(a, b, 0, 5.0)
+    assert result.feasible and [(x.p.value, y.p.value) for x, y in result.matched] == [(0.0, 3.0)]
+    result = matching_at(a, b, 0, 2.5)
+    assert result.feasible and result.matched == () and len(result.unmatched_a) == len(result.unmatched_b) == 1
+
+
+def test_matching_at_skips_the_search_bound():
+    def refuse(*args):
+        raise AssertionError("matching_at computed the search's lower bound")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(B, "_lower_bound", refuse)
+        assert matching_at(dgm([(0, 2), (1, 5)]), dgm([(0.5, 2.5)]), 0, 2.0).feasible
+
+
 def test_matching_respects_multiplicity():
     a = dgm({(0, 4): 2})
     b = dgm({(0, 4): 2})
@@ -350,6 +368,36 @@ def _check_search(a, b):
 
 
 _FINITE_QUARTER_GRID = st.lists(st.tuples(_QUARTER, _GAP).map(lambda t: (t[0], t[0] + t[1])), max_size=30).map(dgm)
+
+
+def _vertex_order_adjacency(a, b, delta):
+    """The augmented graph at delta of two diagrams of finite points, each
+    row listing its right vertices in order but for a point's own slot,
+    which comes last."""
+    xs, ys = B._expand(a, 0), B._expand(b, 0)
+    m = len(ys)
+    return [
+        [j for j, y in enumerate(ys) if B._pair_cost(x, y) <= delta] + [m + i] * (B._diagonal_cost(x) <= delta)
+        for i, x in enumerate(xs)
+    ] + [
+        [m + i for i, x in enumerate(xs) if B._pair_cost(x, y) <= delta] + [j] * (B._diagonal_cost(y) <= delta)
+        for j, y in enumerate(ys)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FINITE_QUARTER_GRID, _FINITE_QUARTER_GRID, st.integers(0, 48).map(lambda k: k / 4))
+def test_matching_at_matches_rows_in_vertex_order(a, b, delta):
+    adjacency = _vertex_order_adjacency(a, b, delta)
+    n, m = a.count(0), b.count(0)
+    if n + m:
+        (_, side_a, side_b), = B._classes(a, b, 0)
+        assert B._Graph(B._class_edges(side_a, side_b, delta)[0], n, m).by_vertex() == adjacency
+    # the witness is Hopcroft-Karp's from the empty matching on that graph
+    partner, size, _ = B._hopcroft_karp(adjacency, n + m)
+    result = matching_at(a, b, 0, delta)
+    assert result._partner.tolist() == [j if j < m else -1 for j in partner[:n]]
+    assert result.feasible == (size == n + m)
 
 
 @settings(max_examples=150, deadline=None)
