@@ -225,27 +225,30 @@ def _hopcroft_karp(
         if shortest is None:
             break
         # Depth-first search along the layers from each free left vertex;
-        # next_edge[u] is the next neighbour of u to try, and a vertex with
-        # none left is retired for this phase.
-        next_edge = [0] * len(adjacency)
+        # rows[u] yields the neighbours of u not yet tried, a vertex with
+        # none left is retired for this phase, and via[i] is the edge taken
+        # from stack[i].
+        rows = list(map(iter, adjacency))
         for root in free:
-            stack = [root]
+            stack, via = [root], []
             while stack:
                 u = stack[-1]
-                if next_edge[u] == len(adjacency[u]):
+                v = next(rows[u], -1)
+                if v < 0:
                     layer[u] = -1
                     stack.pop()
+                    if stack:
+                        via.pop()
                     continue
-                v = adjacency[u][next_edge[u]]
-                next_edge[u] += 1
                 w = match_right[v]
                 if w < 0:
-                    for x in stack:
-                        y = adjacency[x][next_edge[x] - 1]
+                    via.append(v)
+                    for x, y in zip(stack, via):
                         match_left[x], match_right[y] = y, x
                     break
                 if layer[w] == layer[u] + 1:
                     stack.append(w)
+                    via.append(v)
     return match_left, len(match_left) - match_left.count(-1), layer
 
 

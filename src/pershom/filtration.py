@@ -204,11 +204,17 @@ def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, 
     (the combinatorial number system, as in Ripser); omitting vertex i
     subtracts C(q_i, k-i+1) and C(q_l, k-l+1) - C(q_l, k-l) for each l < i,
     so one cumulative sum gives every facet.  Codes are int64 where they
-    fit, else Python ints."""
+    fit, else Python ints.  Ids from 0 to below four per vertex slot are
+    ranked by counting, others by sorting.  Each facet's cofacets, found as
+    one run, move to its offset whole, in no set order."""
     vertices, sizes, values = complex_._arrays
     n = len(sizes)
-    ids, q = np.unique(vertices, return_inverse=True)
-    q = len(ids) - 1 - q  # ranks from the largest vertex
+    if vertices.dtype == np.int64 and len(vertices) and vertices.min() >= 0 and vertices.max() < 4 * len(vertices):
+        upto = (np.bincount(vertices) > 0).cumsum()  # the ids up to each, counted
+        count, q = int(upto[-1]), upto[-1] - upto[vertices]  # ranks from the largest vertex
+    else:
+        ids, q = np.unique(vertices, return_inverse=True)
+        count, q = len(ids), len(ids) - 1 - q
     seg = np.repeat(np.arange(n, dtype=np.int32), sizes)  # the entry of each vertex slot
     defects = (sizes == 0) | ~np.isfinite(values)
     defects[seg[1:][(seg[1:] == seg[:-1]) & (q[1:] >= q[:-1])]] = True  # ranks must fall
@@ -218,8 +224,8 @@ def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, 
             raise ValueError(f"vertices must be strictly increasing, got {simplex}" if simplex else "empty simplex")
         raise NonFiniteValueError(simplex, value)
     width = int(sizes.max(initial=0))
-    above = math.comb(len(ids), min(width, len(ids) // 2)) + 1  # above every code
-    binom = np.zeros((len(ids), width + 1), np.int64 if above * width < 2**63 else object)  # keys <= width * above
+    above = math.comb(count, min(width, count // 2)) + 1  # above every code
+    binom = np.zeros((count, width + 1), np.int64 if above * width < 2**63 else object)  # keys <= width * above
     for j in range(width + 1):  # binom[r, j] = C(r, j), by Pascal's rule down each column
         binom[j:, j] = np.cumsum(binom[j - 1:-1, j - 1]) if j else 1
     ends = np.cumsum(sizes)
@@ -263,9 +269,16 @@ def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, 
     slots -= starts[owner]  # the omitted vertex, whose parity is the boundary sign
     coface += slots % 2
     del slots, owner, found, bad
-    offsets = array("q", np.concatenate(([0], np.cumsum(np.bincount(face, minlength=n)))).tobytes())
-    coface = coface[np.argsort(face)]
-    return array("q", canon.tobytes()), sizes[canon], values[canon], array("q", coface.tobytes()), offsets
+    counts = np.bincount(face, minlength=n)
+    offsets = np.concatenate(([0], counts.cumsum()))
+    heads = np.concatenate((face[:1] >= 0, face[1:] != face[:-1])).nonzero()[0]  # face keys sorted: a run per face
+    dest = np.arange(len(face))
+    dest += (offsets[face[heads]] - heads).repeat(counts[face[heads]])
+    placed = np.empty_like(coface)
+    placed[dest] = coface
+    del face, dest, coface
+    offsets, coface = array("q", offsets.tobytes()), array("q", placed.tobytes())
+    return array("q", canon.tobytes()), sizes[canon], values[canon], coface, offsets
 
 
 def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[int]]) -> FilteredComplex:

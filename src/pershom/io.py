@@ -149,6 +149,7 @@ _CHUNK = 1 << 17  # characters, so ASCII bytes, of .flt text lexed at a time, th
 _KEYWORD = np.frombuffer(b"simplex", np.uint8)
 _WIDTH = 32  # value tokens up to this long are compared in numpy, longer ones converted one by one
 _PREFIX = np.tri(_WIDTH + 1, _WIDTH, -1, np.uint8) * np.uint8(255)  # row k keeps the first k bytes
+_MIX = np.array([1, 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np.uint64)  # word k's hash factor
 _DIGITS = 18  # an id of up to 18 digits fits int64
 
 
@@ -183,8 +184,9 @@ def _chunks(text: str) -> Iterator[bytes]:
 def _lex(data: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The flat (vertices, sizes, values) of a piece of `.flt` bytes without
     comments, each row's vertices sorted; a token opens a row when a line
-    break lies before it, and each distinct value token is converted once.
-    Any defect raises a ValueError without a message."""
+    break lies before it, and each distinct value token is converted once,
+    found by a hash of its 8-byte words checked against every token, or by
+    text when two share a hash.  Any defect raises a ValueError without a message."""
     # A break before the text opens the first row; the padding lets any token be read _WIDTH wide.
     b = np.frombuffer(b"\n" + data + b" " * _WIDTH, np.uint8)
     if ((b < 9) | (b - 14 < 14)).any():  # a control byte, which no token may hold; the other bytes
@@ -203,11 +205,19 @@ def _lex(data: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError
     at, lens_at = starts[heads + 1], lens[heads + 1]
     short = lens_at <= _WIDTH
-    width = min(int(lens_at.max(initial=1)), _WIDTH)
+    width = -(-min(int(lens_at.max(initial=1)), _WIDTH) // 8) * 8  # whole 8-byte words
     texts = window[at[short], :width] & _PREFIX[lens_at[short], :width]
-    distinct, inverse = np.unique(texts.view(f"S{width}").ravel(), return_inverse=True)  # by text: -0.0 is not 0.0
-    values = np.empty(n)
-    values[short] = np.array(list(map(float, distinct.tolist())), float)[inverse]
+    words = texts.view(np.uint64)
+    h = np.zeros(len(words), np.uint64)  # a hash of each token's words, wrapping
+    for k in range(words.shape[1]):
+        h ^= words[:, k] * _MIX[k]
+    inverse = np.unique(h, return_inverse=True)[1]
+    first = np.empty(inverse.max(initial=-1) + 1, np.intp)
+    first[inverse] = np.arange(len(inverse))  # one token of each hash
+    if (words != words[first[inverse]]).any():  # two tokens share a hash: sort them by text
+        first, inverse = np.unique(texts.view(f"S{width}").ravel(), return_index=True, return_inverse=True)[1:]
+    values = np.empty(n)  # by text, so -0.0 is not 0.0
+    values[short] = np.array(list(map(float, texts[first].view(f"S{width}").ravel().tolist())), float)[inverse]
     for k in np.flatnonzero(~short).tolist():
         values[k] = float(b[at[k]:at[k] + lens_at[k]].tobytes())
     is_id = np.ones(len(starts), bool)

@@ -1,12 +1,14 @@
 """Command-line interface: every subcommand plus the exit-code contract."""
 
 import math
+import time
 from pathlib import Path
 
 import pytest
 
 import pershom.barcode
 import pershom.filtration
+import pershom.morse
 from pershom import Barcode, Interval, PersistenceDiagram
 from pershom.cli import main
 from pershom.io import read_barcode, read_diagram, write_diagram
@@ -130,6 +132,17 @@ def test_morse_report_and_exit_codes(tmp_path, capsys):
     assert "-inf" in capsys.readouterr().err
 
     assert main(["morse", "--dgm", str(dgm), "--epsilon", "-1", "--max-degree", "2"]) == 1
+
+
+def test_morse_refuses_a_degree_count_over_its_limit_at_once(tmp_path, capsys):
+    # unbounded, 100,000 degrees took 2.1 s and printed a 4.8 MB report
+    dgm = tmp_path / "one_point.dgm"
+    write_diagram(dgm, PersistenceDiagram({0: [(0, 1)]}))
+    start = time.perf_counter()
+    assert main(["morse", "--dgm", str(dgm), "--epsilon", "0.1", "--max-degree", "100000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: n_max limited to {pershom.morse.MORSE_DEGREE_LIMIT}, got 100000\n"
 
 
 def test_bottleneck_command(tmp_path, capsys):

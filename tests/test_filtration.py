@@ -251,17 +251,40 @@ def _assert_matches_validate_oracle(entries):
         assert set(got) == {(c >> 1, c & 1) for c in expected_codes}
 
 
+def _dense(entries):
+    """The entries with each vertex id replaced by its rank among them, from 0."""
+    rank = {v: i for i, v in enumerate(sorted({v for s, _ in entries for v in s}))}
+    return [(tuple(map(rank.__getitem__, s)), t) for s, t in entries]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     max_dim=st.integers(0, 8),
     extra=st.integers(0, 480),
     defects=st.lists(st.sampled_from(DEFECTS), max_size=2),
+    dense=st.booleans(),
 )
-def test_face_index_matches_the_tuple_keyed_oracle(seed, max_dim, extra, defects):
+def test_face_index_matches_the_tuple_keyed_oracle(seed, max_dim, extra, defects, dense):
+    # sparse ids up to 10**9 are ranked by sorting, dense ones from 0 by counting
     rng = random.Random(seed)
     entries = random_closed_entries(rng, max_dim, extra_vertices=extra)
-    _assert_matches_validate_oracle(_with_defects(entries, rng, defects))
+    entries = _with_defects(_dense(entries) if dense else entries, rng, defects)
+    _assert_matches_validate_oracle(entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_dim=st.integers(0, 6), extra=st.integers(0, 60))
+def test_face_table_is_the_same_for_every_shift_of_the_ids(seed, max_dim, extra):
+    # ids from 0 are ranked by counting; shifted past four per vertex slot, below 0 or beyond int64, by sorting
+    entries = _dense(random_closed_entries(random.Random(seed), max_dim, extra_vertices=extra))
+    table = [part.tobytes() for part in FilteredComplex(entries)._table]
+    for offset in (0, 10**6, 2**62, 2**64, -10**6, -2**70):
+        shifted = [(tuple(v + offset for v in s), t) for s, t in entries]
+        assert [part.tobytes() for part in FilteredComplex(shifted)._table] == table
+        if offset >= 0:  # the reader refuses negative ids
+            text = "".join(f"simplex {t!r} {' '.join(map(str, s))}\n" for s, t in shifted)
+            assert [part.tobytes() for part in parse_filtration(text)._table] == table
 
 
 # A dimension-8 simplex on the largest vertices has the largest key; it fits

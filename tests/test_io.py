@@ -3,6 +3,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -695,6 +696,29 @@ def test_filtration_ids_read_as_int_reads_them():
     for token in ["1__0", "0x1", "1.0", "3-", "_1"]:
         with pytest.raises(FormatError, match="invalid literal for int"):
             parse_filtration(f"simplex 0 {token}\n")
+
+
+_VALUE_TOKENS = ["-0.0", "0.0", "-0", "0", "1_0", "10", "inf", "-inf", "1e-5", "0.1", "0.30000000000000004",
+                 "12345678", "123456789", "0.12345678901234567890123456789", "9" * 32,
+                 "0." + "1" * 40, "0." + "1" * 39 + "2", "-" + "0" * 40]  # the last three past _WIDTH
+
+
+@pytest.mark.parametrize("mix", [
+    [0, 0, 0, 0],  # every token shares one hash
+    [1, 0, 0, 0],  # the tokens that share their first 8 bytes share a hash
+])
+def test_value_tokens_that_share_a_hash_are_read_by_text(monkeypatch, mix):
+    import random
+
+    import pershom.io
+
+    rng = random.Random(5)
+    tokens = _VALUE_TOKENS + [rng.choice(_VALUE_TOKENS) for _ in range(200)]
+    data = "".join(f"simplex {token} {i}\n" for i, token in enumerate(tokens)).encode()
+    plain = pershom.io._lex(data)
+    assert plain[2].tobytes() == np.array([float(token) for token in tokens]).tobytes()  # -0.0 is not 0.0
+    monkeypatch.setattr(pershom.io, "_MIX", np.array(mix, np.uint64))
+    assert [part.tobytes() for part in pershom.io._lex(data)] == [part.tobytes() for part in plain]
 
 
 def test_filtration_lexing_memory_stays_within_a_chunk(monkeypatch):

@@ -203,10 +203,21 @@ def test_partial_sums_equal_the_explicit_alternating_sums():
 
 
 def test_morse_check_is_linear_in_n_max():
-    # each partial sum comes from the one before, so 10**5 degrees take a fraction of a second
-    report = morse_check(TWO_FINITE, 0.05, 100_000)
-    assert len(report.rows) == len(report.partial_sums) == 100_001
+    # each partial sum comes from the one before, so the most degrees allowed take a fraction of a second
+    limit = pershom.morse.MORSE_DEGREE_LIMIT
+    report = morse_check(TWO_FINITE, 0.05, limit)
+    assert len(report.rows) == len(report.partial_sums) == limit + 1
     assert report.partial_sums[:3] == (1, 1, 0) and set(report.partial_sums[3:]) == {0}
+
+
+def test_morse_check_refuses_n_max_over_its_limit_before_counting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a degree was counted")
+
+    monkeypatch.setattr(pershom.morse, "nu", refuse)
+    for n_max in (pershom.morse.MORSE_DEGREE_LIMIT + 1, 10**8, 2**70):
+        with pytest.raises(TooLargeError, match=f"n_max limited to {pershom.morse.MORSE_DEGREE_LIMIT}, got {n_max}$"):
+            morse_check(TWO_FINITE, 0.05, n_max)
 
 def test_cap_and_nu_monotone_in_eps():
     rng = random.Random(3)
