@@ -40,9 +40,10 @@ is feasible until Z gains a neighbour, so the lower end jumps to the
 cheapest edge not yet in the graph from Z to a right vertex outside its
 neighbourhood, while the gallop's offsets keep doubling.  A perfect
 matching is feasible already at its costliest edge, which caps the
-bracket.  `matching_at` lists the same edges, up to its one delta, and
-matches them from the empty matching, each row in the order of its right
-vertices; its result keeps each side's points and each A point's partner
+bracket.  `matching_at` grows the same edges, up to its one delta and
+unsorted, with the search's own `grow`, each row in the order of its right
+vertices and a point's own slot last, and matches them from the empty
+matching; its result keeps each side's points and each A point's partner
 as arrays, making `DiagramPoint`s only when its fields are read.
 """
 
@@ -266,10 +267,11 @@ def _lower_bound(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray) -> fl
 
 def _class_edges(a: Side, b: Side, cap: Optional[float] = None) -> Tuple[Edges, Optional[float]]:
     """The edges of the finite class's augmented graph that cost at most
-    ``cap``: the pairs row by row, then each point's edge to its own slot,
-    the A points' first.  By default the cap is the largest diagonal cost,
-    and the search's lower bound comes with the edges; given a cap, None
-    does.
+    ``cap``: the pairs row by row, then the A points' edges to their own
+    slots, then the B points'.  `matching_at` relies on this order: grown
+    in it, each row lists its right vertices in order, a point's own slot
+    last.  By default the cap is the largest diagonal cost, and the search's
+    lower bound comes with the edges; given a cap, None does.
 
     Left vertices are the n A points and then the m slots of the B points,
     right vertices the m B points and then the n slots of the A points.  A
@@ -291,39 +293,16 @@ def _class_edges(a: Side, b: Side, cap: Optional[float] = None) -> Tuple[Edges, 
 
 
 class _Graph:
-    """The augmented graph of the finite class at a prefix of its edges,
-    sorted by cost for the search: ``adjacency[u]`` lists the right
-    neighbours of left vertex u in the order of the edges, so that a shorter
-    prefix cuts each row to a prefix."""
+    """The augmented graph of the finite class at a prefix of its edges, as
+    listed or sorted by cost: ``adjacency[u]`` lists the right neighbours of
+    left vertex u in the order of the edges, so a shorter prefix cuts each
+    row to a prefix; `grow` adds edges in order and `cut` undoes it, last first."""
 
     def __init__(self, edges: Edges, n: int, m: int):
         self.cost, self.left, self.right = edges
         self.n, self.m = n, m
         self.adjacency: List[List[int]] = [[] for _ in range(n + m)]
         self.stop = 0  # the edges in the graph are those before this position
-
-    def _entries(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The adjacency entries (left, right) of the edges from start to
-        stop, in their order: those from the A points, the mirrors and then
-        those from the B slots."""
-        u, v = self.left[start:stop], self.right[start:stop]
-        pair, slot = (u < self.n) & (v < self.m), u >= self.n
-        return (
-            np.concatenate((u[~slot], self.n + v[pair], u[slot])),
-            np.concatenate((v[~slot], self.m + u[pair], v[slot])),
-        )
-
-    def by_vertex(self) -> List[List[int]]:
-        """The adjacency rows of all the edges, each in the order of the
-        edges but with a slot's mirrors before its own point.  Of the edges
-        as `_class_edges` lists them, unsorted, that is the order of the
-        right vertices but for a point's own slot, which comes last."""
-        rows, cols = self._entries(0, len(self.cost))
-        bounds = np.bincount(rows, minlength=self.n + self.m).cumsum().tolist()
-        cols = cols[np.argsort(rows, kind="stable")]
-        del rows
-        cols = cols.tolist()
-        return [cols[start:stop] for start, stop in zip([0] + bounds, bounds)]
 
     def grow(self, stop: int) -> None:
         """Add the edges up to ``stop``, in order."""
@@ -334,16 +313,18 @@ class _Graph:
                 adjacency[n + v].append(m + u)
         self.stop = stop
 
-    def cut(self, stop: int, partner: List[int]) -> List[int]:
-        """Drop the edges from ``stop`` on, and unmatch them in ``partner``."""
-        rows, cols = self._entries(stop, self.stop)
-        for u, count in enumerate(np.bincount(rows, minlength=self.n + self.m).tolist()):
-            if count:
-                del self.adjacency[u][-count:]
+    def cut(self, stop: int, partner: List[int]) -> None:
+        """Drop the edges from ``stop`` on, last first, unmatching them in ``partner``."""
+        n, m, adjacency = self.n, self.m, self.adjacency
+        for u, v in zip(self.left[stop:self.stop][::-1].tolist(), self.right[stop:self.stop][::-1].tolist()):
+            adjacency[u].pop()
+            if partner[u] == v:
+                partner[u] = -1
+            if u < n and v < m:
+                adjacency[n + v].pop()
+                if partner[n + v] == m + u:
+                    partner[n + v] = -1
         self.stop = stop
-        partner = np.array(partner)
-        partner[rows[partner[rows] == cols]] = -1
-        return partner.tolist()
 
     def jump(self, layer: List[int], partner: List[int]) -> int:
         """The position of the cheapest edge not yet in the graph from a left
@@ -377,7 +358,7 @@ def _probe(graph: _Graph, at: int, start: Optional[List[int]]) -> Tuple[bool, Li
     graph as it was, or None), and the layers of its last search."""
     stop = int(np.searchsorted(graph.cost, graph.cost[at], "right"))
     if stop < graph.stop:
-        start = graph.cut(stop, start)
+        graph.cut(stop, start)
     graph.grow(stop)
     partner, size, layer = _hopcroft_karp(graph.adjacency, graph.n + graph.m, start)
     return size == graph.n + graph.m, partner, layer
@@ -477,8 +458,9 @@ def matching_at(
     for cls, side_a, side_b in _classes(a, b, d):
         n, m = len(side_a[0]), len(side_b[0])
         if cls == (True, True):
-            adjacency = _Graph(_class_edges(side_a, side_b, delta)[0], n, m).by_vertex()
-            partner, size, _ = _hopcroft_karp(adjacency, n + m)
+            graph = _Graph(_class_edges(side_a, side_b, delta)[0], n, m)
+            graph.grow(len(graph.cost))
+            partner, size, _ = _hopcroft_karp(graph.adjacency, n + m)
             partner, ok = np.array(partner[:n], dtype=np.intp), size == n + m
             partner[partner >= m] = -1  # a slot is the diagonal
         else:

@@ -22,7 +22,6 @@ unpaired whose coboundary is not empty.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from operator import ge, index, is_
@@ -190,17 +189,18 @@ class FilteredComplex:
     def sorted_simplices(self) -> Tuple[Tuple[Simplex, float], ...]:
         """Canonical reduction order: (value, dimension, lexicographic)."""
         if "_order" not in self.__dict__:  # built on first use
-            object.__setattr__(self, "_order", tuple(map(self.simplices.__getitem__, self._table[0])))
+            object.__setattr__(self, "_order", tuple(map(self.simplices.__getitem__, self._table[0].tolist())))
         return self._order
 
 
-def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, array, array]:
+def validate(complex_: FilteredComplex) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check every entry of the complex's flat arrays, then face-closure and
-    monotonicity, naming the first offender in input order.  Return the
-    canonical order (entry indices, sizes, values) and each simplex's
-    cofacets, flat with offsets, coded as position * 2 + parity of the
-    omitted vertex (the boundary sign).  With vertex ranks q_0 > ... > q_k
-    from the largest vertex, a simplex is the integer sum_i C(q_i, k-i+1)
+    monotonicity, naming the first offender in input order.  Return numpy
+    arrays: the canonical order (int64 entry indices, sizes, values) and
+    each simplex's cofacets, flat int64 with int64 offsets, coded as
+    position * 2 + parity of the omitted vertex (the boundary sign); `_reduce`
+    reads the last two through memoryviews.  With vertex ranks q_0 > ... >
+    q_k from the largest vertex, a simplex is the integer sum_i C(q_i, k-i+1)
     (the combinatorial number system, as in Ripser); omitting vertex i
     subtracts C(q_i, k-i+1) and C(q_l, k-l+1) - C(q_l, k-l) for each l < i,
     so one cumulative sum gives every facet.  Codes are int64 where they
@@ -276,9 +276,7 @@ def validate(complex_: FilteredComplex) -> Tuple[array, np.ndarray, np.ndarray, 
     dest += (offsets[face[heads]] - heads).repeat(counts[face[heads]])
     placed = np.empty_like(coface)
     placed[dest] = coface
-    del face, dest, coface
-    offsets, coface = array("q", offsets.tobytes()), array("q", placed.tobytes())
-    return array("q", canon.tobytes()), sizes[canon], values[canon], coface, offsets
+    return canon, sizes[canon], values[canon], placed, offsets
 
 
 def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[int]]) -> FilteredComplex:
@@ -324,9 +322,9 @@ def persistence_diagram(complex_: FilteredComplex, field: PrimeField = GF2) -> P
     return _from_rows(degree, birth, death, np.ones(len(degree), np.int64))
 
 
-def _column(cofacets: array, offsets: array, j: int, p: int) -> Dict[int, int]:
-    """The coboundary of simplex j: each cofacet's position and its
-    coefficient, +1 or -1 by the parity of the omitted vertex."""
+def _column(cofacets: memoryview, offsets: memoryview, j: int, p: int) -> Dict[int, int]:
+    """The coboundary of simplex j, read from memoryviews of the face table:
+    each cofacet's position and its coefficient, +1 or -1 by the omitted vertex's parity."""
     return {c >> 1: (p - 1 if c & 1 else 1) for c in cofacets[offsets[j]:offsets[j + 1]]}
 
 
@@ -363,8 +361,8 @@ def _reduce(complex_: FilteredComplex, field: PrimeField) -> Tuple[np.ndarray, n
     A column that reduces to zero, like one with an empty coboundary and no
     partner, is a cycle that nothing kills: every simplex left unpaired is essential."""
     (_, sizes, _, cofacets, offsets), p, n = complex_._table, field.p, len(complex_)
-    face = np.repeat(np.arange(n), np.diff(np.frombuffer(offsets, np.int64)))
-    coface = np.frombuffer(cofacets, np.int64) >> 1
+    face, coface = np.repeat(np.arange(n), np.diff(offsets)), cofacets >> 1
+    cofacets, offsets = memoryview(cofacets), memoryview(offsets)  # `_column` slices Python ints out of these
     earliest, latest = np.full(n, n), np.full(n, -1)
     np.minimum.at(earliest, face, coface)
     np.maximum.at(latest, coface, face)

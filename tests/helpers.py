@@ -495,8 +495,8 @@ def assert_built_as_by_pairs(complex_) -> None:
     reference = FilteredComplex(list(complex_.simplices))
     assert repr(complex_.simplices) == repr(reference.simplices)
     for ours, theirs in zip(complex_._arrays + complex_._table, reference._arrays + reference._table):
-        assert type(ours) is type(theirs) and getattr(ours, "dtype", None) == getattr(theirs, "dtype", None)
-        if getattr(ours, "dtype", None) == object:  # exact Python ints beyond int64
+        assert type(ours) is type(theirs) and ours.dtype == theirs.dtype
+        if ours.dtype == object:  # exact Python ints beyond int64
             assert ours.tolist() == theirs.tolist()
         else:
             assert ours.tobytes() == theirs.tobytes()

@@ -392,12 +392,45 @@ def test_matching_at_matches_rows_in_vertex_order(a, b, delta):
     n, m = a.count(0), b.count(0)
     if n + m:
         (_, side_a, side_b), = B._classes(a, b, 0)
-        assert B._Graph(B._class_edges(side_a, side_b, delta)[0], n, m).by_vertex() == adjacency
+        graph = B._Graph(B._class_edges(side_a, side_b, delta)[0], n, m)
+        graph.grow(len(graph.cost))
+        assert graph.adjacency == adjacency
     # the witness is Hopcroft-Karp's from the empty matching on that graph
     partner, size, _ = B._hopcroft_karp(adjacency, n + m)
     result = matching_at(a, b, 0, delta)
     assert result._partner.tolist() == [j if j < m else -1 for j in partner[:n]]
     assert result.feasible == (size == n + m)
+
+
+def _sorted_graph(a, b):
+    """The search's graph of two diagrams of finite points, over the cost-sorted edges, with none grown yet."""
+    (_, side_a, side_b), = B._classes(a, b, 0)
+    (cost, left, right), _ = B._class_edges(side_a, side_b)
+    order = np.argsort(cost)
+    return B._Graph((cost[order], left[order], right[order]), len(side_a[0]), len(side_b[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FINITE_QUARTER_GRID.filter(lambda a: a.count(0)), _FINITE_QUARTER_GRID, st.data())
+def test_cutting_a_matched_graph_leaves_the_graph_grown_to_the_cut(a, b, data):
+    graph = _sorted_graph(a, b)
+    s1 = data.draw(st.integers(1, len(graph.cost)))
+    s2 = data.draw(st.integers(0, s1 - 1))
+    graph.grow(s1)
+    partner, _, _ = B._hopcroft_karp(graph.adjacency, graph.n + graph.m)
+    matching = list(partner)
+    graph.cut(s2, partner)
+    expected = _sorted_graph(a, b)
+    expected.grow(s2)
+    assert graph.stop == s2 and graph.adjacency == expected.adjacency
+    # an edge (u, v) of a pair also stands for its mirror (n + v, m + u)
+    n, m = graph.n, graph.m
+    dropped = set()
+    for u, v in zip(graph.left[s2:s1].tolist(), graph.right[s2:s1].tolist()):
+        dropped.add((u, v))
+        if u < n and v < m:
+            dropped.add((n + v, m + u))
+    assert partner == [-1 if (u, v) in dropped else v for u, v in enumerate(matching)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -244,7 +244,11 @@ def _assert_matches_validate_oracle(entries):
         return
     order, cofacets = expected
     assert repr(complex_.sorted_simplices()) == repr(order)  # -0.0 and 0.0 stay apart
-    _, _, _, codes, offsets = validate(complex_)
+    table = validate(complex_)
+    assert all(type(part) is np.ndarray for part in table)
+    canon, _, _, codes, offsets = table
+    assert canon.dtype == codes.dtype == offsets.dtype == np.int64
+    assert offsets[0] == 0 and (np.diff(offsets) >= 0).all() and offsets[-1] == len(codes)
     for k, expected_codes in enumerate(cofacets):
         got = [(c >> 1, c & 1) for c in codes[offsets[k]:offsets[k + 1]]]
         assert len(got) == len(expected_codes)

@@ -525,7 +525,7 @@ def _read_with(parse, text):
         k = parse(text, source="f.flt")
     except FormatError as err:
         return err.lineno, str(err)
-    table = [(str(getattr(part, "dtype", "q")), part.tobytes()) for part in k._table]
+    table = [(str(part.dtype), part.tobytes()) for part in k._table]
     return repr(k.simplices), repr(k.sorted_simplices()), table
 
 
