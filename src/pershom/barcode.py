@@ -53,6 +53,7 @@ class ExtendedReal(float):
 NEG_INF = ExtendedReal(-math.inf)
 POS_INF = ExtendedReal(math.inf)
 _TEXT = (str, bytes, bytearray)  # `float` would parse these, so no value may be one
+_BOOLS = (bool, np.bool_)  # `float` and `operator.index` would read these as 0 and 1
 
 
 class TooLargeError(ValueError):
@@ -63,11 +64,11 @@ class TooLargeError(ValueError):
 
 
 def query_value(value, name: str, finite: bool = False) -> float:
-    """A query argument as a float; text, a value that `float` refuses, NaN,
-    or an infinity where ``finite`` is asked for, raises ValueError naming
-    the argument."""
+    """A query argument as a float; text, a bool, a value that `float`
+    refuses, NaN, or an infinity where ``finite`` is asked for, raises
+    ValueError naming the argument."""
     try:
-        if isinstance(value, _TEXT):
+        if isinstance(value, _TEXT + _BOOLS):
             raise TypeError
         value = float(value)
     except (TypeError, ValueError):
@@ -96,9 +97,11 @@ def _endpoint(value, name: str) -> ExtendedReal:
 
 def integer_value(value, name: str) -> int:
     """An integer argument by `operator.index`, which refuses the floats and
-    strings that `int` would truncate or parse; those raise ValueError naming
-    the argument."""
+    strings that `int` would truncate or parse; those, and bools, raise
+    ValueError naming the argument."""
     try:
+        if isinstance(value, _BOOLS):
+            raise TypeError
         return index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -21,30 +21,19 @@ diagonal cost, so the search lists the class's edges once, from a cost
 matrix built by the same float expressions as the scalar helpers, keeping
 only those at or below that cost, and sorts them by cost; the optimum is
 one of their costs, so results are exact.  The graph at delta is a prefix
-of that list.  Its rows are grown in cost order as delta rises and cut back to
-per-row prefixes when it falls, and each probe matches by Hopcroft-Karp,
-warm-started from the previous probe's matching less its edges above delta.
+of that list.
 
-The search works from below, where the graphs are sparse.  Every point is
-matched or sent to the diagonal, so no delta is feasible below the largest,
-over the points, of the cheaper of a point's diagonal cost and its nearest
-opposite point; that bound is one of the costs.  From it the search gallops
-up the list (the bound, then 1, 3, 7, ... places above its lower end) to
-the first feasible threshold and bisects the last bracket, as in Efrat,
-Itai & Katz, *Geometry helps in bottleneck matching* (Algorithmica 2001),
-and Kerber, Morozov & Nigmetov, *Geometry helps to compare persistence
-diagrams* (ACM JEA 2017).  An infeasible probe names a Hall violator: the
-left vertices Z that the matching's last search reached by alternating
-paths from a free one, whose neighbours are all matched into Z.  No delta
-is feasible until Z gains a neighbour, so the lower end jumps to the
-cheapest edge not yet in the graph from Z to a right vertex outside its
-neighbourhood, while the gallop's offsets keep doubling.  A perfect
-matching is feasible already at its costliest edge, which caps the
-bracket.  `matching_at` grows the same edges, up to its one delta and
-unsorted, with the search's own `grow`, each row in the order of its right
-vertices and a point's own slot last, and matches them from the empty
-matching; its result keeps each side's points and each A point's partner
-as arrays, making `DiagramPoint`s only when its fields are read.
+The search sweeps up the list once, as the threshold algorithm of Gabow &
+Tarjan, *Algorithms for two bottleneck optimization problems* (J.
+Algorithms 1988), does.  No delta is feasible below the largest, over the
+points, of the cheaper of a point's diagonal cost and its nearest
+opposite point; Hopcroft-Karp matches the graph up to that bound, one of
+the costs.  Past it, edges join one at a time, and the forest of left
+vertices that alternating paths from the free ones reach, a Hall
+violator, keeps the matching maximum.  Feasibility is monotone in delta,
+so the answer is the cost of the edge that makes the matching perfect.
+`matching_at` grows the same edges up to its delta, unsorted, and matches
+them by Hopcroft-Karp.
 """
 
 from __future__ import annotations
@@ -52,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, repeat
 from operator import sub
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -178,28 +168,16 @@ def _class_costs(a: Side, b: Side) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cost, (qa - pa) / 2.0, (qb - pb) / 2.0
 
 
-def _hopcroft_karp(
-    adjacency: List[List[int]], n_right: int, start: Optional[List[int]] = None
-) -> Tuple[List[int], int, List[int]]:
-    """Maximum bipartite matching by Hopcroft-Karp.
+def _hopcroft_karp(adjacency: List[List[int]], n_right: int) -> Tuple[List[int], int]:
+    """Maximum bipartite matching by Hopcroft-Karp, from the empty matching.
 
-    ``adjacency[u]`` lists the right neighbours of left vertex u.  The
-    search grows ``start`` in place, a matching of the graph given as the
-    right partner of every left vertex (-1 when unmatched), or else the
-    empty matching; rows matched already are left out of the greedy pass.
-    Returns the right partner of every left vertex, the matching's size and
-    the last search's layers: the left vertices it reached by alternating
-    paths from a free one have a layer >= 0, and every right neighbour of
-    theirs is matched to one of them.
+    ``adjacency[u]`` lists the right neighbours of left vertex u.  Returns
+    the right partner of every left vertex (-1 when unmatched) and the
+    matching's size.
     """
-    match_left = [-1] * len(adjacency) if start is None else start
+    match_left = [-1] * len(adjacency)
     match_right = [-1] * n_right
-    for u, v in enumerate(match_left):
-        if v >= 0:
-            match_right[v] = u
     for u, neighbours in enumerate(adjacency):
-        if match_left[u] >= 0:
-            continue
         for v in neighbours:
             if match_right[v] < 0:
                 match_left[u], match_right[v] = v, u
@@ -250,7 +228,7 @@ def _hopcroft_karp(
                 if layer[w] == layer[u] + 1:
                     stack.append(w)
                     via.append(v)
-    return match_left, len(match_left) - match_left.count(-1), layer
+    return match_left, len(match_left) - match_left.count(-1)
 
 
 Edges = Tuple[np.ndarray, np.ndarray, np.ndarray]  # cost, left and right vertex of the finite class's edges
@@ -293,90 +271,119 @@ def _class_edges(a: Side, b: Side, cap: Optional[float] = None) -> Tuple[Edges, 
 
 
 class _Graph:
-    """The augmented graph of the finite class at a prefix of its edges, as
-    listed or sorted by cost: ``adjacency[u]`` lists the right neighbours of
-    left vertex u in the order of the edges, so a shorter prefix cuts each
-    row to a prefix; `grow` adds edges in order and `cut` undoes it, last first."""
+    """The augmented graph of the finite class over its edges, as listed or
+    sorted by cost: ``adjacency[u]`` lists the right neighbours of left
+    vertex u in the order in which its edges were added."""
 
     def __init__(self, edges: Edges, n: int, m: int):
         self.cost, self.left, self.right = edges
         self.n, self.m = n, m
         self.adjacency: List[List[int]] = [[] for _ in range(n + m)]
-        self.stop = 0  # the edges in the graph are those before this position
 
-    def grow(self, stop: int) -> None:
-        """Add the edges up to ``stop``, in order."""
+    def grow(self, start: int, stop: int) -> None:
+        """Add the edges from ``start`` up to ``stop``, in order: a pair's
+        edge (i, j) is that arc and its mirror (n + j, m + i), from slot b_j
+        to slot a_i."""
         n, m, adjacency = self.n, self.m, self.adjacency
-        for u, v in zip(self.left[self.stop:stop].tolist(), self.right[self.stop:stop].tolist()):
+        for u, v in zip(self.left[start:stop].tolist(), self.right[start:stop].tolist()):
             adjacency[u].append(v)
             if u < n and v < m:
                 adjacency[n + v].append(m + u)
-        self.stop = stop
 
-    def cut(self, stop: int, partner: List[int]) -> None:
-        """Drop the edges from ``stop`` on, last first, unmatching them in ``partner``."""
+    def arcs(self, start: int, stop: int) -> Iterator[Tuple[int, int, int]]:
+        """Add the edges from ``start`` up to ``stop`` as `grow` does, read
+        in doubling chunks, and yield the arcs (u, v) of each with its
+        position once both are in, so that the graph holds whole edges
+        wherever its caller stops."""
         n, m, adjacency = self.n, self.m, self.adjacency
-        for u, v in zip(self.left[stop:self.stop][::-1].tolist(), self.right[stop:self.stop][::-1].tolist()):
-            adjacency[u].pop()
-            if partner[u] == v:
-                partner[u] = -1
-            if u < n and v < m:
-                adjacency[n + v].pop()
-                if partner[n + v] == m + u:
-                    partner[n + v] = -1
-        self.stop = stop
-
-    def jump(self, layer: List[int], partner: List[int]) -> int:
-        """The position of the cheapest edge not yet in the graph from a left
-        vertex of Z, those with a layer >= 0, to a right vertex outside N(Z),
-        the partners of Z's matched vertices.
-
-        When the matching is not perfect, |N(Z)| < |Z|, so by Hall's
-        condition no prefix ending before that edge has a perfect matching;
-        below the top, which is feasible, such an edge always exists."""
-        reached, partner = np.array(layer) >= 0, np.array(partner)
-        neighbours = np.zeros(self.n + self.m, bool)
-        neighbours[partner[reached & (partner >= 0)]] = True
-        # In doubling chunks: the edge lies a median 11 to 139 edges past the
-        # graph's end, at most 766, on the bench pairs and on perturbed pairs
-        # of 300 to 2,000 points, where up to 1.2 million edges are left.
-        start, size = self.stop, 1024
-        while start < len(self.cost):
-            u, v = self.left[start:start + size], self.right[start:start + size]
-            useful = reached[u] & ~neighbours[v]
-            pair = np.flatnonzero((u < self.n) & (v < self.m))  # and its mirror, from slot b_j to slot a_i
-            useful[pair] |= reached[self.n + v[pair]] & ~neighbours[self.m + u[pair]]
-            if useful.any():
-                return start + int(useful.argmax())
-            start, size = start + size, 2 * size
-        return len(self.cost)
+        size = 1024
+        while start < stop:
+            end = min(stop, start + size)
+            for at, u, v in zip(range(start, end), self.left[start:end].tolist(), self.right[start:end].tolist()):
+                adjacency[u].append(v)
+                if u < n and v < m:
+                    adjacency[n + v].append(m + u)
+                    yield at, n + v, m + u
+                yield at, u, v
+            start, size = end, 2 * size
 
 
-def _probe(graph: _Graph, at: int, start: Optional[List[int]]) -> Tuple[bool, List[int], List[int]]:
-    """Whether the threshold ``graph.cost[at]`` is feasible, with the maximum
-    matching of the graph at it, grown from ``start`` (a matching of the
-    graph as it was, or None), and the layers of its last search."""
-    stop = int(np.searchsorted(graph.cost, graph.cost[at], "right"))
-    if stop < graph.stop:
-        graph.cut(stop, start)
-    graph.grow(stop)
-    partner, size, layer = _hopcroft_karp(graph.adjacency, graph.n + graph.m, start)
-    return size == graph.n + graph.m, partner, layer
+def _forest(
+    adjacency: List[List[int]], match_right: List[int], parent: List[int], queue: List[int]
+) -> Optional[Tuple[int, int]]:
+    """Grow an alternating forest breadth first from the left vertices in
+    ``queue``, already in it: the partner w of a right neighbour of a forest
+    vertex u joins with ``parent[w] = u`` (-1 at a root, -2 off the forest).
+    Returns the first arc (u, v) found to a free right vertex, which closes
+    an augmenting path, or None; grown from the free left vertices, the
+    forest is then the set Z they reach: |N(Z)| < |Z| while one is free."""
+    for u in queue:
+        for v in adjacency[u]:
+            w = match_right[v]
+            if w < 0:
+                return u, v
+            if parent[w] == -2:
+                parent[w] = u
+                queue.append(w)
+    return None
 
 
-def _matched_cost(a: Side, b: Side, partner: List[int]) -> float:
-    """The costliest edge of a perfect matching of the augmented graph, by
-    the float expressions of `_class_costs`: a_i's edge goes to b_j (j < m)
-    or to its own slot, slot b_j's to the slot of a_i (m + i) or to b_j."""
-    (pa, qa), (pb, qb) = a, b
-    n, m = len(pa), len(pb)
-    partner = np.asarray(partner)
-    rows, slots = partner[:n], partner[n:]
-    i = np.concatenate((np.flatnonzero(rows < m), slots[slots >= m] - m))
-    j = np.concatenate((rows[rows < m], np.flatnonzero(slots >= m)))
-    pairs = np.maximum(np.abs(pa[i] - pb[j]), np.abs(qa[i] - qb[j]))
-    diagonal = np.concatenate((((qa - pa) / 2.0)[rows >= m], ((qb - pb) / 2.0)[slots < m]))
-    return max(pairs.max(initial=0.0), diagonal.max(initial=0.0))
+_BATCH = 16  # augmentations at one cost after which Hopcroft-Karp matches that cost whole
+
+
+def _augmentations(graph: _Graph, partner: List[int], start: int) -> Iterator[int]:
+    """Add the graph's edges from ``start`` on, in order, keeping
+    ``partner``, a maximum matching of the graph before them, maximum:
+    yields an edge's position each time it grows the matching by one.  An
+    arc from the forest to a vertex matched off it grows the forest, one to
+    a free vertex closes an augmenting path, and no other arc changes
+    anything; one arc adds at most one edge, so after an augmentation the
+    forest is grown anew.  Ties make many paths at one cost, perhaps all
+    through one vertex: after `_BATCH` the rest of that cost's edges join at
+    once and Hopcroft-Karp matches anew, yielding the cost's last position
+    once per edge gained."""
+    adjacency, size = graph.adjacency, len(partner)
+    while start < len(graph.cost):
+        match_right = [-1] * size
+        for u, v in enumerate(partner):
+            if v >= 0:
+                match_right[v] = u
+        free = [u for u, v in enumerate(partner) if v < 0]
+        parent, last, count = None, None, 0
+        for at, u, v in graph.arcs(start, len(graph.cost)):
+            if parent is None:  # grow the forest anew, with the arcs so far
+                parent = [-2] * size
+                for x in free:
+                    parent[x] = -1
+                end = _forest(adjacency, match_right, parent, list(free))
+            elif parent[u] == -2:
+                continue  # an arc from off the forest changes nothing
+            elif match_right[v] < 0:
+                end = u, v
+            elif parent[match_right[v]] == -2:
+                parent[match_right[v]] = u
+                end = _forest(adjacency, match_right, parent, [match_right[v]])
+            else:
+                continue  # to a vertex matched into the forest
+            if end:
+                u, v = end
+                while u >= 0:  # flip the path back to its root
+                    partner[u], v = v, partner[u]
+                    match_right[partner[u]] = u
+                    u, root = parent[u], u
+                free.remove(root)
+                parent = None
+                yield at
+                count, last = (count + 1 if graph.cost[at] == last else 1), graph.cost[at]
+                if count >= _BATCH:
+                    break
+        else:
+            return
+        start = int(np.searchsorted(graph.cost, last, "right"))
+        graph.grow(at + 1, start)
+        matched = size - partner.count(-1)
+        partner[:], grown = _hopcroft_karp(adjacency, size)
+        yield from repeat(start - 1, grown - matched)
 
 
 def _finite_class_bottleneck(a: Side, b: Side) -> float:
@@ -385,24 +392,15 @@ def _finite_class_bottleneck(a: Side, b: Side) -> float:
     cost, left, right = cost[order], left[order], right[order]
     del order
     graph = _Graph((cost, left, right), len(a[0]), len(b[0]))
-    # Leaving every point unmatched is allowed at the last cost, so the top
-    # is always feasible; the bound is one of the costs.
-    lo, hi = np.searchsorted(cost, (bound, cost[-1])).tolist()
-    offset, galloping, partner = 0, True, None
-    while lo < hi:
-        if galloping and lo + offset < hi:
-            mid = lo + offset
-            offset = 2 * offset + 1
-        else:
-            mid = (lo + hi) // 2
-        feasible, partner, layer = _probe(graph, mid, partner)
-        if not feasible:
-            lo = int(np.searchsorted(cost, cost[graph.jump(layer, partner)]))
-        elif mid == lo:
-            hi = lo
-        else:  # feasible already at its costliest edge, which is at most delta
-            hi, galloping = int(np.searchsorted(cost, _matched_cost(a, b, partner))), False
-    return float(cost[lo])
+    # The bound is one of the costs, and the last cost is feasible: every
+    # point may go to the diagonal there.
+    start = int(np.searchsorted(cost, bound, "right"))
+    graph.grow(0, start)
+    partner, size = _hopcroft_karp(graph.adjacency, graph.n + graph.m)
+    at = start - 1
+    for at in islice(_augmentations(graph, partner, start), graph.n + graph.m - size):
+        pass  # the last of these makes the matching perfect
+    return float(cost[at])
 
 
 def _line_matching(xa: Sequence[float], xb: Sequence[float], delta: float) -> List[int]:
@@ -459,8 +457,8 @@ def matching_at(
         n, m = len(side_a[0]), len(side_b[0])
         if cls == (True, True):
             graph = _Graph(_class_edges(side_a, side_b, delta)[0], n, m)
-            graph.grow(len(graph.cost))
-            partner, size, _ = _hopcroft_karp(graph.adjacency, n + m)
+            graph.grow(0, len(graph.cost))
+            partner, size = _hopcroft_karp(graph.adjacency, n + m)
             partner, ok = np.array(partner[:n], dtype=np.intp), size == n + m
             partner[partner >= m] = -1  # a slot is the diagonal
         else:

@@ -135,10 +135,10 @@ def test_interval_module_rank_examples():
 
 def test_barcode_degrees_must_be_integers():
     iv = Interval.closed_open(0, 1)
-    for bad in (1.7, "2", 2.0):
-        with pytest.raises(ValueError, match=f"degree must be an integer, got {bad!r}"):
+    for bad in (1.7, "2", 2.0, True, np.True_):  # a bool is not read as 0 or 1
+        with pytest.raises(ValueError, match=f"degree must be an integer, got {re.escape(repr(bad))}"):
             Barcode([(bad, iv)])
-    assert Barcode([(np.int64(2), iv), (True, iv)]).bars == ((1, iv), (2, iv))
+    assert Barcode([(np.int64(2), iv), (np.int32(1), iv)]).bars == ((1, iv), (2, iv))
 
 
 def test_barcode_is_a_multiset():
@@ -355,7 +355,7 @@ def test_barcode_order_is_a_stable_sort_by_the_bar_key(draws, fresh):
 def test_barcode_keeps_each_given_bar_and_counts_repeats():
     shared = Interval.closed_open(0.0, 1.0)
     bars = [(1, shared)] * 4 + [(0, Interval.closed_open(-0.0, 1.0)), (0, Interval.closed_open(0.0, 1.0))]
-    barcode = Barcode(bars + [(True, shared)] * 2)
+    barcode = Barcode(bars + [(np.int64(1), shared)] * 2)
     assert len(barcode) == 8
     assert barcode == Barcode(reversed(bars + [(1, shared)] * 2))
     assert "".join(f"{d} {iv}\n" for d, iv in barcode) == "0 [-0.0,1.0)\n0 [0.0,1.0)\n" + "1 [0.0,1.0)\n" * 6
@@ -365,7 +365,7 @@ def test_barcode_keeps_each_given_bar_and_counts_repeats():
 def test_barcode_bars_are_int_degree_tuples_however_given():
     iv = Interval.closed_open(0.0, 1.0)
     given_bar = (1, iv)
-    for other in [given_bar, (True, iv), (np.int64(1), iv), [1, iv]]:
+    for other in [given_bar, (np.int32(1), iv), (np.int64(1), iv), [1, iv]]:
         (bar,) = Barcode([other]).bars
         assert type(bar) is tuple and type(bar[0]) is int and bar == given_bar
 

@@ -145,10 +145,30 @@ def test_every_public_callable_with_a_d_parameter_is_in_the_degree_table():
 @pytest.mark.parametrize("name", sorted(DEGREE_CALLS))
 def test_degrees_are_integers_api_wide(name):
     call, d, word = DEGREE_CALLS[name]
-    for bad in (d + 0.5, d - 0.5, float(d), str(d)):  # neither an empty degree nor degree 0
-        with pytest.raises(ValueError, match=rf"\b{word} must be an integer, got {bad!r}"):
+    # neither an empty degree nor degree 0 or 1; `operator.index` reads a bool as 0 or 1
+    for bad in (d + 0.5, d - 0.5, float(d), str(d), True, False, np.True_):
+        with pytest.raises(ValueError, match=rf"\b{word} must be an integer, got {re.escape(repr(bad))}"):
             call(bad)
     assert call(np.int64(d)) == call(d)
+
+
+def test_a_bool_is_refused_where_a_number_is_asked_for():
+    # bottleneck(a, b, True) answered for degree 1, which is empty here, and matching_at ran at delta 1.0
+    other = diagram_of(_BARCODE)
+    calls = {
+        "degree must be an integer, got True": [
+            lambda: bottleneck(_DIAGRAM, other, True), lambda: matching_at(_DIAGRAM, other, True, 0.5),
+            lambda: _DIAGRAM.count(True), lambda: betti_at(_COMPLEX, 1.0, True)],
+        "delta must be a real number, got True": [lambda: matching_at(_DIAGRAM, other, 0, True)],
+        "delta must be a real number, got np.True_": [lambda: matching_at(_DIAGRAM, other, 0, np.True_)],
+        "t must be a real number, got True": [lambda: betti_at(_COMPLEX, True, 0)],
+        "eps must be a real number, got True": [lambda: morse_check(_DIAGRAM, True, 1)],
+        "n_max must be an integer, got True": [lambda: morse_check(_DIAGRAM, 0.1, True)],
+    }
+    for message, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                call()
 
 
 # Every public callable with a real-valued query parameter, as a call by
@@ -187,6 +207,9 @@ def test_values_are_real_numbers_api_wide(name):
         for text in ("0.5", b"0.5", bytearray(b"0.5")):  # `float` would parse each
             with pytest.raises(ValueError, match=rf"^{word} must be a real number, got " + re.escape(repr(text))):
                 call(**{**values, word: text})
+        for flag in (True, False, np.True_):  # `float` would read 1.0 or 0.0
+            with pytest.raises(ValueError, match=rf"^{word} must be a real number, got " + re.escape(repr(flag))):
+                call(**{**values, word: flag})
         with pytest.raises(ValueError, match=rf"^{word} must (not be NaN|be finite), got nan"):
             call(**{**values, word: math.nan})
         assert call(**{**values, word: np.float64(value)}) == call(**values)
