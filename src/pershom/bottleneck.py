@@ -261,12 +261,12 @@ def _class_edges(a: Side, b: Side, cap: Optional[float] = None) -> Tuple[Edges, 
     if cap is None:
         bound, cap = _lower_bound(cost, diag_a, diag_b), max(diag_a.max(initial=0.0), diag_b.max(initial=0.0))
     n, m = cost.shape
-    within, near_a, near_b = cost <= cap, diag_a <= cap, diag_b <= cap
-    values = np.concatenate((cost[within], diag_a[near_a], diag_b[near_b]))
+    flat, near_a, near_b = np.flatnonzero(cost <= cap), np.flatnonzero(diag_a <= cap), np.flatnonzero(diag_b <= cap)
+    values = np.concatenate((cost.ravel()[flat], diag_a[near_a], diag_b[near_b]))
     del cost
-    i, j = np.arange(n, dtype=np.int32), np.arange(m, dtype=np.int32)
-    left = np.concatenate((i.repeat(np.count_nonzero(within, axis=1)), i[near_a], n + j[near_b]))
-    right = np.concatenate((np.broadcast_to(j, (n, m))[within], m + i[near_a], j[near_b]))
+    i, j = np.divmod(flat, max(m, 1))  # the pairs in row-major order
+    left = np.concatenate((i, near_a, n + near_b), dtype=np.int32)
+    right = np.concatenate((j, m + near_a, near_b), dtype=np.int32)
     return (values, left, right), bound
 
 

@@ -11,8 +11,9 @@ of that here is degreewise equality of Betti numbers (`homology_ranks`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import index
 from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
 
@@ -22,7 +23,8 @@ from .barcode import TooLargeError, query_value, real_array
 from .filtration import GF2, FilteredComplex, PrimeField, homology_ranks
 
 # Most simplices `vietoris` may enumerate, counted as the nonempty subsets of
-# each cover set; two 13-element sets count 16,382, one 30-element set 2^30 - 1.
+# each cover set, and `nerve`, counted as the nonempty subfamilies of the sets
+# holding each element; two 13-element sets count 16,382, one 30-element set 2^30 - 1.
 VIETORIS_LIMIT = 100_000
 
 
@@ -77,9 +79,14 @@ class Cover:
 def nerve(cover: Cover) -> FilteredComplex:
     """Simplices are index sets of cover subfamilies with nonempty intersection.
 
-    Vertex i of the result stands for ``cover.sets[i]``.
+    Vertex i of the result stands for ``cover.sets[i]``.  Raises TooLargeError,
+    before enumerating anything, when the sets holding each element have more
+    than VIETORIS_LIMIT nonempty subfamilies between them, a bound on its size.
     """
     members = [elems for _, elems in cover.sets]
+    bound = sum(2 ** count - 1 for count in Counter(chain.from_iterable(members)).values())
+    if bound > VIETORIS_LIMIT:
+        raise TooLargeError(f"the nerve could have up to {bound} simplices, over {VIETORIS_LIMIT}")
     # Grow by one set at a time; an intersection can only shrink, so every
     # face of a recorded simplex was recorded earlier.
     frontier = [((i,), elems) for i, elems in enumerate(members) if elems]

@@ -8,13 +8,17 @@ fields are split at ASCII whitespace.  Outside comments the text must be
 ASCII: any other character is refused at its line.  Floats are written
 with ``repr`` so endpoint values round-trip bit-exactly, and infinite
 endpoints appear as ``inf`` / ``-inf``.  Filtrations and diagrams are read
-into, and diagrams written from, the arrays the library keeps them as.
+into, and diagrams written from, the arrays the library keeps them as:
+filtrations lexed in numpy, diagrams by numpy's C text reader, and line by
+line with Python's `int` and `float` where that reader refuses the text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
+import warnings
 from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
@@ -92,42 +96,59 @@ def write_barcode(path, barcode: Barcode) -> None:
         handle.write(format_barcode(barcode))
 
 
-def _check_point_row(line: str) -> None:
-    """The checks of one `.dgm` content line, raising a ValueError."""
+_POINT_ROW = np.dtype([("degree", np.int64), ("p", np.float64), ("q", np.float64), ("mult", np.int64)])
+
+
+@contextlib.contextmanager
+def _warnings_as_errors() -> Iterator[None]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+# numpy's text reader refuses an int64 field such as 1.0, 1e3 or 2**63, but the releases from
+# 1.23 until that deprecation expired read it through a float, with a DeprecationWarning.  Only
+# there is the reader called with warnings as errors: that changes the process-wide warning
+# filters, so concurrent calls could leave them changed.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        np.loadtxt(["1.0"], np.int64)
+        _STRICT = _warnings_as_errors
+    except ValueError:
+        _STRICT = contextlib.nullcontext
+
+
+def _point_row(line: str) -> Tuple[int, ExtendedReal, ExtendedReal, int]:
+    """The exact (degree, p, q, multiplicity) of a `.dgm` content line,
+    checked in that order; a defect raises a ValueError."""
     fields = line.split()
     if len(fields) != 4:
         raise ValueError(f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
-    int(fields[0])
-    DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
-    _multiplicity(int(fields[3]))
-
-
-def _each_once(tokens: Tuple[str, ...], convert: Callable[[str], T]) -> List[T]:
-    """The tokens converted, each distinct one once."""
-    value_of = {token: convert(token) for token in set(tokens)}
-    return list(map(value_of.__getitem__, tokens))
+    degree = int(fields[0])
+    p, q = DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
+    return degree, p, q, _multiplicity(int(fields[3]))
 
 
 def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:
-    """Text that is ASCII once its comments are cut is split at once, each
-    distinct token converted once by `int` or `float` (by text, so -0.0 and
-    0.0 stay apart), and the rows go to the diagram's bulk constructor, which
-    checks them; on any defect, or any other text, the per-line checks, in
-    line order, name the first defective line."""
+    """Text that is ASCII once its comments are cut and holds a row is read
+    by numpy's C text reader, one int64 / float64 / float64 / int64 row a
+    line, and the rows go to the diagram's bulk constructor, which checks
+    them.  Any other text, text the reader refuses (an integer beyond int64,
+    ``1_0``, ``1.0`` as an integer), or rows the constructor refuses, are
+    read a line at a time with Python's `int` and `float`, so that
+    multiplicities stay exact and the first defective line is named."""
     content = _COMMENT.sub("", text) if "#" in text else text
-    try:
-        if not content.isascii():
-            raise ValueError
-        rows = list(filter(None, map(str.split, content.splitlines())))
-        if set(map(len, rows)) - {4}:
-            raise ValueError
-        degrees, ps, qs, mults = zip(*rows) if rows else ((),) * 4
-        endpoints = np.array(_each_once(ps + qs, float), np.float64)
-        return _from_rows(_int_array(_each_once(degrees, int)), endpoints[:len(rows)], endpoints[len(rows):],
-                          _int_array(_each_once(mults, int)))
-    except ValueError:
-        _each_line(text, source, _check_point_row)
-        raise
+    if content.isascii() and content and not content.isspace():  # the reader warns on text without rows
+        try:
+            with _STRICT():
+                rows = np.loadtxt(content.splitlines(), _POINT_ROW, comments=None, ndmin=1)
+            return _from_rows(rows["degree"], rows["p"], rows["q"], rows["mult"])
+        except (ValueError, Warning):
+            pass
+    rows = [row for _, row in _each_line(text, source, _point_row)]
+    degrees, ps, qs, mults = zip(*rows) if rows else ((),) * 4
+    return _from_rows(_int_array(degrees), np.array(ps, float), np.array(qs, float), _int_array(mults))
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:

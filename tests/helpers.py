@@ -12,7 +12,8 @@ table and the Morse oracles are the dict of checked points and the loops
 over `items` that the array-backed diagram replaced.  The bottleneck
 oracle decides feasibility on the complete diagonal-slot graph with its
 own augmenting-path matcher and never calls the library's cost matrices or
-its Hopcroft-Karp matching.
+its Hopcroft-Karp matching; the edge-list reference is the boolean-mask
+construction that the finite class's edge listing replaced.
 """
 
 from __future__ import annotations
@@ -717,6 +718,20 @@ def _kuhn_matching_size(adjacency, n_right: int) -> int:
         return False
 
     return sum(augment(u, set()) for u in range(len(adjacency)))
+
+
+def class_edges_reference(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, cap: float):
+    """The finite class's edges at or below cap, by the boolean masks that
+    `bottleneck._class_edges` replaced: (values, left, right), the pairs row
+    by row, then each A point to its own slot, then each B point; vertices
+    as int32."""
+    n, m = cost.shape
+    within, near_a, near_b = cost <= cap, diag_a <= cap, diag_b <= cap
+    values = np.concatenate((cost[within], diag_a[near_a], diag_b[near_b]))
+    i, j = np.arange(n, dtype=np.int32), np.arange(m, dtype=np.int32)
+    left = np.concatenate((i.repeat(np.count_nonzero(within, axis=1)), i[near_a], n + j[near_b]))
+    right = np.concatenate((np.broadcast_to(j, (n, m))[within], m + i[near_a], j[near_b]))
+    return values, left, right
 
 
 def bottleneck_feasible_oracle(a: PersistenceDiagram, b: PersistenceDiagram, d: int, delta: float) -> bool:

@@ -33,6 +33,7 @@ from helpers import (
     bottleneck_candidates,
     bottleneck_feasible_oracle,
     bottleneck_oracle,
+    class_edges_reference,
     perturb_filtration,
     perturbed_diagram_pair,
     random_diagram,
@@ -334,6 +335,24 @@ def _graph_at(a, b, delta):
     graph = B._Graph(B._class_edges(side_a, side_b, delta)[0], len(side_a[0]), len(side_b[0]))
     graph.grow(0, len(graph.cost))
     return graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FINITE_QUARTER_GRID, _FINITE_QUARTER_GRID,
+       st.one_of(st.none(), st.just(-1.0), st.integers(0, 48).map(lambda k: k / 4)))
+@example(dgm([]), dgm([(0, 1), (0.5, 2)]), None)
+@example(dgm([(0, 1), (0.5, 2)]), dgm([]), 1.0)
+@example(dgm([(0, 1), (0.5, 2)]), dgm([(0, 1.25)]), -1.0)
+def test_class_edges_match_the_mask_reference(a, b, cap):
+    # cap None is the largest diagonal cost, -1 lies below every cost; n or m may be 0
+    side_a, side_b = ((p.repeat(mult), q.repeat(mult)) for p, q, mult in (a.arrays(0), b.arrays(0)))
+    cost, diag_a, diag_b = B._class_costs(side_a, side_b)
+    edges, bound = B._class_edges(side_a, side_b, cap)
+    expected = class_edges_reference(cost, diag_a, diag_b,
+                                     max(diag_a.max(initial=0.0), diag_b.max(initial=0.0)) if cap is None else cap)
+    for mine, theirs in zip(edges, expected):
+        assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
+    assert (bound is None) == (cap is not None)
 
 
 @settings(max_examples=150, deadline=None)

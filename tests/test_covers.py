@@ -107,6 +107,14 @@ def test_vietoris_refuses_oversized_cover_without_enumerating(monkeypatch):
         vietoris(Cover([("U", range(30))]))
 
 
+def test_nerve_refuses_seventeen_sets_sharing_an_element():
+    # the 2^17 - 1 subfamilies of the sets holding 0 all meet there
+    message = f"^the nerve could have up to {2**17 - 1} simplices, over {VIETORIS_LIMIT}$"
+    with pytest.raises(TooLargeError, match=message):
+        nerve(Cover([(k, [0]) for k in range(17)]))
+    assert len(nerve(Cover([(k, [0]) for k in range(10)]))) == 2**10 - 1
+
+
 def test_vietoris_limit_admits_the_thirteen_element_overlap():
     sets = [("U", range(13)), ("V", range(10, 23))]
     assert 2 * (2**13 - 1) <= VIETORIS_LIMIT

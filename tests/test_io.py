@@ -1,12 +1,15 @@
 """Text-format round trips and parse errors."""
 
+import contextlib
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import pershom.io
 from pershom import Barcode, ExtendedReal, Interval, PersistenceDiagram
 from pershom.io import (
     FormatError,
@@ -120,7 +123,7 @@ def test_diagram_parse_builds_each_point_once(monkeypatch):
     monkeypatch.setattr(pershom.diagram, "DiagramPoint", Counted)
     diagram = parse_diagram("0 0 1 2\n0 0 1 1\n1 -inf inf 1\n0 0.5 inf 3\n")
     assert made == []  # the rule is checked over all points at once, so none is checked on its own
-    assert sorted(converted) == ["-inf", "0", "0.5", "1", "inf"]  # each distinct token once
+    assert converted == []  # numpy's C reader converts the tokens, so none goes through Python's float
     assert wrapped == []  # and no endpoint is made an ExtendedReal before a point is asked for
     assert {type(pt) for d in diagram.degrees() for pt, _ in diagram.items(d)} == {Counted}
     assert [list(diagram.items(d)) for d in diagram.degrees()] == [
@@ -421,8 +424,11 @@ def test_fuzz_numeric_text(tmp_path, reader_sep, rows, extra):
             assert err.lineno == 0
 
 
+# integers that numpy's C reader refuses as int64 and Python's int reads, or refuses too
+_DGM_PER_LINE_INTS = ["9223372036854775808", "1180591620717411303424", "1_0", "1.0"]
 _DGM_LINE = st.tuples(
-    st.sampled_from(["0", "1", "-1", "x"]), _NUMBER, _NUMBER, st.sampled_from(["1", "2", "0", "-1", "x"])
+    st.sampled_from(["0", "1", "-1", "x"] + _DGM_PER_LINE_INTS), _NUMBER, _NUMBER,
+    st.sampled_from(["1", "2", "0", "-1", "x"] + _DGM_PER_LINE_INTS),
 ).map(" ".join)
 _BAR_LINE = st.tuples(
     st.sampled_from(["0", "1", "-1", "x"]), st.sampled_from("[("), _NUMBER, _NUMBER, st.sampled_from(")]")
@@ -758,9 +764,9 @@ def test_filtration_lexing_memory_stays_within_a_chunk(monkeypatch):
 
 # --------------------------------------------- bulk .dgm reader against the per-line one
 
-_DGM_DEGREES = ["0", "1", "2", "-1", "03"]
+_DGM_DEGREES = ["0", "1", "2", "-1", "03"] + _DGM_PER_LINE_INTS
 _DGM_ENDPOINTS = ["-0.0", "0.0", "-0", "0", "0.5", "1", "2.5", "1e1", "-inf", "inf", "-1e999", "1e999"]
-_DGM_MULTS = ["1", "2", "3", "10", "01"]
+_DGM_MULTS = ["1", "2", "3", "10", "01"] + _DGM_PER_LINE_INTS
 _DGM_DEFECTS = ["short", "long", "degree", "nan", "swap", "equal", "inf-birth", "neg-inf-death", "mult-0",
                 "mult-neg", "mult-x", "endpoint-x", "zero-copy"]
 
@@ -811,3 +817,37 @@ def test_bulk_diagram_reader_matches_the_per_line_one(text):
     from helpers import parse_diagram_oracle
 
     assert _read_diagram_with(parse_diagram, text) == _read_diagram_with(parse_diagram_oracle, text)
+
+
+@pytest.mark.parametrize("text", ["", "# c\n", " \n\n"])
+def test_diagram_text_without_rows_reads_as_the_empty_diagram(text):
+    # numpy's reader warns on text without rows, so such text must not reach it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert parse_diagram(text) == PersistenceDiagram()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert format_diagram(parse_diagram(text)) == ""
+    assert caught == []
+
+
+@pytest.mark.skipif(pershom.io._STRICT is not contextlib.nullcontext,
+                    reason="this numpy reads 1.0 as an int64, so its reader runs with warnings as errors")
+def test_diagram_reader_keeps_the_process_warning_filters(monkeypatch):
+    # catch_warnings swaps the process-wide filter list, and concurrent calls can leave it swapped
+    real, seen = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: seen.append(warnings.filters) or real(*args, **kwargs))
+    filters = warnings.filters
+    assert parse_diagram("0 0 1 1\n").count(0) == 1
+    assert len(seen) == 1 and seen[0] is filters
+
+
+def test_diagram_reader_refuses_an_integer_that_numpy_reads_through_a_float(monkeypatch):
+    def lenient(lines, dtype, **kwargs):  # as numpy from 1.23 reads 1.0 as an int64, until that expired
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([(1, 0.0, 1.0, 1)], dtype)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    monkeypatch.setattr(pershom.io, "_STRICT", pershom.io._warnings_as_errors)
+    with pytest.raises(FormatError, match="^d.dgm:2: invalid literal for int"):
+        parse_diagram("0 0 1 1\n1.0 0 1 1\n", source="d.dgm")
