@@ -189,9 +189,9 @@ def _made(cls, lo: np.ndarray, hi: np.ndarray, *flags: np.ndarray) -> list:
 
 
 def _int_array(values) -> np.ndarray:
-    """Integers as int64, or as exact Python ints in an object array when one does not fit."""
+    """A sequence of integers as int64, or as exact Python ints in an object array when one does not fit."""
     try:
-        return np.array(values, np.int64)
+        return np.fromiter(values, np.int64, len(values))
     except OverflowError:
         return np.array(values, object)
 

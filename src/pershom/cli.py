@@ -12,12 +12,12 @@ import functools
 import sys
 
 from . import io
-from .barcode import radical
+from .barcode import TooLargeError, radical
 from .bottleneck import bottleneck
 from .covers import dowker_check
 from .filtration import GF2, ComplexValidationError, PrimeField, betti_at, compute_persistence, persistence_diagram
 from .gallery import DouglasInput, HawaiianSpec, douglas_eval, hawaiian_complex, hawaiian_rank_sweep, product_family
-from .morse import MorseCheckFailed, PreconditionViolated, cap_number, cap_number_at, morse_check
+from .morse import MORSE_DEGREE_LIMIT, MorseCheckFailed, PreconditionViolated, cap_number, cap_number_at, morse_check
 
 
 @functools.cache
@@ -85,9 +85,11 @@ def _run(args: argparse.Namespace) -> None:
         diagram = io.read_diagram(args.dgm)
         if args.degree is not None:
             degrees = [args.degree]
-        else:
-            present = diagram.degrees()
-            degrees = list(range(0, (max(present) + 2) if present else 1))
+        else:  # every degree from 0 to one past the diagram's top degree
+            top = max(diagram.degrees(), default=-1) + 1
+            if top > MORSE_DEGREE_LIMIT:
+                raise TooLargeError(f"listing degrees 0 to {top} is over {MORSE_DEGREE_LIMIT}; use --degree")
+            degrees = range(top + 1)
         for d in degrees:
             if args.at is not None:
                 value = cap_number_at(diagram, d, args.at, args.epsilon)

@@ -25,11 +25,11 @@ import math
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from operator import ge, index, is_
-from typing import Callable, Collection, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import _TEXT, Barcode, integer_value, query_value
+from .barcode import _TEXT, Barcode, _int_array, integer_value, query_value
 from .diagram import PersistenceDiagram, _from_rows
 
 Simplex = Tuple[int, ...]
@@ -112,15 +112,6 @@ class MissingVertexValueError(ValueError):
         super().__init__(f"no value for vertex {vertex}")
 
 
-def _vertex_array(ids: Callable[[], Iterator[int]], count: int) -> np.ndarray:
-    """The ``count`` vertex ids that ``ids()`` yields, as int64, or as exact
-    Python ints when one is beyond int64 (``ids()`` is then called again)."""
-    try:
-        return np.fromiter(ids(), np.int64, count)
-    except OverflowError:
-        return np.fromiter(map(int, ids()), object, count)
-
-
 def facets(simplex: Simplex) -> Tuple[Simplex, ...]:
     """All codimension-1 faces, omitting vertex 0 first (`combinations` omits the last first)."""
     return tuple(combinations(simplex, len(simplex) - 1))[::-1] if len(simplex) > 1 else ()
@@ -140,7 +131,7 @@ class FilteredComplex:
         rows, values = tuple(zip(*simplices)) or ((), ())
         sizes = np.fromiter(map(len, rows), np.intp, len(rows))
         try:  # operator.index refuses the floats and strings that int() would truncate or parse
-            vertices = _vertex_array(lambda: map(index, chain.from_iterable(rows)), int(sizes.sum()))
+            vertices = _int_array(list(map(index, chain.from_iterable(rows))))
         except TypeError as exc:
             for row in rows:
                 try:
@@ -164,7 +155,7 @@ class FilteredComplex:
         """The complex of vertex tuples whose ids are already integers (made by
         the library or checked where they entered), with their values."""
         sizes = np.fromiter(map(len, rows), np.intp, len(rows))
-        return cls._from_arrays(_vertex_array(lambda: chain.from_iterable(rows), int(sizes.sum())), sizes, values)
+        return cls._from_arrays(_int_array(list(chain.from_iterable(rows))), sizes, values)
 
     def _validate(self, *arrays: np.ndarray) -> None:
         object.__setattr__(self, "_arrays", arrays)

@@ -16,15 +16,16 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .barcode import Barcode, Interval, TooLargeError, integer_value, real_array
+from .barcode import Barcode, TooLargeError, integer_value, real_array
 from .filtration import GF2, FilteredComplex, betti_at
 
 # Most points per axis of the Douglas quadrature grid: evaluation holds
 # several n x n float64 arrays, 128 MiB each at 4096.
 QUADRATURE_LIMIT = 4096
-# Most simplices a `HawaiianSpec` may have, 1 + (k - 1)(2^(d+2) - 3) +
-# 2^(d+2) - 2: k = 199,999 circles (5k + 2), or one 17-sphere.  Also the
-# most that `hawaiian_rank_sweep` may build over all its truncations.
+# The bound on the gallery's constructions.  Most simplices a `HawaiianSpec`
+# may have, 1 + (k - 1)(2^(d+2) - 3) + 2^(d+2) - 2: k = 199,999 circles
+# (5k + 2), or one 17-sphere.  Also the most that `hawaiian_rank_sweep` may
+# build over all its truncations, and the most bars of `product_family`.
 HAWAIIAN_LIMIT = 1_000_000
 
 
@@ -111,12 +112,16 @@ def product_family(n: int) -> Barcode:
     """The barcode {[0, 1), [0, 1/2), ..., [0, 1/n)} in degree 0.
 
     Truncation of the product of ever-shorter half-open intervals; its
-    radical opens every left endpoint.
+    radical opens every left endpoint.  An n over HAWAIIAN_LIMIT raises
+    TooLargeError.
     """
     n = integer_value(n, "n")
     if n < 1:
         raise ValueError(f"requires n >= 1, got {n}")
-    return Barcode([(0, Interval.closed_open(0.0, 1.0 / i)) for i in range(1, n + 1)])
+    if n > HAWAIIAN_LIMIT:
+        raise TooLargeError(f"the product family has {n} bars, over {HAWAIIAN_LIMIT}")
+    return Barcode._from_arrays(np.zeros(n, np.int64), np.zeros(n), 1.0 / np.arange(1, n + 1),
+                                np.ones(n, bool), np.zeros(n, bool))
 
 
 @dataclass(frozen=True)

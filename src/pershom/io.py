@@ -15,7 +15,6 @@ line with Python's `int` and `float` where that reader refuses the text.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import re
 import warnings
@@ -24,9 +23,9 @@ from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .barcode import Barcode, ExtendedReal, Interval, _text
+from .barcode import Barcode, ExtendedReal, Interval, _int_array, _text
 from .covers import Cover, CoverSetError
-from .diagram import DiagramPoint, PersistenceDiagram, _from_rows, _int_array, _multiplicity
+from .diagram import DiagramPoint, PersistenceDiagram, _from_rows, _multiplicity
 from .filtration import ComplexValidationError, FilteredComplex
 
 T = TypeVar("T")
@@ -99,24 +98,17 @@ def write_barcode(path, barcode: Barcode) -> None:
 _POINT_ROW = np.dtype([("degree", np.int64), ("p", np.float64), ("q", np.float64), ("mult", np.int64)])
 
 
-@contextlib.contextmanager
-def _warnings_as_errors() -> Iterator[None]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
-
-
 # numpy's text reader refuses an int64 field such as 1.0, 1e3 or 2**63, but the releases from
-# 1.23 until that deprecation expired read it through a float, with a DeprecationWarning.  Only
-# there is the reader called with warnings as errors: that changes the process-wide warning
-# filters, so concurrent calls could leave them changed.
+# 1.23 until that deprecation expired read it through a float, with a DeprecationWarning.  There
+# every .dgm text is read a line at a time: catching that warning would change the process-wide
+# warning filters on each call, and concurrent calls could leave them changed.
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     try:
         np.loadtxt(["1.0"], np.int64)
-        _STRICT = _warnings_as_errors
+        _BULK = False
     except ValueError:
-        _STRICT = contextlib.nullcontext
+        _BULK = True
 
 
 def _point_row(line: str) -> Tuple[int, ExtendedReal, ExtendedReal, int]:
@@ -137,14 +129,14 @@ def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:
     them.  Any other text, text the reader refuses (an integer beyond int64,
     ``1_0``, ``1.0`` as an integer), or rows the constructor refuses, are
     read a line at a time with Python's `int` and `float`, so that
-    multiplicities stay exact and the first defective line is named."""
+    multiplicities stay exact and the first defective line is named.  On a
+    numpy whose reader takes ``1.0`` as an integer, every text is read so."""
     content = _COMMENT.sub("", text) if "#" in text else text
-    if content.isascii() and content and not content.isspace():  # the reader warns on text without rows
+    if _BULK and content.isascii() and content and not content.isspace():  # the reader warns on text without rows
         try:
-            with _STRICT():
-                rows = np.loadtxt(content.splitlines(), _POINT_ROW, comments=None, ndmin=1)
+            rows = np.loadtxt(content.splitlines(), _POINT_ROW, comments=None, ndmin=1)
             return _from_rows(rows["degree"], rows["p"], rows["q"], rows["mult"])
-        except (ValueError, Warning):
+        except ValueError:
             pass
     rows = [row for _, row in _each_line(text, source, _point_row)]
     degrees, ps, qs, mults = zip(*rows) if rows else ((),) * 4
@@ -254,12 +246,9 @@ def _lex(data: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         vertices = np.where(live, vertices * 10 + np.minimum(digits[:, k], 10), vertices)
     odd = np.flatnonzero(~plain)
     if len(odd):
-        ids = [int(b[s:s + m].tobytes()) for s, m in zip(at[odd].tolist(), lens_at[odd].tolist())]
-        try:
-            vertices[odd] = ids
-        except OverflowError:  # an id beyond int64: exact Python ints
-            vertices = vertices.astype(object)
-            vertices[odd] = ids
+        ids = _int_array([int(b[s:s + m].tobytes()) for s, m in zip(at[odd].tolist(), lens_at[odd].tolist())])
+        vertices = vertices.astype(ids.dtype, copy=False)
+        vertices[odd] = ids
     row = np.repeat(np.arange(n), sizes)
     inner = row[1:] == row[:-1]  # neighbouring slots of one row
     if not (vertices[1:] > vertices[:-1])[inner].all():  # a row out of order: sort each row

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pershom.barcode
+import pershom.cli
 import pershom.filtration
 import pershom.morse
 from pershom import Barcode, Interval, PersistenceDiagram
@@ -117,6 +118,23 @@ def test_caps_all_degrees(tmp_path, capsys):
     write_diagram(dgm, PersistenceDiagram({0: [(0, math.inf), (1, 2)], 1: [(3, 4)]}))
     assert main(["caps", "--dgm", str(dgm), "--epsilon", "0.5"]) == 0
     assert capsys.readouterr().out == "0 2\n1 2\n2 1\n"
+
+
+def test_caps_lists_degrees_up_to_the_morse_degree_limit(tmp_path, capsys, monkeypatch):
+    # unbounded, a top degree of 100,000 took 1.4 s, and one beyond int64 ended in an OverflowError
+    limit = pershom.morse.MORSE_DEGREE_LIMIT
+    dgm = tmp_path / "d.dgm"
+    dgm.write_text(f"{limit - 1} 0 1 1\n")
+    assert main(["caps", "--dgm", str(dgm), "--epsilon", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [str(d) for d in range(limit + 1)]
+    assert lines[-3:] == [f"{limit - 2} 0", f"{limit - 1} 1", f"{limit} 1"]
+
+    monkeypatch.setattr(pershom.cli, "cap_number", lambda *args: pytest.fail("cap_number called"))
+    dgm.write_text(f"{limit} 0 1 1\n")
+    assert main(["caps", "--dgm", str(dgm), "--epsilon", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: listing degrees 0 to {limit + 1} is over {limit}; use --degree\n"
 
 
 def test_morse_report_and_exit_codes(tmp_path, capsys):

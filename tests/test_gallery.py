@@ -24,6 +24,7 @@ from pershom import (
     validate,
 )
 from pershom.gallery import HAWAIIAN_LIMIT, QUADRATURE_LIMIT, _sweep_size
+from pershom.io import format_barcode
 
 from helpers import assert_built_as_by_pairs
 
@@ -151,6 +152,22 @@ def test_product_family_examples():
     with pytest.raises(ValueError, match="n must be an integer"):
         product_family(2.5)
     assert product_family(np.int64(3)) == product_family(3)
+
+
+def test_product_family_equals_its_per_bar_build():
+    bars = [(0, Interval.closed_open(0.0, 1.0 / i)) for i in range(1, 1001)]
+    for n in range(1, 1001):
+        assert product_family(n) == Barcode(bars[:n])
+    built, by_bars = product_family(1000), Barcode(bars)
+    assert [column.dtype for column in built._columns] == [column.dtype for column in by_bars._columns]
+    assert format_barcode(built) == format_barcode(by_bars)
+
+
+def test_product_family_refuses_more_bars_than_its_limit():
+    assert len(product_family(HAWAIIAN_LIMIT)) == HAWAIIAN_LIMIT
+    for n in (HAWAIIAN_LIMIT + 1, 10**18):  # before any array is made
+        with pytest.raises(TooLargeError, match=f"has {n} bars, over {HAWAIIAN_LIMIT}"):
+            product_family(n)
 
 
 def test_product_family_cap_count():

@@ -1,13 +1,14 @@
 """Text-format round trips and parse errors."""
 
-import contextlib
 import math
+import sys
+import threading
 import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pershom.io
 from pershom import Barcode, ExtendedReal, Interval, PersistenceDiagram
@@ -465,6 +466,7 @@ def _cli_commands(kind: str, path: str, out: str):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(*(_texts(line).map(lambda text, kind=kind: (kind, text))
                    for kind, line in (("flt", _FLT_LINE), ("dgm", _DGM_LINE), ("cov", _COV_LINE)))))
+@example(kind_text=("dgm", "9223372036854775808 -1 0 1"))  # caps lists degrees up to the top degree + 1
 def test_fuzz_cli_exit_codes(tmp_path, capsys, kind_text):
     from pershom.cli import main
 
@@ -831,23 +833,36 @@ def test_diagram_text_without_rows_reads_as_the_empty_diagram(text):
     assert caught == []
 
 
-@pytest.mark.skipif(pershom.io._STRICT is not contextlib.nullcontext,
-                    reason="this numpy reads 1.0 as an int64, so its reader runs with warnings as errors")
 def test_diagram_reader_keeps_the_process_warning_filters(monkeypatch):
     # catch_warnings swaps the process-wide filter list, and concurrent calls can leave it swapped
     real, seen = np.loadtxt, []
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: seen.append(warnings.filters) or real(*args, **kwargs))
-    filters = warnings.filters
+    filters, entries = warnings.filters, list(warnings.filters)
     assert parse_diagram("0 0 1 1\n").count(0) == 1
-    assert len(seen) == 1 and seen[0] is filters
+    assert len(seen) == pershom.io._BULK and all(entry is filters for entry in seen)
+
+    def read():
+        for _ in range(2000):
+            parse_diagram("0 0 1 1\n1 0.5 inf 2\n")
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the reader too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert warnings.filters is filters and warnings.filters == entries
 
 
 def test_diagram_reader_refuses_an_integer_that_numpy_reads_through_a_float(monkeypatch):
     def lenient(lines, dtype, **kwargs):  # as numpy from 1.23 reads 1.0 as an int64, until that expired
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-        return np.array([(1, 0.0, 1.0, 1)], dtype)
+        pytest.fail("a numpy that reads 1.0 as an int64 must not read .dgm text")
 
     monkeypatch.setattr(np, "loadtxt", lenient)
-    monkeypatch.setattr(pershom.io, "_STRICT", pershom.io._warnings_as_errors)
+    monkeypatch.setattr(pershom.io, "_BULK", False)
     with pytest.raises(FormatError, match="^d.dgm:2: invalid literal for int"):
         parse_diagram("0 0 1 1\n1.0 0 1 1\n", source="d.dgm")
