@@ -6,7 +6,8 @@ cover element.  Both are `FilteredComplex`es with every simplex at value 0.
 Each id is checked once, where it enters: by `Cover`, or made as a set
 position; each complex is validated once, at construction, like any other.
 Dowker's duality makes the two homotopy equivalent, and the testable shadow
-of that here is degreewise equality of Betti numbers (`homology_ranks`).
+of that here is degreewise equality of Betti numbers, which `dowker_check`
+finds by reducing both complexes as one, their disjoint union.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import index
-from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
+from typing import FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from .barcode import TooLargeError, query_value, real_array
-from .filtration import GF2, FilteredComplex, PrimeField, homology_ranks
+from .filtration import GF2, FilteredComplex, PrimeField, Simplex, _pairs
 
 # Most simplices `vietoris` may enumerate, counted as the nonempty subsets of
 # each cover set, and `nerve`, counted as the nonempty subfamilies of the sets
@@ -76,6 +77,41 @@ class Cover:
         object.__setattr__(self, "sets", tuple(entries))
 
 
+def _refuse(what: str, bound: int) -> None:
+    if bound > VIETORIS_LIMIT:
+        raise TooLargeError(f"the {what} could have up to {bound} simplices, over {VIETORIS_LIMIT}")
+
+
+def _ranked(members: Sequence[FrozenSet[int]], first: int) -> List[List[int]]:
+    """Each set's elements, ascending, relabelled first + their rank among the covered elements."""
+    covered = sorted(frozenset().union(*members))
+    label = dict(zip(covered, range(first, first + len(covered))))
+    return [sorted(map(label.__getitem__, elems)) for elems in members]
+
+
+def _nerve_rows(ranked: Sequence[Sequence[int]]) -> List[Simplex]:
+    """The subfamilies with a common element, as tuples of set positions,
+    grown by one set at a time with each intersection a bit mask over the
+    ranks; an intersection can only shrink, so faces come before cofaces."""
+    masks = [sum(map((1).__lshift__, ranks)) for ranks in ranked]
+    frontier = [((i,), mask) for i, mask in enumerate(masks) if mask]
+    rows = [verts for verts, _ in frontier]
+    while frontier:
+        frontier = [(verts + (j,), meet) for verts, common in frontier
+                    for j in range(verts[-1] + 1, len(masks)) if (meet := common & masks[j])]
+        rows.extend(verts for verts, _ in frontier)
+    return rows
+
+
+def _vietoris_rows(ranked: Iterable[Sequence[int]]) -> Set[Simplex]:
+    """The nonempty subsets of each ascending set, once each."""
+    return set(chain.from_iterable(combinations(verts, k) for verts in ranked for k in range(1, len(verts) + 1)))
+
+
+def _nerve_bound(members: Sequence[FrozenSet[int]]) -> int:
+    return sum(2 ** count - 1 for count in Counter(chain.from_iterable(members)).values())
+
+
 def nerve(cover: Cover) -> FilteredComplex:
     """Simplices are index sets of cover subfamilies with nonempty intersection.
 
@@ -84,23 +120,9 @@ def nerve(cover: Cover) -> FilteredComplex:
     than VIETORIS_LIMIT nonempty subfamilies between them, a bound on its size.
     """
     members = [elems for _, elems in cover.sets]
-    bound = sum(2 ** count - 1 for count in Counter(chain.from_iterable(members)).values())
-    if bound > VIETORIS_LIMIT:
-        raise TooLargeError(f"the nerve could have up to {bound} simplices, over {VIETORIS_LIMIT}")
-    # Grow by one set at a time; an intersection can only shrink, so every
-    # face of a recorded simplex was recorded earlier.
-    frontier = [((i,), elems) for i, elems in enumerate(members) if elems]
-    simplices = [verts for verts, _ in frontier]
-    while frontier:
-        new_frontier = []
-        for verts, common in frontier:
-            for j in range(verts[-1] + 1, len(members)):
-                meet = common & members[j]
-                if meet:
-                    new_frontier.append((verts + (j,), meet))
-        simplices.extend(verts for verts, _ in new_frontier)
-        frontier = new_frontier
-    return FilteredComplex._from_rows(simplices, np.zeros(len(simplices)))
+    _refuse("nerve", _nerve_bound(members))
+    rows = _nerve_rows(_ranked(members, 0))
+    return FilteredComplex._from_rows(rows, np.zeros(len(rows)))
 
 
 def vietoris(cover: Cover) -> FilteredComplex:
@@ -110,28 +132,35 @@ def vietoris(cover: Cover) -> FilteredComplex:
     Raises TooLargeError, before enumerating anything, when the cover sets
     have more than VIETORIS_LIMIT nonempty subsets between them.
     """
-    bound = sum(2 ** len(elems) - 1 for _, elems in cover.sets)
-    if bound > VIETORIS_LIMIT:
-        raise TooLargeError(f"the Vietoris complex could have up to {bound} simplices, over {VIETORIS_LIMIT}")
-    simplices = set()
-    for _, elems in cover.sets:
-        verts = tuple(sorted(elems))
-        for k in range(1, len(verts) + 1):
-            simplices.update(combinations(verts, k))
-    return FilteredComplex._from_rows(simplices, np.zeros(len(simplices)))
+    _refuse("Vietoris complex", sum(2 ** len(elems) - 1 for _, elems in cover.sets))
+    rows = _vietoris_rows(sorted(elems) for _, elems in cover.sets)
+    return FilteredComplex._from_rows(rows, np.zeros(len(rows)))
 
 
 def dowker_check(cover: Cover, field: PrimeField = GF2):
     """Compare nerve and Vietoris Betti numbers degreewise (zero padded).
 
-    Returns (agree, nerve_ranks, vietoris_ranks).
+    Returns (agree, nerve_ranks, vietoris_ranks), each as `homology_ranks`
+    gives it.  Both are refused as `nerve` and `vietoris` refuse them, then
+    built and reduced as one complex, the Vietoris ids relabelled past the
+    nerve's; no cofacet joins the two, so each side keeps its own essentials.
     """
-    nerve_ranks = homology_ranks(nerve(cover), field)
-    vietoris_ranks = homology_ranks(vietoris(cover), field)
-    width = max(len(nerve_ranks), len(vietoris_ranks))
-    padded_n = nerve_ranks + (0,) * (width - len(nerve_ranks))
-    padded_v = vietoris_ranks + (0,) * (width - len(vietoris_ranks))
-    return padded_n == padded_v, nerve_ranks, vietoris_ranks
+    members = [elems for _, elems in cover.sets]
+    _refuse("nerve", _nerve_bound(members))
+    _refuse("Vietoris complex", sum(2 ** len(elems) - 1 for elems in members))
+    ranked = _ranked(members, len(members))
+    rows = _nerve_rows(ranked)
+    split = len(rows)
+    rows.extend(_vietoris_rows(ranked))
+    union = FilteredComplex._from_rows(rows, np.zeros(len(rows)))
+    essential = _pairs(union, field)[2]
+    entry, sizes = union._table[:2]  # by canonical position
+    in_nerve, listed = entry[essential] < split, union._arrays[1]
+    nerve_ranks, vietoris_ranks = (
+        tuple(np.bincount(sizes[essential[side]] - 1, minlength=int(own.max(initial=1))).tolist())
+        for side, own in ((in_nerve, listed[:split]), (~in_nerve, listed[split:])))
+    short = len(vietoris_ranks) - len(nerve_ranks)  # zero padded to compare; (0,) * -1 is ()
+    return nerve_ranks + (0,) * short == vietoris_ranks + (0,) * -short, nerve_ranks, vietoris_ranks
 
 
 def balls_cover(distances: Sequence[Sequence[float]], delta: float) -> Cover:
@@ -155,9 +184,7 @@ def balls_cover(distances: Sequence[Sequence[float]], delta: float) -> Cover:
         raise ValueError("distance matrix must be symmetric")
     if np.diagonal(mat).any():
         raise ValueError("distance matrix must have zero diagonal")
-    n = mat.shape[0]
-    sets = [(i, [j for j in range(n) if mat[i, j] < delta]) for i in range(n)]
-    return Cover(sets, ground=range(n))
+    return Cover(enumerate(np.flatnonzero(row < delta).tolist() for row in mat), ground=range(mat.shape[0]))
 
 
 __all__ = [

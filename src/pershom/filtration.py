@@ -321,6 +321,8 @@ def _column(cofacets: memoryview, offsets: memoryview, j: int, p: int) -> Dict[i
 
 def _pairs(complex_: FilteredComplex, field: PrimeField) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_reduce` of the complex over F_p, run once per field and kept with the complex."""
+    if not isinstance(field, PrimeField):  # every public reading of the pairs enters here
+        raise TypeError(f"field must be a PrimeField, got {field!r}")
     kept = complex_.__dict__.setdefault("_pairs", {})  # by field.p, beside `simplices` and `_order`
     return kept[field.p] if field.p in kept else kept.setdefault(field.p, _reduce(complex_, field))
 

@@ -15,6 +15,7 @@ from pershom import (
     GF2,
     GF3,
     HawaiianSpec,
+    PrimeField,
     TooLargeError,
     balls_cover,
     dowker_check,
@@ -193,6 +194,34 @@ def test_nerve_and_vietoris_equal_the_pair_built_complexes(members):
     assert_built_as_by_pairs(vietoris(cover))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.frozensets(_IDS, max_size=5), max_size=5), st.integers(0, 2))
+def test_dowker_check_equals_the_two_complexes_reduced_apart(members, repeats):
+    # empty sets, repeated sets and the empty cover are drawn too; each side keeps its own top degree
+    cover = Cover(enumerate(members + members[:repeats]))
+    for field in (GF2, GF3, PrimeField(5)):
+        nerve_ranks, vietoris_ranks = homology_ranks(nerve(cover), field), homology_ranks(vietoris(cover), field)
+        width = max(len(nerve_ranks), len(vietoris_ranks))
+        agree = nerve_ranks + (0,) * (width - len(nerve_ranks)) == vietoris_ranks + (0,) * (width - len(vietoris_ranks))
+        assert dowker_check(cover, field) == (agree, nerve_ranks, vietoris_ranks)
+
+
+def test_dowker_check_refuses_either_complex_before_enumerating(monkeypatch):
+    import pershom.covers
+
+    def enumerate_nothing(*args):
+        raise AssertionError("dowker_check enumerated subsets of an oversized cover")
+
+    monkeypatch.setattr(pershom.covers, "combinations", enumerate_nothing)
+    nerve_message = f"^the nerve could have up to {2**17 - 1} simplices, over {VIETORIS_LIMIT}$"
+    with pytest.raises(TooLargeError, match=nerve_message):
+        dowker_check(Cover([(k, [0]) for k in range(17)]))
+    with pytest.raises(TooLargeError, match=f"^the Vietoris complex could have up to {2**30 - 1} simplices, over {VIETORIS_LIMIT}$"):
+        dowker_check(Cover([("U", range(30))]))
+    with pytest.raises(TooLargeError, match=f"^the nerve could have up to {17 * (2**17 - 1)} simplices"):
+        dowker_check(Cover([(k, range(17)) for k in range(17)]))  # both too large: the nerve is named first
+
+
 def test_library_made_complexes_skip_the_per_id_check(monkeypatch):
     # their ids were checked by Cover or made by range, so they enter as rows
     cover = Cover([("A", [1, 2, 3]), ("B", [3, 4]), ("C", [4, 2**63])])
@@ -204,6 +233,7 @@ def test_library_made_complexes_skip_the_per_id_check(monkeypatch):
     monkeypatch.setattr(pershom.filtration, "index", refuse)
     monkeypatch.setattr(FilteredComplex, "__init__", refuse)
     assert [len(nerve(cover)), len(vietoris(cover)), len(hawaiian_complex(spec))] == [5, 11, 41]
+    assert dowker_check(cover) == (True, (1, 0), (1, 0, 0))
 
 
 # ---------------------------------------------------------------- ball covers

@@ -1,10 +1,20 @@
-"""Prime fields: which characteristics are accepted, and inverses."""
+"""Prime fields: which characteristics are accepted, inverses, and the field check of the engine."""
 
 import math
 
 import pytest
 
-from pershom import PrimeField
+from pershom import (
+    Cover,
+    PrimeField,
+    betti_at,
+    compute_persistence,
+    dowker_check,
+    homology_ranks,
+    persistence_diagram,
+)
+
+from helpers import closure
 
 
 def _primes_below(n):
@@ -65,3 +75,16 @@ def test_inverse_times_its_element_is_one(p):
     for zero in (0, p, -p):
         with pytest.raises(ZeroDivisionError, match="^inverse of 0$"):
             field.inv(zero)
+
+
+@pytest.mark.parametrize("call", [
+    lambda K: compute_persistence(K, 3),
+    lambda K: persistence_diagram(K, 3),
+    lambda K: homology_ranks(K, 2),
+    lambda K: betti_at(K, 0.5, 0, 5),
+    lambda K: dowker_check(Cover([("A", [1, 2]), ("B", [2, 3])]), 3),
+], ids=["compute_persistence", "persistence_diagram", "homology_ranks", "betti_at", "dowker_check"])
+def test_a_field_that_is_not_a_prime_field_is_named(call):
+    # a bare characteristic once reached the reduction and failed there on `field.p`
+    with pytest.raises(TypeError, match=r"^field must be a PrimeField, got \d$"):
+        call(closure([(0, 1, 2)]))
