@@ -52,23 +52,22 @@ class ExtendedReal(float):
 
 NEG_INF = ExtendedReal(-math.inf)
 POS_INF = ExtendedReal(math.inf)
-_TEXT = (str, bytes, bytearray)  # `float` would parse these, so no value may be one
+_endpoint_of = partial(float.__new__, ExtendedReal)  # an ExtendedReal from a float known not to be NaN
 _BOOLS = (bool, np.bool_)  # `float` and `operator.index` would read these as 0 and 1
+_NOT_REAL = (str, bytes, bytearray, *_BOOLS, type(None))  # not numbers: `float` parses text, numpy reads None as NaN
 
 
 class TooLargeError(ValueError):
-    """An input too large to process: the diagrams of a matching or of the
-    brute-force oracle, the simplices of a Vietoris complex, of an earring
-    truncation or of all the truncations an earring sweep builds, a Douglas
-    quadrature grid, or a cap-count quadrant grid."""
+    """An input over one of the size limits named ``*_LIMIT``, refused before
+    the work it would take is begun; the message names the quantity and the limit."""
 
 
 def query_value(value, name: str, finite: bool = False) -> float:
-    """A query argument as a float; text, a bool, a value that `float`
-    refuses, NaN, or an infinity where ``finite`` is asked for, raises
-    ValueError naming the argument."""
+    """A real-number argument or endpoint as a float; text, a bool, None, a
+    value that `float` refuses, NaN, or an infinity where ``finite`` is asked
+    for, raises ValueError naming the argument."""
     try:
-        if isinstance(value, _TEXT + _BOOLS):
+        if isinstance(value, _NOT_REAL):
             raise TypeError
         value = float(value)
     except (TypeError, ValueError):
@@ -79,20 +78,15 @@ def query_value(value, name: str, finite: bool = False) -> float:
 
 
 def real_array(values, name: str) -> np.ndarray:
-    """An array argument as floats; an entry given as text, which numpy
-    would parse, raises ValueError naming the argument and the position."""
-    for at, entry in np.ndenumerate(np.asarray(values, dtype=object)):
-        if isinstance(entry, _TEXT):
-            raise ValueError(f"{name} has the text {entry!r} at {at}, not a number")
+    """An array argument as floats; an entry given as text, a bool or None
+    raises ValueError naming the argument and the position.  An integer or
+    float ndarray holds none, so only other input has its entries' types read."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        objects = np.asarray(values, dtype=object)  # each entry as given: numpy reads [0, True] as [0, 1]
+        if any(issubclass(kind, _NOT_REAL) for kind in set(map(type, objects.flat))):  # each type once
+            at, entry = next((at, entry) for at, entry in np.ndenumerate(objects) if isinstance(entry, _NOT_REAL))
+            raise ValueError(f"{name} has {entry!r} at {at}, not a number")
     return np.asarray(values, dtype=float)
-
-
-def _endpoint(value, name: str) -> ExtendedReal:
-    """An endpoint that is not yet an ExtendedReal, made one; text, which
-    `float` would parse, raises ValueError naming the endpoint."""
-    if isinstance(value, _TEXT):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return ExtendedReal(value)
 
 
 def integer_value(value, name: str) -> int:
@@ -112,17 +106,17 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     Invariants: ``lo <= hi``; a closed endpoint is always finite; equal
     endpoints force a (finite) singleton ``[a,a]``.  A tuple of two
-    ExtendedReals and two bool flags, checked once when made; an endpoint given
-    as text is refused.  Hashing, equality and order are those of the tuple.
+    ExtendedReals and two bool flags, checked once when made; any other endpoint
+    goes through `query_value`.  Hashing, equality and order are those of the tuple.
     """
 
     __slots__ = ()
 
     def __new__(cls, lo, hi, lo_closed: bool, hi_closed: bool):
-        lo = lo if type(lo) is ExtendedReal else _endpoint(lo, "lo")
-        hi = hi if type(hi) is ExtendedReal else _endpoint(hi, "hi")
+        lo = lo if type(lo) is ExtendedReal else _endpoint_of(query_value(lo, "lo"))
+        hi = hi if type(hi) is ExtendedReal else _endpoint_of(query_value(hi, "hi"))
         for name, flag in (("lo_closed", lo_closed), ("hi_closed", hi_closed)):
-            if not isinstance(flag, (bool, np.bool_)):
+            if not isinstance(flag, _BOOLS):
                 raise ValueError(f"{name} must be a bool, got {flag!r}")
         self = super().__new__(cls, lo, hi, lo_closed, hi_closed)
         if lo > hi:
@@ -154,6 +148,7 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     @staticmethod
     def singleton(at: float) -> "Interval":
+        at = query_value(at, "at")
         return Interval(at, at, True, True)
 
     @property
@@ -177,9 +172,6 @@ def _inside(lo, hi, lo_closed, hi_closed, t):
 
 def _text(lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> str:
     return f"{'[' if lo_closed else '('}{lo},{hi}{']' if hi_closed else ')'}"
-
-
-_endpoint_of = partial(float.__new__, ExtendedReal)  # an ExtendedReal from a float known not to be NaN
 
 
 def _made(cls, lo: np.ndarray, hi: np.ndarray, *flags: np.ndarray) -> list:

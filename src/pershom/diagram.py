@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
-from .barcode import Barcode, ExtendedReal, _endpoint, _int_array, _made, integer_value, query_value
+from .barcode import Barcode, ExtendedReal, _endpoint_of, _int_array, _made, integer_value, query_value
 
 PointLike = Union["DiagramPoint", Tuple[float, float]]
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]  # p, q and multiplicity of the points of one degree
@@ -30,14 +30,14 @@ Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]  # p, q and multiplicity of the
 class DiagramPoint(namedtuple("DiagramPoint", "p q")):
     """A birth/death pair (p, q) in the open half-plane p < q.
 
-    A pair of ExtendedReals, checked once when made; an endpoint given as
-    text is refused.  Hashing and equality are those of the pair."""
+    A pair of ExtendedReals, checked once when made; any other endpoint goes
+    through `query_value`.  Hashing and equality are those of the pair."""
 
     __slots__ = ()
 
     def __new__(cls, p, q):
-        p = p if type(p) is ExtendedReal else _endpoint(p, "p")
-        q = q if type(q) is ExtendedReal else _endpoint(q, "q")
+        p = p if type(p) is ExtendedReal else _endpoint_of(query_value(p, "p"))
+        q = q if type(q) is ExtendedReal else _endpoint_of(query_value(q, "q"))
         if not p < q:
             raise _off_half_plane(p, q)
         return super().__new__(cls, p, q)
@@ -90,8 +90,7 @@ def _from_rows(degree: np.ndarray, p: np.ndarray, q: np.ndarray, mult: np.ndarra
     stays as it came first."""
     if not (p < q).all() or mult.min(initial=1) < 1:  # a NaN endpoint fails p < q too
         k = int(np.flatnonzero(~(p < q) | (mult < 1))[0])
-        if math.isnan(p[k]) or math.isnan(q[k]):
-            raise ValueError("extended real cannot be NaN")
+        query_value(p[k], "p"), query_value(q[k], "q")  # names a NaN endpoint as `DiagramPoint` would
         _multiplicity(mult[k])
         raise _off_half_plane(float(p[k]), float(q[k]))
     if mult.dtype != object and mult.max(initial=0) > _INT64_MAX // max(len(mult), 1):
@@ -130,7 +129,7 @@ class PersistenceDiagram:
         for degree, content in (points or {}).items():
             degree = integer_value(degree, "degree")
             for (p, q), mult in content.items() if isinstance(content, Mapping) else zip(content, repeat(1)):
-                rows.append((degree, _endpoint(p, "p"), _endpoint(q, "q"), integer_value(mult, "multiplicity")))
+                rows.append((degree, query_value(p, "p"), query_value(q, "q"), integer_value(mult, "multiplicity")))
         degrees, ps, qs, mults = zip(*rows) if rows else ((),) * 4
         diagram = _from_rows(_int_array(degrees), np.array(ps, float), np.array(qs, float), _int_array(mults))
         object.__setattr__(self, "_rows", diagram._rows)

@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from operator import ge, index, is_
+from operator import ge, index
 from typing import Collection, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import _TEXT, Barcode, _int_array, integer_value, query_value
+from .barcode import _NOT_REAL, Barcode, _int_array, integer_value, query_value
 from .diagram import PersistenceDiagram, _from_rows
 
 Simplex = Tuple[int, ...]
@@ -91,13 +91,12 @@ class NonMonotoneError(_FaceError):
 
 
 class TextValueError(ComplexValidationError):
-    """A filtration value that numpy would read silently: text, which it
-    parses, or None, which it reads as NaN."""
+    """A filtration value that is not a real number: text, a bool or None, which
+    numpy would parse or read as 0, 1 or NaN, or a value that `float` refuses."""
 
     def __init__(self, simplex: Simplex, value: object):
         self.simplex = simplex
-        given = "None" if value is None else f"the text {value!r}"
-        super().__init__(f"simplex {simplex} has {given} as its filtration value, not a number")
+        super().__init__(f"simplex {simplex} has {value!r} as its filtration value, not a number")
 
 
 class NonIntegerVertexError(ComplexValidationError):
@@ -119,10 +118,11 @@ def facets(simplex: Simplex) -> Tuple[Simplex, ...]:
 
 @dataclass(frozen=True)
 class FilteredComplex:
-    """A face-closed simplex list with finite values, monotone under
+    """A face-closed simplex list with real, finite values, monotone under
     inclusion, kept as flat (vertices, sizes, values) arrays; its simplex
     tuples are built on first use.  Vertex ids are integers: anything that
-    `operator.index` takes.  Construction checks all of this, so every
+    `operator.index` takes; a value that is text, a bool or None, or that `float`
+    refuses, raises `TextValueError`.  Construction checks all of this, so every
     instance is valid; defects raise a `ComplexValidationError` naming the first offender."""
 
     simplices: Tuple[Tuple[Simplex, float], ...]
@@ -139,9 +139,19 @@ class FilteredComplex:
                 except TypeError:
                     raise NonIntegerVertexError(row) from exc
             raise
-        if any(map(is_, values, repeat(None))) or any(map(isinstance, values, repeat(_TEXT))):
-            raise TextValueError(*next((row, v) for row, v in zip(rows, values) if v is None or isinstance(v, _TEXT)))
-        self._validate(vertices, sizes, np.fromiter(values, float, len(rows)))
+        try:
+            if any(map(isinstance, values, repeat(_NOT_REAL))):
+                raise TypeError
+            array = np.fromiter(values, float, len(rows))
+        except (TypeError, ValueError):
+            for row, value in zip(rows, values):
+                try:
+                    if value == value:  # not NaN, which `validate` names as a defect of its simplex
+                        query_value(value, "value")
+                except ValueError:
+                    raise TextValueError(row, value) from None
+            raise
+        self._validate(vertices, sizes, array)
 
     @classmethod
     def _from_arrays(cls, *arrays: np.ndarray) -> "FilteredComplex":
@@ -272,11 +282,9 @@ def validate(complex_: FilteredComplex) -> Tuple[np.ndarray, np.ndarray, np.ndar
 
 def lower_star(vertex_values: Mapping[int, float], simplices: Iterable[Iterable[int]]) -> FilteredComplex:
     """Sublevel filtration of a vertex function: each simplex gets the max of
-    its vertex values.  A value given as text raises ValueError naming its vertex."""
-    for v, t in vertex_values.items():
-        if isinstance(t, _TEXT):  # `float` would parse it
-            raise ValueError(f"vertex {v} has the text {t!r} as its value, not a number")
-    vertex_values = {v: float(t) for v, t in vertex_values.items()}
+    its vertex values.  Each value goes through `query_value`: one that is
+    not a finite real number raises ValueError naming its vertex."""
+    vertex_values = {v: query_value(t, f"the value of vertex {v}", finite=True) for v, t in vertex_values.items()}
     simplices = [tuple(raw) for raw in simplices]
     for v in chain.from_iterable(simplices):
         if v not in vertex_values:

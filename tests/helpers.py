@@ -41,6 +41,7 @@ from pershom import (
     PersistenceDiagram,
     PreconditionViolated,
     lower_star,
+    quadrant_count,
 )
 from pershom.bottleneck import _diagonal_cost, _pair_cost
 from pershom.filtration import facets
@@ -359,6 +360,15 @@ def _items_oracle(diagram: PersistenceDiagram, d: int):
 
 def quadrant_count_oracle(diagram: PersistenceDiagram, d: int, x: float, y: float) -> int:
     return sum(m for pt, m in diagram.items(d) if pt.p < x and y < pt.q)
+
+
+def cap_finiteness_bound_oracle(diagram: PersistenceDiagram, d: int, eps: float, t0: float, t1: float):
+    """The band count and the sum of one quadrant count per grid corner,
+    the loop that the two binary searches per point replaced."""
+    steps = math.ceil(2 * (t1 - t0) / eps)
+    lhs = sum(m for pt, m in diagram.items(d) if t0 <= pt.p and pt.q <= t1 and pt.q - pt.p >= eps)
+    rhs = sum(quadrant_count(diagram, d, t0 + i * eps / 2, t0 + i * eps / 2 + eps / 2) for i in range(steps + 1))
+    return lhs, rhs
 
 
 def cap_number_at_oracle(diagram: PersistenceDiagram, d: int, t: float, eps: float) -> int:

@@ -24,6 +24,7 @@ from pershom import (
     interval_module_rank,
     radical,
 )
+from pershom.barcode import real_array
 from pershom.io import format_barcode
 
 from helpers import BarcodeOracle, bar_key, diagram_oracle, grid_module_rank
@@ -94,8 +95,8 @@ def test_interval_invariants():
     ((0.0, math.inf, False, True), "closed right endpoint must be finite"),
     ((0.5, 0.5, True, False), "an interval with equal endpoints must be a singleton [a,a]"),
     ((-0.0, 0.0, False, False), "an interval with equal endpoints must be a singleton [a,a]"),
-    ((math.nan, 1.0, False, False), "extended real cannot be NaN"),
-    ((0.0, math.nan, False, False), "extended real cannot be NaN"),
+    ((math.nan, 1.0, False, False), "lo must not be NaN, got nan"),
+    ((0.0, math.nan, False, False), "hi must not be NaN, got nan"),
 ])
 def test_interval_invariants_keep_their_messages(args, message):
     with pytest.raises(ValueError) as err:
@@ -411,3 +412,23 @@ def test_barcodes_copy_and_pickle_through_their_columns(barcode):
     for other in (copy.copy(barcode), copy.deepcopy(barcode), pickle.loads(pickle.dumps(barcode))):
         assert type(other) is Barcode and other == barcode and repr(other) == repr(barcode)
         assert all(mine.dtype == theirs.dtype for mine, theirs in zip(other._columns, barcode._columns))
+
+
+def test_real_array_reads_entries_one_by_one_only_where_numpy_could_hide_one(monkeypatch):
+    made = []
+    real = np.asarray
+    monkeypatch.setattr(np, "asarray", lambda a, *args, **kw: made.append((args, kw)) or real(a, *args, **kw))
+    # an integer or float ndarray holds numbers only, so no object array is made for it
+    for array in (np.eye(3), np.eye(3, dtype=np.int64), np.eye(3, dtype=np.uint8), np.eye(3, dtype=np.float32)):
+        assert real_array(array, "m").tolist() == np.eye(3).tolist()
+    assert all(object not in args and kwargs.get("dtype") is not object for args, kwargs in made)
+    assert real_array(np.array([0, True]), "m").tolist() == [0.0, 1.0]  # made an int64 array before it came
+    # any other input is read as given: numpy would read [0, True] as an int64 array
+    for bad, message in (([[0, True], [True, 0]], "m has True at (0, 1)"),
+                         (np.array([[0, None]], object), "m has None at (0, 1)"),
+                         (np.array([[False, True]]), "m has False at (0, 0)"),
+                         (np.array([["0", "1"]]), "m has '0' at (0, 0)"),
+                         ((0.5, b"1"), "m has b'1' at (1,)")):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + ", not a number$"):
+            real_array(bad, "m")
+    assert real_array([[0, 1.5], (2, np.float32(3))], "m").tolist() == [[0.0, 1.5], [2.0, 3.0]]

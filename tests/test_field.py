@@ -50,7 +50,7 @@ def test_prime_field_at_the_edges_of_its_range():
         assert str(err.value) == f"characteristic out of range: {n}"
 
 
-@pytest.mark.parametrize("p", [3.0, "3", b"3", None, 2.5])
+@pytest.mark.parametrize("p", [3.0, "3", b"3", None, 2.5, True])
 def test_prime_field_takes_its_characteristic_by_the_integer_rule(p):
     # `int` would truncate or parse each; a named ValueError, not a TypeError from inside the check
     with pytest.raises(ValueError) as err:

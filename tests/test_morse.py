@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pershom.morse
 from pershom import (
@@ -23,7 +25,7 @@ from pershom import (
     nu,
 )
 
-from helpers import random_diagram
+from helpers import cap_finiteness_bound_oracle, random_diagram
 
 WORKED = PersistenceDiagram({0: [(0, math.inf), (1, 2)], 1: [(3, 4)]})
 TWO_FINITE = PersistenceDiagram({0: [(1, 2)], 1: [(3, 4)]})
@@ -264,9 +266,9 @@ def test_cap_finiteness_bound_counts_a_grid_at_its_limit_and_refuses_a_larger_on
 
 def test_cap_finiteness_bound_refuses_a_tiny_eps_before_counting(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a quadrant was counted")
+        raise AssertionError("the diagram was read")
 
-    monkeypatch.setattr(pershom.morse, "quadrant_count", refuse)
+    monkeypatch.setattr(pershom.morse, "_arrays", refuse)
     with pytest.raises(TooLargeError, match=f"over {pershom.morse.CAP_GRID_LIMIT}"):
         cap_finiteness_bound(PersistenceDiagram({0: [(0, 1)]}), 0, 1e-12, 0.0, 1.0)
 
@@ -276,6 +278,41 @@ def test_cap_finiteness_bound_refuses_a_grid_whose_size_overflows_a_float(eps, t
     # 2 * (t1 - t0) / eps is inf here, which has no integer ceiling
     with pytest.raises(TooLargeError, match=f"over {pershom.morse.CAP_GRID_LIMIT}"):
         cap_finiteness_bound(PersistenceDiagram({0: [(0, 1)]}), 0, eps, t0, t1)
+
+
+@st.composite
+def _bands(draw):
+    """A diagram, with points on the quadrant corners and infinite ones, and
+    a grid; at t0 = 2**52 + 1 each corner step of 0.25 or less is below the
+    spacing of floats, so corners repeat."""
+    t0 = draw(st.sampled_from([0.0, -1.5, 1e15, 2.0**52 + 1]))
+    eps = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+    t1 = t0 + draw(st.integers(0, 40)) * eps / 2 + draw(st.sampled_from([0.0, eps / 7]))
+    corner = st.integers(-2, 45).map(lambda i: t0 + i * eps / 2)
+    end = st.one_of(corner, corner.map(lambda x: x + eps / 2), st.floats(t0 - 3, t0 + 25),
+                    st.sampled_from([-math.inf, math.inf]))
+    mult = st.one_of(st.integers(1, 3), st.just(2**59), st.just(2**62), st.just(2**63 + 1))  # large beside a count
+    points = [(p, q) for p, q in draw(st.lists(st.tuples(end, end), max_size=8)) if p < q]
+    return PersistenceDiagram({0: {pt: draw(mult) for pt in points}, 1: [(t0, t1 + 1)]}), eps, t0, t1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bands())
+def test_cap_finiteness_bound_equals_one_quadrant_count_per_corner(case):
+    diagram, eps, t0, t1 = case
+    for d in (0, 1, 2, -1):
+        assert cap_finiteness_bound(diagram, d, eps, t0, t1) == cap_finiteness_bound_oracle(diagram, d, eps, t0, t1)
+
+
+def test_cap_finiteness_bound_is_exact_over_multiplicities_beyond_int64():
+    diagram = PersistenceDiagram({0: {(0.0, 1.0): 2**63 + 1, (-math.inf, math.inf): 3}})
+    assert diagram.arrays(0)[2].dtype == object
+    lhs, rhs = cap_finiteness_bound(diagram, 0, 0.5, 0.0, 1.0)
+    assert (lhs, rhs) == (2**63 + 1, 2 * (2**63 + 1) + 5 * 3)
+    assert (lhs, rhs) == cap_finiteness_bound_oracle(diagram, 0, 0.5, 0.0, 1.0)
+    beside = PersistenceDiagram({0: {(0.0, 1.0): 2**62 - 1, (5.0, 6.0): 1}})  # int64, but not times a count
+    assert beside.arrays(0)[2].dtype == np.int64
+    assert cap_finiteness_bound(beside, 0, 0.1, 0.0, 1.0) == (2**62 - 1, 18 * (2**62 - 1))  # corners 0.05 to 0.9
 
 
 def test_cap_finiteness_bound_dominates():

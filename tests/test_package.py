@@ -17,10 +17,13 @@ import pershom
 from pershom import (
     Barcode,
     ConstancyWitness,
+    DiagramPoint,
+    DouglasInput,
     FilteredComplex,
     HawaiianSpec,
     Interval,
     PersistenceDiagram,
+    TextValueError,
     balls_cover,
     barcode_rank,
     betti_at,
@@ -35,6 +38,7 @@ from pershom import (
     hawaiian_rank_sweep,
     interleaving_distance,
     interval_module_rank,
+    lower_star,
     matching_at,
     morse_check,
     nu,
@@ -171,9 +175,10 @@ def test_a_bool_is_refused_where_a_number_is_asked_for():
                 call()
 
 
-# Every public callable with a real-valued query parameter, as a call by
-# keyword, with the value each parameter takes when another is varied.
-VALUE_PARAMETERS = {"s", "t", "x", "y", "t0", "t1", "eps", "delta"}
+# Every public callable with a real-valued query parameter or endpoint, as a
+# call by keyword, with the value each parameter takes when another is varied.
+VALUE_PARAMETERS = {"s", "t", "x", "y", "t0", "t1", "eps", "delta", "lo", "hi", "at", "p", "q"}
+INTEGER_PARAMETERS = {"PrimeField": {"p"}}  # named like an endpoint, but a characteristic: see test_field.py
 VALUE_CALLS = {
     "barcode_rank": (lambda s, t: barcode_rank(_BARCODE, 0, s, t), {"s": 0.5, "t": 0.7}),
     "interval_module_rank": (lambda s, t: interval_module_rank(Interval.closed_open(0, 1), s, t),
@@ -190,14 +195,22 @@ VALUE_CALLS = {
     "matching_at": (lambda delta: matching_at(_DIAGRAM, diagram_of(_BARCODE), 0, delta), {"delta": 0.5}),
     "balls_cover": (lambda delta: balls_cover([[0, 1], [1, 0]], delta), {"delta": 1.5}),
     "Interval.contains": (lambda t: Interval.closed_open(0, 1).contains(t), {"t": 0.5}),
+    "Interval": (lambda lo, hi: Interval(lo, hi, True, False), {"lo": 0.0, "hi": 1.0}),
+    "Interval.closed_open": (lambda lo, hi: Interval.closed_open(lo, hi), {"lo": 0.0, "hi": 1.0}),
+    "Interval.open_open": (lambda lo, hi: Interval.open_open(lo, hi), {"lo": 0.0, "hi": 1.0}),
+    "Interval.closed_closed": (lambda lo, hi: Interval.closed_closed(lo, hi), {"lo": 0.0, "hi": 1.0}),
+    "Interval.singleton": (lambda at: Interval.singleton(at), {"at": 0.5}),
+    "DiagramPoint": (lambda p, q: DiagramPoint(p, q), {"p": 0.0, "q": 1.0}),
 }
 
 
 def test_every_public_callable_with_a_value_parameter_is_in_the_value_table():
     public = _public_parameters()
-    assert {name for name, params in public.items() if params & VALUE_PARAMETERS} == set(VALUE_CALLS)
+    assert {name for name, params in public.items() if params & VALUE_PARAMETERS} == {*VALUE_CALLS, *INTEGER_PARAMETERS}
     for name, (_, values) in VALUE_CALLS.items():
         assert set(values) == public[name] & VALUE_PARAMETERS, name
+    for name, params in INTEGER_PARAMETERS.items():
+        assert public[name] & VALUE_PARAMETERS == params, name
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CALLS))
@@ -207,9 +220,56 @@ def test_values_are_real_numbers_api_wide(name):
         for text in ("0.5", b"0.5", bytearray(b"0.5")):  # `float` would parse each
             with pytest.raises(ValueError, match=rf"^{word} must be a real number, got " + re.escape(repr(text))):
                 call(**{**values, word: text})
-        for flag in (True, False, np.True_):  # `float` would read 1.0 or 0.0
+        for flag in (True, False, np.True_, None):  # `float` would read 1.0 or 0.0; numpy reads None as NaN
             with pytest.raises(ValueError, match=rf"^{word} must be a real number, got " + re.escape(repr(flag))):
                 call(**{**values, word: flag})
         with pytest.raises(ValueError, match=rf"^{word} must (not be NaN|be finite), got nan"):
             call(**{**values, word: math.nan})
         assert call(**{**values, word: np.float64(value)}) == call(**values)
+
+
+# Values inside a container: diagram points, vertex values, filtration
+# values and array entries.  `float` and numpy would parse text, and read a
+# bool as 0 or 1 and None as NaN; each is named with where it sits.
+NOT_NUMBERS = ("0.5", b"0.5", bytearray(b"0.5"), True, False, np.True_, None)
+
+
+def test_diagram_points_and_vertex_values_are_real_numbers():
+    calls = {
+        "p": lambda v: PersistenceDiagram({0: [(v, 2.0)]}),
+        "q": lambda v: PersistenceDiagram({0: [(0.0, v), (0.0, v)]}),
+        "the value of vertex 1": lambda v: lower_star({0: 0.0, 1: v}, [(0,), (1,), (0, 1)]),
+    }
+    for name, call in calls.items():
+        for bad in NOT_NUMBERS + ([1.0],):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(bad))}$"):
+                call(bad)
+        with pytest.raises(ValueError, match=f"^{name} must (not be NaN|be finite), got nan$"):
+            call(math.nan)
+        assert call(np.float64(1.0)) == call(1.0)
+    with pytest.raises(ValueError, match="^the value of vertex 1 must be finite, got -inf$"):
+        lower_star({0: 0.0, 1: -math.inf}, [(0,)])  # every vertex value is checked, where it is given
+
+
+def test_filtration_values_are_real_numbers_named_with_their_simplex():
+    for bad in NOT_NUMBERS + ([1.0], {}):
+        message = rf"^simplex \(1,\) has {re.escape(repr(bad))} as its filtration value, not a number$"
+        with pytest.raises(TextValueError, match=message) as caught:
+            FilteredComplex([((0,), 0.0), ((1,), bad), ((0, 1), 2.0)])
+        assert caught.value.simplex == (1,)
+    with pytest.raises(TextValueError, match=r"^simplex \(2,\) has True as"):  # the first in input order
+        FilteredComplex([((0,), 0.0), ((1,), math.nan), ((2,), True), ((3,), [1.0])])
+
+
+def test_array_entries_are_real_numbers_named_with_their_position():
+    for bad in NOT_NUMBERS:
+        with pytest.raises(ValueError, match=rf"^distance matrix has {re.escape(repr(bad))} at \(0, 1\), not a number$"):
+            balls_cover([[0, bad], [bad, 0]], 1.5)
+        with pytest.raises(ValueError, match=rf"^curve_samples has {re.escape(repr(bad))} at \(1,\), not a number$"):
+            DouglasInput.identity([0.0, bad, 1.0], 8)
+        with pytest.raises(ValueError, match=rf"^phi has {re.escape(repr(bad))} at \(2,\), not a number$"):
+            DouglasInput([0.0, 1.0, 2.0], [0.0, 1.0, bad], 8)
+    with pytest.raises(ValueError, match=r"^distance matrix has a NaN entry at \(0, 1\)$"):
+        balls_cover([[0, math.nan], [math.nan, 0]], 1.5)
+    with pytest.raises(ValueError, match=r"^curve samples must be finite"):
+        DouglasInput.identity([0.0, math.nan, 1.0], 8)
