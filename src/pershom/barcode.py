@@ -19,7 +19,8 @@ import numpy as np
 
 
 class ExtendedReal(float):
-    """A point of the extended real line: a float that is never NaN.
+    """A point of the extended real line: a float that is never NaN, made
+    through `query_value`, so that text, a bool or None is refused.
 
     The infinite endpoints are IEEE ``-inf`` / ``inf``, so order, hashing and
     the ``str``/``float()`` text round trip are those of floats.  The three
@@ -29,10 +30,7 @@ class ExtendedReal(float):
     __slots__ = ()
 
     def __new__(cls, value):
-        self = float.__new__(cls, value)
-        if self != self:
-            raise ValueError("extended real cannot be NaN")
-        return self
+        return float.__new__(cls, query_value(value, "extended real"))
 
     @property
     def is_finite(self) -> bool:
@@ -50,8 +48,6 @@ class ExtendedReal(float):
         return float(self)
 
 
-NEG_INF = ExtendedReal(-math.inf)
-POS_INF = ExtendedReal(math.inf)
 _endpoint_of = partial(float.__new__, ExtendedReal)  # an ExtendedReal from a float known not to be NaN
 _BOOLS = (bool, np.bool_)  # `float` and `operator.index` would read these as 0 and 1
 _NOT_REAL = (str, bytes, bytearray, *_BOOLS, type(None))  # not numbers: `float` parses text, numpy reads None as NaN
@@ -75,6 +71,10 @@ def query_value(value, name: str, finite: bool = False) -> float:
     if math.isnan(value) or (finite and math.isinf(value)):
         raise ValueError(f"{name} must {'be finite' if finite else 'not be NaN'}, got {value}")
     return value
+
+
+NEG_INF = ExtendedReal(-math.inf)
+POS_INF = ExtendedReal(math.inf)
 
 
 def real_array(values, name: str) -> np.ndarray:

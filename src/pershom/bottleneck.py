@@ -428,7 +428,10 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> Extended
     Exact: the optimum is realized among inter-point costs and diagonal
     costs, and classes with infinite coordinates are matched separately by
     sorted order on their finite coordinate.  Returns POS_INF when the
-    essential counts make matching impossible.
+    essential counts make matching impossible.  Each cost is one rounded
+    difference (halved exactly, away from subnormals), and rounding is
+    monotone, so it commutes with the min and max: the value is the exact
+    distance, correctly rounded.
     """
     worst = 0.0
     for cls, side_a, side_b in _classes(a, b, d):

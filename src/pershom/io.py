@@ -15,7 +15,6 @@ line with Python's `int` and `float` where that reader refuses the text.
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
@@ -23,7 +22,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .barcode import Barcode, ExtendedReal, Interval, _int_array, _text
+from .barcode import Barcode, Interval, _int_array, _text, query_value
 from .covers import Cover, CoverSetError
 from .diagram import DiagramPoint, PersistenceDiagram, _from_rows, _multiplicity
 from .filtration import ComplexValidationError, FilteredComplex
@@ -72,7 +71,7 @@ def _bar(line: str) -> Tuple[int, Interval]:
     match = _BAR_LINE.match(line)
     if not match:
         raise ValueError(f"expected '<degree> <[|(><lo>,<hi><)|]>', got {line!r}")
-    lo, hi = ExtendedReal(match["lo"]), ExtendedReal(match["hi"])
+    lo, hi = float(match["lo"]), float(match["hi"])
     return int(match["degree"]), Interval(lo, hi, match["left"] == "[", match["right"] == "]")
 
 
@@ -111,14 +110,14 @@ with warnings.catch_warnings():
         _BULK = True
 
 
-def _point_row(line: str) -> Tuple[int, ExtendedReal, ExtendedReal, int]:
+def _point_row(line: str) -> Tuple[int, float, float, int]:
     """The exact (degree, p, q, multiplicity) of a `.dgm` content line,
     checked in that order; a defect raises a ValueError."""
     fields = line.split()
     if len(fields) != 4:
         raise ValueError(f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
     degree = int(fields[0])
-    p, q = DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
+    p, q = DiagramPoint(float(fields[1]), float(fields[2]))
     return degree, p, q, _multiplicity(int(fields[3]))
 
 
@@ -336,11 +335,7 @@ def _numeric_rows(path, read: Callable[[str], List[float]], expected: str) -> Li
 
 
 def _matrix_row(line: str) -> List[float]:
-    row = [float(field) for field in line.split()]
-    for column, entry in enumerate(row, 1):
-        if math.isnan(entry):
-            raise ValueError(f"entry {column} is NaN")
-    return row
+    return [query_value(float(field), f"entry {column}") for column, field in enumerate(line.split(), 1)]
 
 
 def read_distance_matrix(path) -> np.ndarray:
@@ -355,11 +350,7 @@ def read_distance_matrix(path) -> np.ndarray:
 
 
 def _sample_row(line: str) -> List[float]:
-    row = [float(field) for field in line.split(",")]
-    for column, entry in enumerate(row, 1):
-        if not math.isfinite(entry):
-            raise ValueError(f"entry {column} is {entry}, not a finite number")
-    return row
+    return [query_value(float(field), f"entry {column}", finite=True) for column, field in enumerate(line.split(","), 1)]
 
 
 def read_csv_samples(path) -> np.ndarray:

@@ -173,13 +173,16 @@ def cap_finiteness_bound(
 ) -> Tuple[int, int]:
     """Compare the band count in [t0, t1] against a finite quadrant cover.
 
-    lhs counts degree-d points with t0 <= p < q <= t1 and lifetime >= eps;
-    rhs sums the open-quadrant counts at corners (x_i, x_i + eps/2) for the
-    grid x_i = t0 + i*eps/2.  The quadrants cover the band, so lhs <= rhs.
-    Both t0 and t1 must be finite; otherwise ValueError names the argument.
-    A grid of more than CAP_GRID_LIMIT corners raises TooLargeError before
-    any count.  Both corner coordinates rise with i, so the corners whose quadrant
-    holds a point (p, q) run from the first x_i > p to the last x_i + eps/2 < q.
+    lhs counts degree-d points with t0 <= p < q <= t1 and lifetime > eps, as
+    the cap numbers do; rhs sums the open-quadrant counts at corners
+    (x_i, x_i + eps/2) for the grid x_i = t0 + i*eps/2.  A band point's
+    (p, q - eps/2) is longer than eps/2 and holds a corner, so lhs <= rhs
+    where the corners are exact floats; at t0 = 2**52 + 1 they round, and
+    (t0, t0 + 1) at eps = 0.5 gives (1, 0).  Both t0 and t1 must be finite;
+    otherwise ValueError names the argument.  A grid of more than
+    CAP_GRID_LIMIT corners raises TooLargeError before any count.  Both
+    corner coordinates rise with i, so the corners whose quadrant holds a
+    point (p, q) run from the first x_i > p to the last x_i + eps/2 < q.
     """
     eps = _check_eps(eps)
     t0, t1 = query_value(t0, "t0", finite=True), query_value(t1, "t1", finite=True)
@@ -191,7 +194,7 @@ def cap_finiteness_bound(
         raise TooLargeError(f"the quadrant grid has {corners} corners, over {CAP_GRID_LIMIT}")
     steps = math.ceil(span)
     p, q, mult = _arrays(diagram, d)
-    lhs = int(mult[(t0 <= p) & (q <= t1) & (q - p >= eps)].sum())
+    lhs = int(mult[(t0 <= p) & (q <= t1) & (q - p > eps)].sum())
     x = t0 + np.arange(steps + 1) * eps / 2
     corners = np.searchsorted(x + eps / 2, q, "left") - np.searchsorted(x, p, "right")
     return lhs, int(np.maximum(corners, 0).astype(object) @ mult)  # in Python ints, so exact

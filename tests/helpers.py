@@ -12,15 +12,17 @@ table and the Morse oracles are the dict of checked points and the loops
 over `items` that the array-backed diagram replaced.  The bottleneck
 oracle decides feasibility on the complete diagonal-slot graph with its
 own augmenting-path matcher and never calls the library's cost matrices or
-its Hopcroft-Karp matching; the edge-list reference is the boolean-mask
-construction that the finite class's edge listing replaced.
+its Hopcroft-Karp matching, and the exact bottleneck oracle tries every
+partial matching in rational arithmetic; the edge-list reference is the
+boolean-mask construction that the finite class's edge listing replaced.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -31,7 +33,6 @@ from pershom import (
     ComplexValidationError,
     DiagramPoint,
     DuplicateSimplexError,
-    ExtendedReal,
     FilteredComplex,
     Interval,
     MissingFaceError,
@@ -264,7 +265,7 @@ def parse_diagram_oracle(text: str, source: str = "<diagram>") -> PersistenceDia
             raise FormatError(source, lineno, f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
         try:
             degree = int(fields[0])
-            point = DiagramPoint(ExtendedReal(fields[1]), ExtendedReal(fields[2]))
+            point = DiagramPoint(float(fields[1]), float(fields[2]))
             mult = int(fields[3])
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
@@ -366,7 +367,7 @@ def cap_finiteness_bound_oracle(diagram: PersistenceDiagram, d: int, eps: float,
     """The band count and the sum of one quadrant count per grid corner,
     the loop that the two binary searches per point replaced."""
     steps = math.ceil(2 * (t1 - t0) / eps)
-    lhs = sum(m for pt, m in diagram.items(d) if t0 <= pt.p and pt.q <= t1 and pt.q - pt.p >= eps)
+    lhs = sum(m for pt, m in diagram.items(d) if t0 <= pt.p and pt.q <= t1 and pt.q - pt.p > eps)
     rhs = sum(quadrant_count(diagram, d, t0 + i * eps / 2, t0 + i * eps / 2 + eps / 2) for i in range(steps + 1))
     return lhs, rhs
 
@@ -794,3 +795,21 @@ def bottleneck_oracle(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> f
         else:
             lo = mid + 1
     return grid[lo]
+
+
+def bottleneck_exact_oracle(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> float:
+    """Bottleneck distance in degree d between diagrams of finite points, in
+    exact rational arithmetic over every partial matching (an A point goes
+    to a B point or to the diagonal), rounded to a float once at the end."""
+    points_a = [(Fraction(pt.p), Fraction(pt.q)) for pt in _expanded(a, d)]
+    points_b = [(Fraction(pt.p), Fraction(pt.q)) for pt in _expanded(b, d)]
+    best = math.inf
+    for targets in product(range(-1, len(points_b)), repeat=len(points_a)):  # -1: the diagonal
+        matched = [j for j in targets if j >= 0]
+        if len(set(matched)) < len(matched):
+            continue  # two A points on one B point
+        costs = [max(abs(x[0] - points_b[j][0]), abs(x[1] - points_b[j][1])) if j >= 0 else (x[1] - x[0]) / 2
+                 for x, j in zip(points_a, targets)]
+        costs += [(y[1] - y[0]) / 2 for j, y in enumerate(points_b) if j not in matched]
+        best = min(best, max(costs, default=Fraction(0)))
+    return float(best)

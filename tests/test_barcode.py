@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pershom import (
     Barcode,
     ConstancyWitness,
+    DiagramPoint,
     ExtendedReal,
     Interval,
     NEG_INF,
@@ -42,17 +43,21 @@ def test_extended_real_total_order():
     assert -math.inf < ExtendedReal(0.0) < 1.0 < POS_INF
 
 
-def test_extended_real_rejects_nan_and_parses_tokens():
-    with pytest.raises(ValueError):
+def test_extended_real_rejects_nan_text_and_bools():
+    # the one number rule of `query_value`: `float` would parse text and read a bool as 0 or 1
+    for bad in ("2.5", "inf", "nan", b"0.5", True, np.True_, None):
+        with pytest.raises(ValueError, match=rf"^extended real must be a real number, got {re.escape(repr(bad))}$"):
+            ExtendedReal(bad)
+    with pytest.raises(ValueError, match="^extended real must not be NaN, got nan$"):
         ExtendedReal(math.nan)
-    with pytest.raises(ValueError):
-        ExtendedReal("nan")
-    assert ExtendedReal("inf") == POS_INF
-    assert ExtendedReal("-inf") == NEG_INF
-    assert ExtendedReal("2.5") == ExtendedReal(2.5)
-    assert ExtendedReal(math.inf) == POS_INF
+    assert ExtendedReal(2.5) == 2.5 and ExtendedReal(math.inf) == POS_INF and ExtendedReal(-math.inf) == NEG_INF
+    assert type(ExtendedReal(np.float64("inf"))) is ExtendedReal and ExtendedReal(np.float64("inf")) == POS_INF
     assert str(POS_INF) == "inf" and str(NEG_INF) == "-inf"
     assert str(ExtendedReal(0.1)) == repr(0.1)  # bit-exact round trip
+    for value in (Interval(0.1, math.inf, True, False), DiagramPoint(-math.inf, 2.5)):  # rebuilt from ExtendedReals
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert other == value and type(other) is type(value)
+            assert [type(x) for x in other[:2]] == [ExtendedReal, ExtendedReal]
 
 
 def test_extended_real_is_a_float_with_its_compatibility_properties():
@@ -142,6 +147,11 @@ def test_barcode_degrees_must_be_integers():
     assert Barcode([(np.int64(2), iv), (np.int32(1), iv)]).bars == ((1, iv), (2, iv))
 
 
+def test_a_bar_is_a_degree_and_an_interval():
+    with pytest.raises(TypeError, match="^expected Interval, got tuple$"):
+        Barcode([(0, (0.0, 1.0))])
+
+
 def test_barcode_is_a_multiset():
     a = Barcode([(0, Interval.closed_open(0, 1)), (0, Interval.closed_open(0, 1))])
     b = Barcode([(0, Interval.closed_open(0, 1))])
@@ -209,19 +219,24 @@ def test_radical_examples():
 
 
 def test_intervals_wrap_each_endpoint_once(monkeypatch):
+    import pershom.barcode
     from pershom.io import parse_barcode
 
-    made = []
-    real = ExtendedReal.__new__
+    checked, made = [], []
+    check, real = pershom.barcode.query_value, ExtendedReal.__new__
+    monkeypatch.setattr(pershom.barcode, "query_value",
+                        lambda value, name: checked.append((name, value)) or check(value, name))
     monkeypatch.setattr(ExtendedReal, "__new__", lambda cls, value: made.append(value) or real(cls, value))
     barcode = parse_barcode("0 [0,1)\n0 [0,1)\n1 [2.5,inf)\n2 (-inf,3]\n3 [4,4]\n")
-    assert made == ["0", "1", "0", "1", "2.5", "inf", "-inf", "3", "4", "4"]  # two a line, none again
-    made.clear()
+    ends = [0.0, 1.0, 0.0, 1.0, 2.5, math.inf, -math.inf, 3.0, 4.0, 4.0]
+    assert checked == list(zip(["lo", "hi"] * 5, ends))  # two a line, each read from text by `float`, none again
+    assert made == []
+    checked.clear()
     opened = radical(barcode)
-    assert made == []  # the endpoints are reused as they are
+    assert checked == []  # the endpoints are reused as they are
     assert [str(iv) for _, iv in opened] == ["(0.0,1.0)", "(0.0,1.0)", "(2.5,inf)", "(-inf,3.0]"]
     assert all(type(x) is ExtendedReal for _, iv in opened for x in (iv.lo, iv.hi))
-    assert made == []
+    assert checked == made == []
 
 
 @pytest.mark.parametrize("flag", ["yes", None, 1, 0, 1.0, "False"])
@@ -315,6 +330,8 @@ def test_constancy_witness_rejects_nan_thresholds_by_name():
         with pytest.raises(ValueError, match=f"^{name} must not be NaN"):
             ConstancyWitness(t0, t1)
     assert ConstancyWitness(-math.inf, math.inf).t1 == math.inf
+    with pytest.raises(ValueError, match="^witness requires t0 <= t1$"):
+        ConstancyWitness(1.0, 0.0)
 
 
 def test_constancy_witness_brackets_all_activity():
@@ -412,6 +429,9 @@ def test_barcodes_copy_and_pickle_through_their_columns(barcode):
     for other in (copy.copy(barcode), copy.deepcopy(barcode), pickle.loads(pickle.dumps(barcode))):
         assert type(other) is Barcode and other == barcode and repr(other) == repr(barcode)
         assert all(mine.dtype == theirs.dtype for mine, theirs in zip(other._columns, barcode._columns))
+    with pytest.raises(AttributeError, match="^Barcode is immutable$"):
+        barcode._columns = ()
+    assert barcode != object() and not barcode == object()
 
 
 def test_real_array_reads_entries_one_by_one_only_where_numpy_could_hide_one(monkeypatch):

@@ -31,6 +31,7 @@ from pershom import (
 from helpers import (
     _kuhn_matching_size,
     bottleneck_candidates,
+    bottleneck_exact_oracle,
     bottleneck_feasible_oracle,
     bottleneck_oracle,
     class_edges_reference,
@@ -204,6 +205,19 @@ def test_bottleneck_matches_bruteforce_with_neg_inf_births():
         if a.count(0) > 8 or b.count(0) > 8:
             continue
         assert bottleneck(a, b, 0) == bottleneck_bruteforce(a, b, 0)
+
+
+# Finite values of many magnitudes, none subnormal: there halving a difference rounds a second time.
+_SPREAD = st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 1.0, 1 + 2.0**-52, 2.0, 2e5]),
+                    st.floats(1e-5, 2e5), st.floats(-2e5, -1e-5))
+_SPREAD_DIAGRAMS = st.lists(st.tuples(_SPREAD, _SPREAD).filter(lambda pq: pq[0] != pq[1]).map(sorted),
+                            max_size=4).map(dgm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPREAD_DIAGRAMS, _SPREAD_DIAGRAMS)
+def test_bottleneck_is_the_correctly_rounded_exact_distance(a, b):
+    assert bottleneck(a, b, 0) == bottleneck_exact_oracle(a, b, 0)
 
 
 _QUARTER = st.integers(-20, 20).map(lambda k: k / 4)

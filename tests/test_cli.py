@@ -304,7 +304,7 @@ def test_douglas_rejects_nan_samples(tmp_path, capsys):
     assert main(["douglas", "--curve", str(curve), "--phi", "id", "--n", "64"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {curve}:2: entry 1 is nan, not a finite number\n"  # the file's line, not the curve
+    assert captured.err == f"error: {curve}:2: entry 1 must be finite, got nan\n"  # the file's line, not the curve
 
 
 @pytest.mark.parametrize(

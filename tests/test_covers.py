@@ -261,6 +261,8 @@ def test_balls_cover_validation():
         balls_cover([[1.0, 1.0], [1.0, 1.0]], 1.0)  # nonzero diagonal
     with pytest.raises(ValueError):
         balls_cover([[0.0, 1.0], [1.0, 0.0]], 0.0)  # delta must be positive
+    with pytest.raises(ValueError, match=r"^distance matrix must be square, got shape \(1, 2\)$"):
+        balls_cover([[0.0, 1.0]], 1.0)
 
 
 @pytest.mark.parametrize("text", ["1", b"1", bytearray(b"1")])

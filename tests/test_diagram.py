@@ -383,3 +383,6 @@ def test_diagrams_copy_and_pickle_through_their_rows(diagram):
     for other in (copy.copy(diagram), copy.deepcopy(diagram), pickle.loads(pickle.dumps(diagram))):
         assert type(other) is PersistenceDiagram and other == diagram and repr(other) == repr(diagram)
         assert other.degrees() == diagram.degrees()
+    with pytest.raises(AttributeError, match="^PersistenceDiagram is immutable$"):
+        diagram._rows = {}
+    assert diagram != object() and not diagram == object()

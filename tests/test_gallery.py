@@ -60,6 +60,8 @@ def test_hawaiian_spec_validation():
         HawaiianSpec(0, 2)
     with pytest.raises(ValueError):
         HawaiianSpec(1, 0)
+    with pytest.raises(ValueError, match="^requires k_max >= 1, got 0$"):
+        hawaiian_rank_sweep(1, 0)
 
 
 def test_hawaiian_sizes_are_integers():

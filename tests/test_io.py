@@ -87,8 +87,8 @@ def test_diagram_parse_errors():
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("1 nan 2 1", "cannot be NaN"),
-        ("1 0 nan 1", "cannot be NaN"),
+        ("1 nan 2 1", "p must not be NaN, got nan"),
+        ("1 0 nan 1", "q must not be NaN, got nan"),
         ("1 2 1 1", r"requires p < q, got \(2.0, 1.0\)"),
         ("1 0.5 0.5 1", "requires p < q"),
         ("1 inf inf 1", r"birth coordinate cannot be \+inf"),
@@ -282,7 +282,7 @@ def test_extended_real_text_round_trip_extremes():
     from pershom import ExtendedReal
 
     for x in (1e-308, 5e-324, 1e308, -0.0, 1 / 3, math.pi):
-        assert ExtendedReal(str(ExtendedReal(x))) == ExtendedReal(x)
+        assert ExtendedReal(float(str(ExtendedReal(x)))) == ExtendedReal(x)
         point = parse_diagram(f"0 {x!r} inf 1\n").items(0)
         assert [str(pt.p) for pt, _ in point] == [repr(float(x))]
 
@@ -307,13 +307,13 @@ def test_numeric_inputs(tmp_path):
         (read_csv_samples, "1,0\nx,1\n", 2, "could not convert string to float: 'x'"),
         (read_csv_samples, "1,0\n# note\n\n2,1,0\n", 4, "expected 2 values as on the first row, got 3"),
         (read_csv_samples, "1,0\n1,\n", 2, "could not convert string to float: ''"),
-        (read_csv_samples, "1,0\n0,1\nnan,0\n", 3, "entry 1 is nan, not a finite number"),
-        (read_csv_samples, "1,0\n# note\n0,-inf\n", 3, "entry 2 is -inf, not a finite number"),
-        (read_csv_samples, "1,0\n1e999,0\n", 2, "entry 1 is inf, not a finite number"),
+        (read_csv_samples, "1,0\n0,1\nnan,0\n", 3, "entry 1 must be finite, got nan"),
+        (read_csv_samples, "1,0\n# note\n0,-inf\n", 3, "entry 2 must be finite, got -inf"),
+        (read_csv_samples, "1,0\n1e999,0\n", 2, "entry 1 must be finite, got inf"),
         (read_distance_matrix, "0 1\n1 y\n", 2, "could not convert string to float: 'y'"),
         (read_distance_matrix, "0 1\n1\n", 2, "a square matrix of 2 rows needs 2 entries per row, got 1"),
         (read_distance_matrix, "0 1 2\n1 0 2\n", 1, "a square matrix of 2 rows needs 2 entries per row, got 3"),
-        (read_distance_matrix, "0 1\n# note\n1 nan\n", 3, "entry 2 is NaN"),
+        (read_distance_matrix, "0 1\n# note\n1 nan\n", 3, "entry 2 must not be NaN, got nan"),
     ],
 )
 def test_numeric_inputs_locate_their_defects(tmp_path, reader, text, lineno, message):
@@ -486,7 +486,8 @@ def test_fuzz_cli_exit_codes(tmp_path, capsys, kind_text):
 
 _IDS = ["0", "1", "2", "3", "01", "9223372036854775807", "9223372036854775808", "99999999999999999999"]
 _FINITE = ["-0.0", "0.0", "-0", "0", "0.5", "1", "2.5", "1e1", "0.5000000000000000000000000000000000001"]
-_DEFECTS = ["drop", "repeat-row", "raise", "nan", "inf", "repeat-vertex", "negative", "head", "short", "token"]
+_DEFECTS = ["drop", "repeat-row", "raise", "nan", "inf", "repeat-vertex", "negative", "head", "short", "token",
+            "control"]
 
 
 @st.composite
@@ -520,7 +521,8 @@ def _flt_documents(draw):
             rows[k] = {"raise": ["simplex", "9", *row[2:]], "nan": ["simplex", "nan", *row[2:]],
                        "inf": ["simplex", "-inf", *row[2:]], "repeat-vertex": row + row[-1:],
                        "negative": row + ["-1"], "head": ["Simplex", *row[1:]], "short": row[:2],
-                       "token": row + ["x"]}[defect]
+                       "token": row + ["x"],
+                       "control": ["simplex", row[1] + "\x1b", *row[2:-1], row[-1] + "\x01"]}[defect]
     lines = [draw(st.sampled_from([" ", "\t", "  ", " \t"])).join(row) for row in rows]
     lines = [line + draw(st.sampled_from(["", "", " # c", "#", "\t"])) for line in lines]
     for _ in range(draw(st.integers(0, 2))):

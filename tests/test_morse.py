@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pershom.morse
 from pershom import (
@@ -115,6 +115,8 @@ def test_morse_check_n_max_must_be_an_integer():
     for bad in (1.9, "1"):
         with pytest.raises(ValueError, match=f"n_max must be an integer, got {bad!r}"):
             morse_check(WORKED, 0.5, bad)
+    with pytest.raises(ValueError, match="^requires n_max >= 0, got -1$"):
+        morse_check(WORKED, 0.5, -1)
 
 
 def test_morse_check_empty_diagram():
@@ -167,6 +169,16 @@ def test_morse_negative_partial_sum_is_reported(monkeypatch):
     with pytest.raises(MorseCheckFailed, match="partial sum -1") as err:
         morse_check(WORKED, 0.5, 1)
     assert err.value.degree == 0
+
+
+def test_morse_identity_failure_names_the_degree_and_both_sides(monkeypatch):
+    real_nu = pershom.morse.nu
+    monkeypatch.setattr(pershom.morse, "nu", lambda diagram, d, eps: real_nu(diagram, d, eps) + 1)  # one off
+    m_eps, p, nu_0 = cap_number(WORKED, 0, 0.5), essential_dimension(WORKED, 0), real_nu(WORKED, 0, 0.5) + 1
+    with pytest.raises(MorseCheckFailed) as err:
+        morse_check(WORKED, 0.5, 1)
+    assert err.value.degree == 0
+    assert str(err.value) == f"degree 0: m_eps - p = {m_eps} - {p} differs from nu(-1) + nu(0) = 0 + {nu_0}"
 
 
 # ------------------------------------------------------------------ invariants
@@ -242,6 +254,8 @@ def test_cap_finiteness_bound_examples():
     assert cap_finiteness_bound(PersistenceDiagram(), 0, 0.5, 0.0, 1.0) == (0, 0)
     short = PersistenceDiagram({0: [(0, 0.1)]})
     assert cap_finiteness_bound(short, 0, 0.5, 0.0, 1.0)[0] == 0
+    for edge in ((0.0, 0.5), (0.25, 0.75)):  # a lifetime of exactly eps is not counted, as by the cap numbers
+        assert cap_finiteness_bound(PersistenceDiagram({0: [edge]}), 0, 0.5, 0.0, 1.0) == (0, 0)
     with pytest.raises(ValueError):
         cap_finiteness_bound(d, 0, 0.5, 1.0, 0.0)
 
@@ -298,10 +312,14 @@ def _bands(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_bands())
+@example((PersistenceDiagram({0: [(0.25, 0.75)]}), 0.5, 0.0, 1.0))  # a lifetime of eps between two corners
 def test_cap_finiteness_bound_equals_one_quadrant_count_per_corner(case):
     diagram, eps, t0, t1 = case
     for d in (0, 1, 2, -1):
-        assert cap_finiteness_bound(diagram, d, eps, t0, t1) == cap_finiteness_bound_oracle(diagram, d, eps, t0, t1)
+        lhs, rhs = cap_finiteness_bound(diagram, d, eps, t0, t1)
+        assert (lhs, rhs) == cap_finiteness_bound_oracle(diagram, d, eps, t0, t1)
+        if eps in (0.5, 1.0) and t0 != 2.0**52 + 1:  # every corner an exact float
+            assert lhs <= rhs
 
 
 def test_cap_finiteness_bound_is_exact_over_multiplicities_beyond_int64():
