@@ -77,16 +77,23 @@ NEG_INF = ExtendedReal(-math.inf)
 POS_INF = ExtendedReal(math.inf)
 
 
-def real_array(values, name: str) -> np.ndarray:
-    """An array argument as floats; an entry given as text, a bool or None
-    raises ValueError naming the argument and the position.  An integer or
-    float ndarray holds none, so only other input has its entries' types read."""
+def real_array(values, name: str, finite: bool = False) -> np.ndarray:
+    """An array argument as floats; an entry given as text, a bool or None,
+    NaN, or an infinity where ``finite`` is asked for, raises ValueError
+    naming the argument and the entry's position, as `query_value` does for
+    one value.  An integer or float ndarray holds no text, so only other
+    input has its entries' types read."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         objects = np.asarray(values, dtype=object)  # each entry as given: numpy reads [0, True] as [0, 1]
         if any(issubclass(kind, _NOT_REAL) for kind in set(map(type, objects.flat))):  # each type once
             at, entry = next((at, entry) for at, entry in np.ndenumerate(objects) if isinstance(entry, _NOT_REAL))
             raise ValueError(f"{name} has {entry!r} at {at}, not a number")
-    return np.asarray(values, dtype=float)
+    array = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(array) if finite else np.isnan(array)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0].tolist())
+        raise ValueError(f"{name} has {array[at]} at {at}, {'not a number' if np.isnan(array[at]) else 'not finite'}")
+    return array
 
 
 def integer_value(value, name: str) -> int:
@@ -203,34 +210,75 @@ class ConstancyWitness:
             raise ValueError("witness requires t0 <= t1")
 
 
-class Barcode:
-    """A finite multiset of (degree, interval) bars, sorted stably by value
-    when made: by degree, then the interval's fields in order.
-
-    Its bars are five columns (integer degrees, float64 endpoints, bool flags),
-    made `Interval`s on demand.  Equality is multiset equality; degrees may be any integers.
-    """
+class _DegreeColumns:
+    """Rows kept as a tuple of read-only columns, sorted by the first: the
+    degree, int64, or exact Python ints in an object array when one does not
+    fit.  A degree's rows are one slice, found by binary search; the shared
+    base of `Barcode` and `PersistenceDiagram`, which change no column once made."""
 
     __slots__ = ("_columns",)
 
-    def __init__(self, bars: Iterable[Tuple[int, Interval]] = ()):
+    @classmethod
+    def _of(cls, *columns: np.ndarray):
+        """The value of columns already sorted, checked and owned by no one else; made read-only here."""
+        for column in columns:
+            column.flags.writeable = False
+        made = object.__new__(cls)
+        object.__setattr__(made, "_columns", columns)
+        return made
+
+    def __eq__(self, other):
+        alike = isinstance(other, type(self))
+        return all(map(np.array_equal, self._columns, other._columns)) if alike else NotImplemented
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return self._of, self._columns  # copied and pickled as its columns, each keeping its dtype
+
+    def degrees(self) -> Tuple[int, ...]:
+        return tuple(dict.fromkeys(self._columns[0].tolist()))  # in ascending order, as sorted
+
+    def _in_degree(self, d: int) -> Tuple[np.ndarray, ...]:
+        """The other columns of the degree-d rows, as read-only views.  An int64
+        column holds no degree outside int64 and is not searched for one, since
+        numpy would compare such a degree as a float, equal to its neighbours."""
+        degree, *rest = self._columns
+        d = integer_value(d, "degree")
+        start = end = 0
+        if degree.dtype == object or -(2**63) <= d < 2**63:
+            start, end = degree.searchsorted(d), degree.searchsorted(d, "right")
+        return tuple(column[start:end] for column in rest)
+
+
+class Barcode(_DegreeColumns):
+    """A finite multiset of (degree, interval) bars, sorted stably by value
+    when made: by degree, then the interval's fields in order.
+
+    Its bars are five read-only columns (integer degrees, float64 endpoints,
+    bool flags), laid out and looked up by degree as a `PersistenceDiagram`'s
+    points are, and made `Interval`s on demand.  Equality is multiset
+    equality; degrees may be any integers.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bars: Iterable[Tuple[int, Interval]] = ()):
         rows = []
         for d, iv in bars:
             if not isinstance(iv, Interval):
                 raise TypeError(f"expected Interval, got {type(iv).__name__}")
             rows.append((integer_value(d, "degree"), *iv))
         degree, *interval = zip(*rows) if rows else ((),) * 5
-        barcode = Barcode._from_arrays(_int_array(degree), *map(np.array, interval, (float, float, bool, bool)))
-        object.__setattr__(self, "_columns", barcode._columns)
+        return cls._from_arrays(_int_array(degree), *map(np.array, interval, (float, float, bool, bool)))
 
     @classmethod
     def _from_arrays(cls, *columns: np.ndarray) -> "Barcode":
         """The barcode of checked degree, lo, hi, lo_closed and hi_closed columns; equal
         bars spelled apart, as [-0.0,1.0) and [0.0,1.0), keep their bits and input order."""
         order = np.lexsort(columns[::-1])
-        barcode = object.__new__(cls)
-        object.__setattr__(barcode, "_columns", tuple(column[order] for column in columns))
-        return barcode
+        return cls._of(*(column[order] for column in columns))
 
     @property
     def bars(self) -> Tuple[Tuple[int, Interval], ...]:
@@ -242,26 +290,8 @@ class Barcode:
     def __len__(self) -> int:
         return len(self._columns[0])
 
-    def __eq__(self, other):
-        if not isinstance(other, Barcode):
-            return NotImplemented
-        return all(map(np.array_equal, self._columns, other._columns))
-
     def __hash__(self):
         return hash(self.bars)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Barcode is immutable")
-
-    def __reduce__(self):
-        return Barcode._from_arrays, self._columns  # copied and pickled as its columns
-
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(dict.fromkeys(self._columns[0].tolist()))  # in ascending order, as sorted
-
-    def _in_degree(self, d: int) -> Tuple[np.ndarray, ...]:
-        kept = self._columns[0] == integer_value(d, "degree")
-        return tuple(column[kept] for column in self._columns[1:])
 
     def in_degree(self, d: int) -> Tuple[Interval, ...]:
         return tuple(_made(Interval, *self._in_degree(d)))

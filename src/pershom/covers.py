@@ -176,8 +176,6 @@ def balls_cover(distances: Sequence[Sequence[float]], delta: float) -> Cover:
     mat = real_array(distances, "distance matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {mat.shape}")
-    if np.isnan(mat).any():
-        raise ValueError(f"distance matrix has a NaN entry at {tuple(np.argwhere(np.isnan(mat))[0].tolist())}")
     if (mat < 0).any():
         raise ValueError("distances must be nonnegative")
     if not np.array_equal(mat, mat.T):

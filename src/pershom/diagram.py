@@ -3,11 +3,13 @@
 A diagram point is an endpoint pair (p, q) with p < q, p != +inf and
 q != -inf; openness of the originating interval endpoints is forgotten.
 
-A `PersistenceDiagram` is its arrays.  Each degree keeps its births ``p``
-and deaths ``q`` as float64 and its multiplicities as int64, one row per
-distinct point, sorted by (p, q).  Where a sum of multiplicities could leave
-int64, they are exact Python ints in an object array instead.  Counts are
-masked sums over these arrays, and `diagram_of` reads a barcode's columns.
+A `PersistenceDiagram` is stored as a `Barcode` is: one tuple of read-only
+columns, degree, births ``p`` and deaths ``q`` as float64, and multiplicities
+as int64, one row per distinct point, sorted by (degree, p, q).  Degrees and
+multiplicities are exact Python ints in an object array instead where one
+leaves int64 or a sum could.  A degree's points are one slice of the
+columns, found by binary search on the degree column (`arrays`); counts are
+masked sums over that slice, and `diagram_of` reads a barcode's columns.
 `DiagramPoint`s, with `ExtendedReal` endpoints, are made on demand for
 `items` and a `matching_at` result, as a barcode makes its `Interval`s.
 """
@@ -21,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
-from .barcode import Barcode, ExtendedReal, _endpoint_of, _int_array, _made, integer_value, query_value
+from .barcode import Barcode, ExtendedReal, _DegreeColumns, _endpoint_of, _int_array, _made, integer_value, query_value
 
 PointLike = Union["DiagramPoint", Tuple[float, float]]
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]  # p, q and multiplicity of the points of one degree
@@ -74,7 +76,6 @@ def _multiplicity(mult) -> int:
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-_EMPTY: Rows = (np.empty(0), np.empty(0), np.empty(0, np.int64))  # of a degree without points; nothing to write
 
 
 def _from_rows(degree: np.ndarray, p: np.ndarray, q: np.ndarray, mult: np.ndarray) -> "PersistenceDiagram":
@@ -101,25 +102,16 @@ def _from_rows(degree: np.ndarray, p: np.ndarray, q: np.ndarray, mult: np.ndarra
     if repeated.any():
         firsts = np.concatenate(([0], (~repeated).nonzero()[0] + 1))
         degree, p, q, mult = degree[firsts], p[firsts], q[firsts], np.add.reduceat(mult, firsts)
-    for part in (p, q, mult):
-        part.flags.writeable = False
-    cuts = ((degree[1:] != degree[:-1]).nonzero()[0] + 1).tolist()
-    starts = [0, *cuts] if len(degree) else []
-    diagram = object.__new__(PersistenceDiagram)
-    object.__setattr__(diagram, "_rows", {
-        d: (p[start:end], q[start:end], mult[start:end])
-        for d, start, end in zip(degree[starts].tolist(), starts, [*cuts, len(degree)])
-    })
-    return diagram
+    return PersistenceDiagram._of(degree, p, q, mult)
 
 
-class PersistenceDiagram:
+class PersistenceDiagram(_DegreeColumns):
     """Per-degree multiplicity map with finite support and positive counts,
-    each degree's points kept as arrays in canonical order, by p, then q."""
+    its points kept as columns in canonical order, by degree, p, then q."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ()
 
-    def __init__(self, points: Mapping[int, Union[Mapping[PointLike, int], Iterable[PointLike]]] = None):
+    def __new__(cls, points: Mapping[int, Union[Mapping[PointLike, int], Iterable[PointLike]]] = None):
         """Build from ``{degree: {point: multiplicity}}`` or ``{degree: [point, ...]}``.
 
         Points may be DiagramPoint instances or plain (p, q) pairs; repeats in
@@ -131,25 +123,12 @@ class PersistenceDiagram:
             for (p, q), mult in content.items() if isinstance(content, Mapping) else zip(content, repeat(1)):
                 rows.append((degree, query_value(p, "p"), query_value(q, "q"), integer_value(mult, "multiplicity")))
         degrees, ps, qs, mults = zip(*rows) if rows else ((),) * 4
-        diagram = _from_rows(_int_array(degrees), np.array(ps, float), np.array(qs, float), _int_array(mults))
-        object.__setattr__(self, "_rows", diagram._rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PersistenceDiagram is immutable")
-
-    def __reduce__(self):
-        """Copied and pickled as its rows, through the bulk constructor."""
-        rows = [_EMPTY, *self._rows.values()]  # _EMPTY gives an empty diagram its dtypes
-        degree = _int_array(list(self._rows)).repeat([len(p) for p, _, _ in rows[1:]])
-        return _from_rows, (degree, *map(np.concatenate, zip(*rows)))
-
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(self._rows)  # made in ascending order
+        return _from_rows(_int_array(degrees), np.array(ps, float), np.array(qs, float), _int_array(mults))
 
     def arrays(self, d: int) -> Rows:
         """The births, deaths and multiplicities of the degree-d points, as
         read-only arrays in canonical order, by p, then q."""
-        return self._rows.get(integer_value(d, "degree"), _EMPTY)
+        return self._in_degree(d)
 
     def items(self, d: int) -> Iterator[Tuple[DiagramPoint, int]]:
         """The (point, multiplicity) pairs in degree d, by p, then q."""
@@ -166,20 +145,13 @@ class PersistenceDiagram:
         return int(self.arrays(d)[2].sum())
 
     def total(self) -> int:
-        return sum(int(mult.sum()) for _, _, mult in self._rows.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, PersistenceDiagram):
-            return NotImplemented
-        return self._rows.keys() == other._rows.keys() and all(
-            np.array_equal(mine, theirs) for d in self._rows for mine, theirs in zip(self._rows[d], other._rows[d])
-        )
+        return int(self._columns[3].sum())  # a sum that could leave int64 is over Python ints
 
     def __repr__(self):
         parts = []
-        for d, (p, q, mult) in self._rows.items():
+        for d in self.degrees():
             inner = ", ".join(f"({x}, {y})" if m == 1 else f"({x}, {y})x{m}"
-                              for x, y, m in zip(p.tolist(), q.tolist(), mult.tolist()))
+                              for x, y, m in zip(*(part.tolist() for part in self.arrays(d))))
             parts.append(f"{d}: {{{inner}}}")
         return f"PersistenceDiagram({'; '.join(parts)})"
 

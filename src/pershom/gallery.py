@@ -140,12 +140,12 @@ class DouglasInput:
     quadrature_n: int
 
     def __post_init__(self):
-        curve = real_array(self.curve_samples, "curve_samples")
+        curve = real_array(self.curve_samples, "curve_samples", finite=True)
         if curve.ndim == 1:
             curve = curve[:, None]
         if curve.ndim != 2:
             raise ValueError(f"curve samples must be a (K, n) array, got shape {curve.shape}")
-        phi = real_array(self.phi, "phi").ravel()
+        phi = real_array(self.phi, "phi", finite=True).ravel()
         object.__setattr__(self, "curve_samples", curve)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "quadrature_n", integer_value(self.quadrature_n, "quadrature_n"))
@@ -156,9 +156,6 @@ class DouglasInput:
             )
         if curve.shape[0] == 0:
             raise ValueError("need at least one curve sample")
-        for name, samples in (("curve", curve), ("phi", phi)):
-            if not np.isfinite(samples).all():
-                raise ValueError(f"{name} samples must be finite (no NaN or inf)")
         if np.any(np.diff(phi) < 0) or phi[0] + 2 * math.pi < phi[-1]:
             raise ValueError("phi samples must be monotone over one period")
         if self.quadrature_n < 8:

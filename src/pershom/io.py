@@ -143,8 +143,8 @@ def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:
-    return "".join(f"{d} {p!r} {q!r} {mult}\n"
-                   for d in diagram.degrees() for p, q, mult in zip(*(part.tolist() for part in diagram.arrays(d))))
+    rows = zip(*(column.tolist() for column in diagram._columns))
+    return "".join([f"{d} {p!r} {q!r} {mult}\n" for d, p, q, mult in rows])
 
 
 def read_diagram(path) -> PersistenceDiagram:

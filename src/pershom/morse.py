@@ -22,10 +22,11 @@ from typing import Tuple
 import numpy as np
 
 from .barcode import TooLargeError, integer_value, query_value
-from .diagram import _EMPTY, DiagramPoint, PersistenceDiagram, Rows
+from .diagram import DiagramPoint, PersistenceDiagram, Rows
 
 CAP_GRID_LIMIT = 10**6  # quadrant corners of one cap_finiteness_bound call
 MORSE_DEGREE_LIMIT = 10_000  # the largest n_max of a morse_check call, about 0.2 s and 3.3 MB of report
+_EMPTY: Rows = (np.empty(0), np.empty(0), np.empty(0, np.int64))  # the points of a degree below zero
 
 
 class PreconditionViolated(Exception):

@@ -9,12 +9,14 @@ and `.dgm` oracles the per-line readers that the bulk ones replaced, the
 bar-order oracle the Python sort key that `Barcode` replaced by the order
 of its bars, and the diagram oracle makes one point per bar.  The point
 table and the Morse oracles are the dict of checked points and the loops
-over `items` that the array-backed diagram replaced.  The bottleneck
-oracle decides feasibility on the complete diagonal-slot graph with its
-own augmenting-path matcher and never calls the library's cost matrices or
-its Hopcroft-Karp matching, and the exact bottleneck oracle tries every
-partial matching in rational arithmetic; the edge-list reference is the
-boolean-mask construction that the finite class's edge listing replaced.
+over a degree's points that the array-backed diagram replaced, each
+degree's rows found by the whole-column mask (`in_degree_reference`) that
+the binary search replaced.  The bottleneck oracle decides feasibility on
+the complete diagonal-slot graph with its own augmenting-path matcher and
+never calls the library's cost matrices or its Hopcroft-Karp matching, and
+the exact bottleneck oracle tries every partial matching in rational
+arithmetic; the edge-list reference is the boolean-mask construction that
+the finite class's edge listing replaced.
 """
 
 from __future__ import annotations
@@ -355,8 +357,21 @@ def table_format_oracle(table) -> str:
     return "".join(f"{d} {p!r} {q!r} {mult}\n" for d, bucket in table.items() for (p, q), mult in bucket.items())
 
 
+def in_degree_reference(value, d: int) -> Tuple[np.ndarray, ...]:
+    """The columns after the degree of a `Barcode`'s or a `PersistenceDiagram`'s
+    degree-d rows, by a mask over the whole degree column that compares each
+    degree as a Python int: the lookup that the binary search replaced."""
+    degree, *rest = value._columns
+    kept = np.array([x == d for x in degree.tolist()], bool)
+    return tuple(column[kept] for column in rest)
+
+
 def _items_oracle(diagram: PersistenceDiagram, d: int):
-    return diagram.items(d) if d >= 0 else ()
+    """The degree-d (point, multiplicity) pairs by the mask reference; none below degree 0."""
+    if d < 0:
+        return []
+    p, q, mult = in_degree_reference(diagram, d)
+    return [(DiagramPoint(x, y), m) for x, y, m in zip(p.tolist(), q.tolist(), mult.tolist())]
 
 
 def quadrant_count_oracle(diagram: PersistenceDiagram, d: int, x: float, y: float) -> int:

@@ -452,3 +452,10 @@ def test_real_array_reads_entries_one_by_one_only_where_numpy_could_hide_one(mon
         with pytest.raises(ValueError, match="^" + re.escape(message) + ", not a number$"):
             real_array(bad, "m")
     assert real_array([[0, 1.5], (2, np.float32(3))], "m").tolist() == [[0.0, 1.5], [2.0, 3.0]]
+    # NaN is refused everywhere, an infinity where finite entries are asked for, each at its position
+    assert real_array([[0.0, math.inf]], "m").tolist() == [[0.0, math.inf]]
+    for bad, finite, message in (([[0.0, 1.0], [math.nan, 0.0]], False, "m has nan at (1, 0), not a number"),
+                                 (np.array([0.0, -math.inf]), True, "m has -inf at (1,), not finite"),
+                                 ([math.inf, math.nan], True, "m has inf at (0,), not finite")):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            real_array(bad, "m", finite=finite)

@@ -278,9 +278,9 @@ def test_balls_cover_rejects_a_nan_radius():
 
 
 def test_balls_cover_reports_a_nan_distance_as_such():
-    with pytest.raises(ValueError, match=r"NaN entry at \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"^distance matrix has nan at \(0, 1\), not a number$"):
         balls_cover([[0.0, float("nan")], [1.0, 0.0]], 1.0)
-    with pytest.raises(ValueError, match=r"NaN entry at \(1, 1\)"):
+    with pytest.raises(ValueError, match=r"^distance matrix has nan at \(1, 1\), not a number$"):
         balls_cover([[0.0, 1.0], [1.0, float("nan")]], 1.0)
 
 

@@ -8,10 +8,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pershom import (
     Barcode,
+    ConstancyWitness,
     DiagramPoint,
     ExtendedReal,
     Interval,
@@ -19,8 +20,10 @@ from pershom import (
     POS_INF,
     PersistenceDiagram,
     PreconditionViolated,
+    barcode_rank,
     cap_number,
     cap_number_at,
+    constancy_witness,
     diagram_of,
     essential_dimension,
     morse_check,
@@ -33,11 +36,13 @@ from pershom.filtration import compute_persistence
 from pershom.io import format_diagram, parse_diagram
 
 from helpers import (
+    BarcodeOracle,
     cap_number_at_oracle,
     cap_number_oracle,
     diagram_oracle,
     essential_dimension_oracle,
     grid_lower_star,
+    in_degree_reference,
     morse_check_oracle,
     nu_oracle,
     point_table_oracle,
@@ -383,6 +388,53 @@ def test_diagrams_copy_and_pickle_through_their_rows(diagram):
     for other in (copy.copy(diagram), copy.deepcopy(diagram), pickle.loads(pickle.dumps(diagram))):
         assert type(other) is PersistenceDiagram and other == diagram and repr(other) == repr(diagram)
         assert other.degrees() == diagram.degrees()
+        assert [column.dtype for column in other._columns] == [column.dtype for column in diagram._columns]
+        assert not any(column.flags.writeable for column in other._columns)
     with pytest.raises(AttributeError, match="^PersistenceDiagram is immutable$"):
-        diagram._rows = {}
+        diagram._columns = ()
     assert diagram != object() and not diagram == object()
+
+
+_EDGE_DEGREES = (-(2**63) - 1, -(2**63), -1, 0, 1, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1)
+_SPANS = ((0.0, 0.5), (-1.0, 2.0), (1.0, 1.0))
+
+
+@st.composite
+def _edge_rows(draw):
+    """Rows (degree, (p, q), multiplicity) with degrees at the edges of int64:
+    an int64 degree column when every degree fits, an object column otherwise."""
+    degrees = _EDGE_DEGREES if draw(st.booleans()) else _EDGE_DEGREES[1:-2]
+    points = st.sampled_from([(-math.inf, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, math.inf), (-math.inf, math.inf)])
+    return draw(st.lists(st.tuples(st.sampled_from(degrees), points, st.sampled_from([1, 2, 2**63])), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_rows())
+@example([(2**63 - 2, (0.0, 1.0), 1), (2**63 - 1, (0.0, 2.0), 1)])  # numpy compares 2**63 - 1 and 2**63 as one float
+@example([(-1, (0.0, 1.0), 1), (0, (0.0, 1.0), 1), (0, (0.0, math.inf), 1), (2**63, (0.0, 1.0), 1)])
+def test_degree_lookups_match_a_whole_column_mask_at_the_int64_edges(rows):
+    table = {}
+    for d, point, mult in rows:
+        table.setdefault(d, {})[point] = table.get(d, {}).get(point, 0) + mult
+    diagram = PersistenceDiagram(table)
+    barcode = Barcode((d, Interval(p, q, math.isfinite(p), False)) for d, (p, q), _ in rows)
+    oracle = BarcodeOracle(barcode)
+    for value in (diagram, barcode):
+        assert value.degrees() == tuple(sorted(table))
+        assert not any(column.flags.writeable for column in value._columns)
+    for d in _EDGE_DEGREES:
+        arrays, expected = diagram.arrays(d), in_degree_reference(diagram, d)
+        assert [part.tolist() for part in arrays] == [part.tolist() for part in expected]
+        assert [part.dtype for part in arrays] == [part.dtype for part in expected]
+        assert not any(part.flags.writeable for part in (*arrays, *barcode._in_degree(d)))
+        p, q, mult = (part.tolist() for part in expected)
+        points = list(map(DiagramPoint, p, q))
+        assert list(diagram.items(d)) == list(zip(points, mult))
+        assert diagram.count(d) == sum(mult)
+        assert [diagram.multiplicity(d, point) for point in points] == mult
+        assert diagram.multiplicity(d, (0.25, 0.75)) == 0
+        assert cap_number(diagram, d, 0.5) == cap_number_oracle(diagram, d, 0.5)
+        intervals = tuple(Interval(*bar) for bar in zip(*(part.tolist() for part in in_degree_reference(barcode, d))))
+        assert barcode.in_degree(d) == intervals
+        assert [barcode_rank(barcode, d, s, t) for s, t in _SPANS] == [oracle.rank(d, s, t) for s, t in _SPANS]
+        assert constancy_witness(barcode, d) == ConstancyWitness(*oracle.witness(d))

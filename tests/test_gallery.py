@@ -267,11 +267,12 @@ def test_douglas_input_refuses_a_grid_over_the_limit():
 def test_douglas_input_rejects_non_finite_samples_naming_the_array(bad):
     curve = circle_samples(16)
     curve[3, 0] = bad
-    with pytest.raises(ValueError, match="curve samples must be finite"):
+    reason = "not a number" if math.isnan(bad) else "not finite"
+    with pytest.raises(ValueError, match=rf"^curve_samples has {bad} at \(3, 0\), {reason}$"):
         DouglasInput.identity(curve, 64)
     phi = np.arange(16) * (2 * math.pi / 16)
     phi[7] = bad
-    with pytest.raises(ValueError, match="phi samples must be finite"):
+    with pytest.raises(ValueError, match=rf"^phi has {bad} at \(7,\), {reason}$"):
         DouglasInput(circle_samples(16), phi, 64)
 
 

@@ -269,7 +269,7 @@ def test_array_entries_are_real_numbers_named_with_their_position():
             DouglasInput.identity([0.0, bad, 1.0], 8)
         with pytest.raises(ValueError, match=rf"^phi has {re.escape(repr(bad))} at \(2,\), not a number$"):
             DouglasInput([0.0, 1.0, 2.0], [0.0, 1.0, bad], 8)
-    with pytest.raises(ValueError, match=r"^distance matrix has a NaN entry at \(0, 1\)$"):
+    with pytest.raises(ValueError, match=r"^distance matrix has nan at \(0, 1\), not a number$"):
         balls_cover([[0, math.nan], [math.nan, 0]], 1.5)
-    with pytest.raises(ValueError, match=r"^curve samples must be finite"):
+    with pytest.raises(ValueError, match=r"^curve_samples has nan at \(1,\), not a number$"):
         DouglasInput.identity([0.0, math.nan, 1.0], 8)
