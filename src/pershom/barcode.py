@@ -54,8 +54,8 @@ _NOT_REAL = (str, bytes, bytearray, *_BOOLS, type(None))  # not numbers: `float`
 
 
 class TooLargeError(ValueError):
-    """An input over one of the size limits named ``*_LIMIT``, refused before
-    the work it would take is begun; the message names the quantity and the limit."""
+    """An input over a size limit named ``*_LIMIT``, refused by `integer_value`
+    alone before the work is begun; the message names the quantity and the limit."""
 
 
 def query_value(value, name: str, finite: bool = False) -> float:
@@ -96,16 +96,21 @@ def real_array(values, name: str, finite: bool = False) -> np.ndarray:
     return array
 
 
-def integer_value(value, name: str) -> int:
+def integer_value(value, name: str, least: int = None, most: int = None) -> int:
     """An integer argument by `operator.index`, which refuses the floats and
-    strings that `int` would truncate or parse; those, and bools, raise
-    ValueError naming the argument."""
+    strings that `int` would truncate or parse; those, bools and one below
+    ``least`` raise ValueError, and one over ``most`` TooLargeError, naming it."""
     try:
         if isinstance(value, _BOOLS):
             raise TypeError
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"requires {name} >= {least}, got {value}")
+    if most is not None and value > most:
+        raise TooLargeError(f"{name} {value} is over {most}")
+    return value
 
 
 class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):

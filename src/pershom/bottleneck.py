@@ -47,7 +47,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barcode import POS_INF, Barcode, ExtendedReal, TooLargeError, _made, query_value
+from .barcode import POS_INF, Barcode, ExtendedReal, _made, integer_value, query_value
 from .diagram import DiagramPoint, PersistenceDiagram, diagram_of
 
 BRUTE_FORCE_LIMIT = 8
@@ -139,9 +139,7 @@ def _classes(a: PersistenceDiagram, b: PersistenceDiagram, d: int) -> Iterator[T
     sides = []
     for diagram in (a, b):
         p, q, mult = diagram.arrays(d)
-        count = int(mult.sum())  # exact, also for multiplicities beyond int64
-        if count > MATCHING_LIMIT:
-            raise TooLargeError(f"matching limited to {MATCHING_LIMIT} points per diagram, got {count} in degree {d}")
+        integer_value(mult.sum(), f"the degree-{d} point count to match", most=MATCHING_LIMIT)  # exact past int64
         copies = mult.astype(np.intp)
         p, q = p.repeat(copies), q.repeat(copies)
         sides.append((p, q, 2 * np.isfinite(p) + np.isfinite(q)))  # the class as a number, in the order of the pairs
@@ -482,9 +480,8 @@ def bottleneck_bruteforce(a: PersistenceDiagram, b: PersistenceDiagram, d: int) 
     Independent test oracle; each diagram may hold at most 8 points (with
     multiplicity) in the requested degree.
     """
-    n, m = a.count(d), b.count(d)
-    if n > BRUTE_FORCE_LIMIT or m > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(f"brute force limited to {BRUTE_FORCE_LIMIT} points per diagram, got {n} and {m}")
+    n = integer_value(a.count(d), "diagram a's point count for brute force", most=BRUTE_FORCE_LIMIT)
+    m = integer_value(b.count(d), "diagram b's point count for brute force", most=BRUTE_FORCE_LIMIT)
     points_a, points_b = _expand(a, d), _expand(b, d)
     pair = [[_pair_cost(x, y) for y in points_b] for x in points_a]
     diag_a = [_diagonal_cost(x) for x in points_a]

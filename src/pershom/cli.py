@@ -12,7 +12,7 @@ import functools
 import sys
 
 from . import io
-from .barcode import TooLargeError, radical
+from .barcode import integer_value, radical
 from .bottleneck import bottleneck
 from .covers import dowker_check
 from .filtration import GF2, ComplexValidationError, PrimeField, betti_at, compute_persistence, persistence_diagram
@@ -87,9 +87,7 @@ def _run(args: argparse.Namespace) -> None:
             degrees = [args.degree]
         else:  # every degree from 0 to one past the diagram's top degree
             top = max(diagram.degrees(), default=-1) + 1
-            if top > MORSE_DEGREE_LIMIT:
-                raise TooLargeError(f"listing degrees 0 to {top} is over {MORSE_DEGREE_LIMIT}; use --degree")
-            degrees = range(top + 1)
+            degrees = range(integer_value(top, "the last degree listed (use --degree)", most=MORSE_DEGREE_LIMIT) + 1)
         for d in degrees:
             if args.at is not None:
                 value = cap_number_at(diagram, d, args.at, args.epsilon)

@@ -20,7 +20,7 @@ from typing import FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .barcode import TooLargeError, query_value, real_array
+from .barcode import integer_value, query_value, real_array
 from .filtration import GF2, FilteredComplex, PrimeField, Simplex, _pairs
 
 # Most simplices `vietoris` may enumerate, counted as the nonempty subsets of
@@ -77,9 +77,8 @@ class Cover:
         object.__setattr__(self, "sets", tuple(entries))
 
 
-def _refuse(what: str, bound: int) -> None:
-    if bound > VIETORIS_LIMIT:
-        raise TooLargeError(f"the {what} could have up to {bound} simplices, over {VIETORIS_LIMIT}")
+def _refuse(what: str, sizes: Iterable[int]) -> None:
+    integer_value(sum(2 ** size - 1 for size in sizes), f"the {what}'s simplex bound", most=VIETORIS_LIMIT)
 
 
 def _ranked(members: Sequence[FrozenSet[int]], first: int) -> List[List[int]]:
@@ -108,10 +107,6 @@ def _vietoris_rows(ranked: Iterable[Sequence[int]]) -> Set[Simplex]:
     return set(chain.from_iterable(combinations(verts, k) for verts in ranked for k in range(1, len(verts) + 1)))
 
 
-def _nerve_bound(members: Sequence[FrozenSet[int]]) -> int:
-    return sum(2 ** count - 1 for count in Counter(chain.from_iterable(members)).values())
-
-
 def nerve(cover: Cover) -> FilteredComplex:
     """Simplices are index sets of cover subfamilies with nonempty intersection.
 
@@ -120,7 +115,7 @@ def nerve(cover: Cover) -> FilteredComplex:
     than VIETORIS_LIMIT nonempty subfamilies between them, a bound on its size.
     """
     members = [elems for _, elems in cover.sets]
-    _refuse("nerve", _nerve_bound(members))
+    _refuse("nerve", Counter(chain.from_iterable(members)).values())
     rows = _nerve_rows(_ranked(members, 0))
     return FilteredComplex._from_rows(rows, np.zeros(len(rows)))
 
@@ -132,7 +127,7 @@ def vietoris(cover: Cover) -> FilteredComplex:
     Raises TooLargeError, before enumerating anything, when the cover sets
     have more than VIETORIS_LIMIT nonempty subsets between them.
     """
-    _refuse("Vietoris complex", sum(2 ** len(elems) - 1 for _, elems in cover.sets))
+    _refuse("Vietoris complex", (len(elems) for _, elems in cover.sets))
     rows = _vietoris_rows(sorted(elems) for _, elems in cover.sets)
     return FilteredComplex._from_rows(rows, np.zeros(len(rows)))
 
@@ -146,8 +141,8 @@ def dowker_check(cover: Cover, field: PrimeField = GF2):
     nerve's; no cofacet joins the two, so each side keeps its own essentials.
     """
     members = [elems for _, elems in cover.sets]
-    _refuse("nerve", _nerve_bound(members))
-    _refuse("Vietoris complex", sum(2 ** len(elems) - 1 for elems in members))
+    _refuse("nerve", Counter(chain.from_iterable(members)).values())
+    _refuse("Vietoris complex", map(len, members))
     ranked = _ranked(members, len(members))
     rows = _nerve_rows(ranked)
     split = len(rows)

@@ -67,14 +67,6 @@ def _off_half_plane(p: float, q: float) -> ValueError:
     return ValueError(f"requires p < q, got ({p}, {q})")
 
 
-def _multiplicity(mult) -> int:
-    """A point's multiplicity: an integer of at least 1."""
-    mult = integer_value(mult, "multiplicity")
-    if mult < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {mult}")
-    return mult
-
-
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -85,14 +77,14 @@ def _from_rows(degree: np.ndarray, p: np.ndarray, q: np.ndarray, mult: np.ndarra
 
     The point rule (p < q, no NaN) and the multiplicity rule (at least 1)
     are checked over all rows at once; the first offending row raises what
-    `DiagramPoint` or the multiplicity check would.  A stable sort by
+    `DiagramPoint` or `integer_value` would.  A stable sort by
     (degree, p, q) then brings equal points together, by value, and the
     first of them in row order keeps its bits, so a -0.0 or a 0.0 endpoint
     stays as it came first."""
     if not (p < q).all() or mult.min(initial=1) < 1:  # a NaN endpoint fails p < q too
         k = int(np.flatnonzero(~(p < q) | (mult < 1))[0])
         query_value(p[k], "p"), query_value(q[k], "q")  # names a NaN endpoint as `DiagramPoint` would
-        _multiplicity(mult[k])
+        integer_value(mult[k], "multiplicity", least=1)
         raise _off_half_plane(float(p[k]), float(q[k]))
     if mult.dtype != object and mult.max(initial=0) > _INT64_MAX // max(len(mult), 1):
         mult = mult.astype(object)  # a sum might leave int64

@@ -43,9 +43,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", integer_value(self.p, "characteristic"))
-        if not (2 <= self.p < 2**31):
-            raise ValueError(f"characteristic out of range: {self.p}")
+        object.__setattr__(self, "p", integer_value(self.p, "characteristic", least=2, most=2**31 - 1))
         if any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):  # at most 46,339 divisions
             raise ValueError(f"{self.p} is not prime")
 

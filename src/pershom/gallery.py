@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .barcode import Barcode, TooLargeError, integer_value, real_array
+from .barcode import Barcode, integer_value, real_array
 from .filtration import GF2, FilteredComplex, betti_at
 
 # Most points per axis of the Douglas quadrature grid: evaluation holds
@@ -39,15 +39,10 @@ class HawaiianSpec:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d", integer_value(self.d, "sphere dimension d"))
-        object.__setattr__(self, "k", integer_value(self.k, "truncation index k"))
-        if self.d < 1:
-            raise ValueError(f"requires sphere dimension d >= 1, got {self.d}")
-        if self.k < 1:
-            raise ValueError(f"requires truncation index k >= 1, got {self.k}")
+        object.__setattr__(self, "d", integer_value(self.d, "sphere dimension d", least=1))
+        object.__setattr__(self, "k", integer_value(self.k, "truncation index k", least=1))
         size = 1 + (self.k - 1) * (2 ** (self.d + 2) - 3) + 2 ** (self.d + 2) - 2
-        if size > HAWAIIAN_LIMIT:
-            raise TooLargeError(f"the earring truncation has {size} simplices, over {HAWAIIAN_LIMIT}")
+        integer_value(size, "the earring truncation's simplex count", most=HAWAIIAN_LIMIT)
 
 
 def hawaiian_complex(spec: HawaiianSpec) -> FilteredComplex:
@@ -94,13 +89,9 @@ def hawaiian_rank_sweep(d: int, k_max: int) -> Tuple[Tuple[int, int], ...]:
     A sweep whose truncations have more than HAWAIIAN_LIMIT simplices in
     all raises TooLargeError before any is built.
     """
-    k_max = integer_value(k_max, "k_max")
-    if k_max < 1:
-        raise ValueError(f"requires k_max >= 1, got {k_max}")
+    k_max = integer_value(k_max, "k_max", least=1)
     d = HawaiianSpec(d, k_max).d  # the largest, checked before any is built
-    total = _sweep_size(d, k_max)
-    if total > HAWAIIAN_LIMIT:
-        raise TooLargeError(f"the earring sweep to k = {k_max} builds {total} simplices, over {HAWAIIAN_LIMIT}")
+    integer_value(_sweep_size(d, k_max), "the earring sweep's simplex count", most=HAWAIIAN_LIMIT)
     out = []
     for k in range(1, k_max + 1):
         complex_ = hawaiian_complex(HawaiianSpec(d, k))
@@ -115,11 +106,7 @@ def product_family(n: int) -> Barcode:
     radical opens every left endpoint.  An n over HAWAIIAN_LIMIT raises
     TooLargeError.
     """
-    n = integer_value(n, "n")
-    if n < 1:
-        raise ValueError(f"requires n >= 1, got {n}")
-    if n > HAWAIIAN_LIMIT:
-        raise TooLargeError(f"the product family has {n} bars, over {HAWAIIAN_LIMIT}")
+    n = integer_value(n, "n", least=1, most=HAWAIIAN_LIMIT)
     return Barcode._from_arrays(np.zeros(n, np.int64), np.zeros(n), 1.0 / np.arange(1, n + 1),
                                 np.ones(n, bool), np.zeros(n, bool))
 
@@ -148,7 +135,8 @@ class DouglasInput:
         phi = real_array(self.phi, "phi", finite=True).ravel()
         object.__setattr__(self, "curve_samples", curve)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "quadrature_n", integer_value(self.quadrature_n, "quadrature_n"))
+        n = integer_value(self.quadrature_n, "quadrature_n", least=8, most=QUADRATURE_LIMIT)
+        object.__setattr__(self, "quadrature_n", n)
         if curve.shape[0] != phi.shape[0]:
             raise ValueError(
                 f"curve and phi must be sampled on grids of equal size, "
@@ -158,10 +146,6 @@ class DouglasInput:
             raise ValueError("need at least one curve sample")
         if np.any(np.diff(phi) < 0) or phi[0] + 2 * math.pi < phi[-1]:
             raise ValueError("phi samples must be monotone over one period")
-        if self.quadrature_n < 8:
-            raise ValueError(f"requires quadrature_n >= 8, got {self.quadrature_n}")
-        if self.quadrature_n > QUADRATURE_LIMIT:
-            raise TooLargeError(f"quadrature_n {self.quadrature_n} is over {QUADRATURE_LIMIT}")
 
     @staticmethod
     def identity(curve_samples: np.ndarray, quadrature_n: int) -> "DouglasInput":

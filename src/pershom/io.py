@@ -22,9 +22,9 @@ from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .barcode import Barcode, Interval, _int_array, _text, query_value
+from .barcode import Barcode, Interval, _int_array, _text, integer_value, query_value
 from .covers import Cover, CoverSetError
-from .diagram import DiagramPoint, PersistenceDiagram, _from_rows, _multiplicity
+from .diagram import DiagramPoint, PersistenceDiagram, _from_rows
 from .filtration import ComplexValidationError, FilteredComplex
 
 T = TypeVar("T")
@@ -118,7 +118,7 @@ def _point_row(line: str) -> Tuple[int, float, float, int]:
         raise ValueError(f"expected '<degree> <p> <q> <multiplicity>', got {line!r}")
     degree = int(fields[0])
     p, q = DiagramPoint(float(fields[1]), float(fields[2]))
-    return degree, p, q, _multiplicity(int(fields[3]))
+    return degree, p, q, integer_value(int(fields[3]), "multiplicity", least=1)
 
 
 def parse_diagram(text: str, source: str = "<diagram>") -> PersistenceDiagram:

@@ -11,12 +11,13 @@ of its bars, and the diagram oracle makes one point per bar.  The point
 table and the Morse oracles are the dict of checked points and the loops
 over a degree's points that the array-backed diagram replaced, each
 degree's rows found by the whole-column mask (`in_degree_reference`) that
-the binary search replaced.  The bottleneck oracle decides feasibility on
-the complete diagonal-slot graph with its own augmenting-path matcher and
-never calls the library's cost matrices or its Hopcroft-Karp matching, and
-the exact bottleneck oracle tries every partial matching in rational
-arithmetic; the edge-list reference is the boolean-mask construction that
-the finite class's edge listing replaced.
+the binary search replaced, and each lifetime compared with eps in
+rational arithmetic (`lifetime_over`).  The bottleneck oracle decides
+feasibility on the complete diagonal-slot graph with its own augmenting-path
+matcher and never calls the library's cost matrices or its Hopcroft-Karp
+matching, and the exact bottleneck oracle tries every partial matching in
+rational arithmetic; the edge-list reference is the boolean-mask
+construction that the finite class's edge listing replaced.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def parse_diagram_oracle(text: str, source: str = "<diagram>") -> PersistenceDia
             point = DiagramPoint(float(fields[1]), float(fields[2]))
             mult = int(fields[3])
             if mult < 1:
-                raise ValueError(f"multiplicity must be >= 1, got {mult}")
+                raise ValueError(f"requires multiplicity >= 1, got {mult}")
         except ValueError as exc:
             raise FormatError(source, lineno, str(exc)) from exc
         bucket = table.setdefault(degree, {})
@@ -374,6 +375,17 @@ def _items_oracle(diagram: PersistenceDiagram, d: int):
     return [(DiagramPoint(x, y), m) for x, y, m in zip(p.tolist(), q.tolist(), mult.tolist())]
 
 
+def lifetime_over(p: float, q: float, eps: float) -> bool:
+    """Whether the exact lifetime q - p is over eps, in `Fraction`s; an
+    infinite endpoint makes the lifetime infinite, over every finite eps,
+    and no lifetime is over an infinite eps."""
+    if math.isinf(eps):
+        return False
+    if math.isinf(p) or math.isinf(q):
+        return True
+    return Fraction(q) - Fraction(p) > Fraction(eps)
+
+
 def quadrant_count_oracle(diagram: PersistenceDiagram, d: int, x: float, y: float) -> int:
     return sum(m for pt, m in diagram.items(d) if pt.p < x and y < pt.q)
 
@@ -382,7 +394,7 @@ def cap_finiteness_bound_oracle(diagram: PersistenceDiagram, d: int, eps: float,
     """The band count and the sum of one quadrant count per grid corner,
     the loop that the two binary searches per point replaced."""
     steps = math.ceil(2 * (t1 - t0) / eps)
-    lhs = sum(m for pt, m in diagram.items(d) if t0 <= pt.p and pt.q <= t1 and pt.q - pt.p > eps)
+    lhs = sum(m for pt, m in diagram.items(d) if t0 <= pt.p and pt.q <= t1 and lifetime_over(pt.p, pt.q, eps))
     rhs = sum(quadrant_count(diagram, d, t0 + i * eps / 2, t0 + i * eps / 2 + eps / 2) for i in range(steps + 1))
     return lhs, rhs
 
@@ -392,10 +404,10 @@ def cap_number_at_oracle(diagram: PersistenceDiagram, d: int, t: float, eps: flo
         return 0
     total = 0
     for pt, mult in _items_oracle(diagram, d - 1):
-        if pt.q == t and math.isfinite(pt.p) and t - pt.p > eps:
+        if pt.q == t and math.isfinite(pt.p) and lifetime_over(pt.p, t, eps):
             total += mult
     for pt, mult in _items_oracle(diagram, d):
-        if pt.p == t and math.isfinite(pt.q) and pt.q - t > eps:
+        if pt.p == t and math.isfinite(pt.q) and lifetime_over(t, pt.q, eps):
             total += mult
     return total
 
@@ -403,10 +415,10 @@ def cap_number_at_oracle(diagram: PersistenceDiagram, d: int, t: float, eps: flo
 def cap_number_oracle(diagram: PersistenceDiagram, d: int, eps: float) -> int:
     total = 0
     for pt, mult in _items_oracle(diagram, d - 1):
-        if math.isfinite(pt.q) and pt.gap > eps:
+        if math.isfinite(pt.q) and lifetime_over(pt.p, pt.q, eps):
             total += mult
     for pt, mult in _items_oracle(diagram, d):
-        if pt.p != -math.inf and pt.gap > eps:
+        if pt.p != -math.inf and lifetime_over(pt.p, pt.q, eps):
             total += mult
     return total
 
@@ -417,7 +429,7 @@ def essential_dimension_oracle(diagram: PersistenceDiagram, d: int) -> int:
 
 def nu_oracle(diagram: PersistenceDiagram, d: int, eps: float) -> int:
     return sum(m for pt, m in _items_oracle(diagram, d)
-               if math.isfinite(pt.p) and math.isfinite(pt.q) and pt.gap > eps)
+               if math.isfinite(pt.p) and math.isfinite(pt.q) and lifetime_over(pt.p, pt.q, eps))
 
 
 def morse_check_oracle(diagram: PersistenceDiagram, eps: float, n_max: int) -> MorseReport:

@@ -111,7 +111,7 @@ def test_vietoris_refuses_oversized_cover_without_enumerating(monkeypatch):
 
 def test_nerve_refuses_seventeen_sets_sharing_an_element():
     # the 2^17 - 1 subfamilies of the sets holding 0 all meet there
-    message = f"^the nerve could have up to {2**17 - 1} simplices, over {VIETORIS_LIMIT}$"
+    message = f"^the nerve's simplex bound {2**17 - 1} is over {VIETORIS_LIMIT}$"
     with pytest.raises(TooLargeError, match=message):
         nerve(Cover([(k, [0]) for k in range(17)]))
     assert len(nerve(Cover([(k, [0]) for k in range(10)]))) == 2**10 - 1
@@ -214,12 +214,12 @@ def test_dowker_check_refuses_either_complex_before_enumerating(monkeypatch):
         raise AssertionError("dowker_check enumerated subsets of an oversized cover")
 
     monkeypatch.setattr(pershom.covers, "combinations", enumerate_nothing)
-    nerve_message = f"^the nerve could have up to {2**17 - 1} simplices, over {VIETORIS_LIMIT}$"
+    nerve_message = f"^the nerve's simplex bound {2**17 - 1} is over {VIETORIS_LIMIT}$"
     with pytest.raises(TooLargeError, match=nerve_message):
         dowker_check(Cover([(k, [0]) for k in range(17)]))
-    with pytest.raises(TooLargeError, match=f"^the Vietoris complex could have up to {2**30 - 1} simplices, over {VIETORIS_LIMIT}$"):
+    with pytest.raises(TooLargeError, match=f"^the Vietoris complex's simplex bound {2**30 - 1} is over {VIETORIS_LIMIT}$"):
         dowker_check(Cover([("U", range(30))]))
-    with pytest.raises(TooLargeError, match=f"^the nerve could have up to {17 * (2**17 - 1)} simplices"):
+    with pytest.raises(TooLargeError, match=f"^the nerve's simplex bound {17 * (2**17 - 1)} is over"):
         dowker_check(Cover([(k, range(17)) for k in range(17)]))  # both too large: the nerve is named first
 
 

@@ -180,7 +180,7 @@ def test_diagram_points_must_not_be_text(text):
     ((2.0, 1.0), 1, r"requires p < q, got \(2.0, 1.0\)"),
     ((math.inf, math.inf), 1, r"birth coordinate cannot be \+inf"),
     ((0.0, -math.inf), 1, "death coordinate cannot be -inf"),
-    ((0.0, 1.0), 0, "multiplicity must be >= 1, got 0"),
+    ((0.0, 1.0), 0, "requires multiplicity >= 1, got 0"),
 ])
 def test_points_checked_at_once_name_the_first_offender(point, mult, message):
     from pershom.diagram import _from_rows

@@ -7,6 +7,7 @@ import pytest
 from pershom import (
     Cover,
     PrimeField,
+    TooLargeError,
     betti_at,
     compute_persistence,
     dowker_check,
@@ -44,10 +45,14 @@ def test_prime_field_at_the_edges_of_its_range():
         with pytest.raises(ValueError) as err:
             PrimeField(n)
         assert str(err.value) == f"{n} is not prime"
-    for n in (-7, 0, 1, 2**31, 2**31 + 11):
+    for n in (-7, 0, 1):
         with pytest.raises(ValueError) as err:
             PrimeField(n)
-        assert str(err.value) == f"characteristic out of range: {n}"
+        assert type(err.value) is ValueError and str(err.value) == f"requires characteristic >= 2, got {n}"
+    for n in (2**31, 2**31 + 11):
+        with pytest.raises(TooLargeError) as err:
+            PrimeField(n)
+        assert str(err.value) == f"characteristic {n} is over {2**31 - 1}"
 
 
 @pytest.mark.parametrize("p", [3.0, "3", b"3", None, 2.5, True])

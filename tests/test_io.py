@@ -93,7 +93,7 @@ def test_diagram_parse_errors():
         ("1 0.5 0.5 1", "requires p < q"),
         ("1 inf inf 1", r"birth coordinate cannot be \+inf"),
         ("1 -inf -inf 1", "death coordinate cannot be -inf"),
-        ("1 0 1 0", "multiplicity must be >= 1"),
+        ("1 0 1 0", "requires multiplicity >= 1"),
     ],
 )
 def test_diagram_parse_locates_each_bad_point(line, message):

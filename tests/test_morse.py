@@ -5,11 +5,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pershom.morse
 from pershom import (
@@ -25,7 +26,7 @@ from pershom import (
     nu,
 )
 
-from helpers import cap_finiteness_bound_oracle, random_diagram
+from helpers import cap_finiteness_bound_oracle, cap_number_at_oracle, cap_number_oracle, nu_oracle, random_diagram
 
 WORKED = PersistenceDiagram({0: [(0, math.inf), (1, 2)], 1: [(3, 4)]})
 TWO_FINITE = PersistenceDiagram({0: [(1, 2)], 1: [(3, 4)]})
@@ -230,7 +231,7 @@ def test_morse_check_refuses_n_max_over_its_limit_before_counting(monkeypatch):
 
     monkeypatch.setattr(pershom.morse, "nu", refuse)
     for n_max in (pershom.morse.MORSE_DEGREE_LIMIT + 1, 10**8, 2**70):
-        with pytest.raises(TooLargeError, match=f"n_max limited to {pershom.morse.MORSE_DEGREE_LIMIT}, got {n_max}$"):
+        with pytest.raises(TooLargeError, match=f"^n_max {n_max} is over {pershom.morse.MORSE_DEGREE_LIMIT}$"):
             morse_check(TWO_FINITE, 0.05, n_max)
 
 def test_cap_and_nu_monotone_in_eps():
@@ -274,7 +275,7 @@ def test_cap_finiteness_bound_counts_a_grid_at_its_limit_and_refuses_a_larger_on
     d = PersistenceDiagram({0: [(0, 1)]})
     monkeypatch.setattr(pershom.morse, "CAP_GRID_LIMIT", 5)
     assert cap_finiteness_bound(d, 0, 0.5, 0.0, 1.0) == (1, 2)  # corners at 0, 0.25, ..., 1.0: exactly 5
-    with pytest.raises(TooLargeError, match="6 corners, over 5"):
+    with pytest.raises(TooLargeError, match="^the quadrant grid's corner count 6 is over 5$"):
         cap_finiteness_bound(d, 0, 0.5, 0.0, 1.25)
 
 
@@ -289,8 +290,10 @@ def test_cap_finiteness_bound_refuses_a_tiny_eps_before_counting(monkeypatch):
 
 @pytest.mark.parametrize("eps, t0, t1", [(0.1, -1e308, 1e308), (1e-300, 0.0, 1e10)])
 def test_cap_finiteness_bound_refuses_a_grid_whose_size_overflows_a_float(eps, t0, t1):
-    # 2 * (t1 - t0) / eps is inf here, which has no integer ceiling
-    with pytest.raises(TooLargeError, match=f"over {pershom.morse.CAP_GRID_LIMIT}"):
+    # 2 * (t1 - t0) / eps is inf here, which has no integer ceiling, so the corners are counted exactly
+    corners = math.ceil(2 * (Fraction(t1) - Fraction(t0)) / Fraction(eps)) + 1
+    message = f"^the quadrant grid's corner count {corners} is over {pershom.morse.CAP_GRID_LIMIT}$"
+    with pytest.raises(TooLargeError, match=message):
         cap_finiteness_bound(PersistenceDiagram({0: [(0, 1)]}), 0, eps, t0, t1)
 
 
@@ -320,6 +323,66 @@ def test_cap_finiteness_bound_equals_one_quadrant_count_per_corner(case):
         assert (lhs, rhs) == cap_finiteness_bound_oracle(diagram, d, eps, t0, t1)
         if eps in (0.5, 1.0) and t0 != 2.0**52 + 1:  # every corner an exact float
             assert lhs <= rhs
+
+
+def _nudged(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def _near_ties(draw):
+    """A diagram whose lifetimes lie within a few ulps of eps, a birth far
+    below its death in magnitude among them, with births on the quadrant
+    corners, endpoints at +-1e308 and +-inf, and large multiplicities; a
+    value t at one of its endpoints, and a grid from t0 to t1 of at most 200
+    corners, or None where the grid is larger."""
+    eps = draw(st.one_of(st.sampled_from([0.2, 0.1, 0.5, 1.0, 1e-300, 1e300, 5e-324, math.inf]),
+                         st.floats(min_value=5e-324, max_value=1e300)))
+    anchor = st.one_of(st.sampled_from([0.0, -1e-20, 1e-20, 0.2, -1.0, 1e308, -1e308, 2.0**52 + 1, 5e-324]),
+                       st.floats(-1e308, 1e308))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, kind = draw(anchor), draw(st.sampled_from(["birth", "death", "free"]))
+        if kind == "birth":  # q near p + eps
+            p, q = a, a + eps
+        elif kind == "death":  # p near q - eps
+            p, q = a - eps, a
+        else:
+            p, q = a, draw(st.one_of(anchor, st.sampled_from([-math.inf, math.inf])))
+        p, q = _nudged(p, draw(st.integers(-3, 3))), _nudged(q, draw(st.integers(-3, 3)))
+        p = draw(st.sampled_from([p] * 9 + [-math.inf]))
+        if p < q:
+            rows.append((draw(st.integers(0, 1)), p, q, draw(st.sampled_from([1, 2, 2**62, 2**70]))))
+    assume(rows)
+    diagram = PersistenceDiagram({d: {(p, q): m for e, p, q, m in rows if e == d} for d in (0, 1)})
+    finite = [x for _, p, q, _ in rows for x in (p, q) if math.isfinite(x)]
+    t = draw(st.sampled_from([x for _, p, q, _ in rows for x in (p, q)]))
+    grid = None
+    if finite and eps < math.inf:
+        t0 = min(finite) - draw(st.integers(0, 2)) * eps / 2  # the least finite endpoint on a corner
+        t1 = max(finite)
+        if math.isfinite(t0) and t0 <= t1 and 2 * (t1 - t0) / eps <= 199:
+            grid = (t0, t1)
+    return diagram, eps, t, grid
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_ties())
+@example((PersistenceDiagram({0: [(-1e-20, 0.2)]}), 0.2, 0.2, (-1.0, 1.0)))  # exactly over 0.2, rounded to it
+@example((PersistenceDiagram({0: [(-1e-20, 0.2)]}), 0.2, -1e-20, (-1e-20, 0.2)))  # a birth on the first corner
+@example((PersistenceDiagram({0: [(-1.7976931348623157e308, -2.0**1023 + 5 * 2.0**970)]}),
+          2.0**1023 + 2.0**972, -2.0**1023 + 5 * 2.0**970, None))  # TwoSum's one overflow, where e < 0
+def test_lifetimes_are_compared_exactly(case):
+    # each oracle decides a lifetime by `lifetime_over`, in rational arithmetic
+    diagram, eps, t, grid = case
+    for d in (-1, 0, 1, 2):
+        assert cap_number(diagram, d, eps) == cap_number_oracle(diagram, d, eps)
+        assert nu(diagram, d, eps) == nu_oracle(diagram, d, eps)
+        assert cap_number_at(diagram, d, t, eps) == cap_number_at_oracle(diagram, d, t, eps)
+        if grid is not None:
+            assert cap_finiteness_bound(diagram, d, eps, *grid) == cap_finiteness_bound_oracle(diagram, d, eps, *grid)
 
 
 def test_cap_finiteness_bound_is_exact_over_multiplicities_beyond_int64():

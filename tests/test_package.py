@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 import pershom
+import pershom.filtration
+import pershom.gallery
+import pershom.morse
 from pershom import (
     Barcode,
     ConstancyWitness,
@@ -23,7 +26,9 @@ from pershom import (
     HawaiianSpec,
     Interval,
     PersistenceDiagram,
+    PrimeField,
     TextValueError,
+    TooLargeError,
     balls_cover,
     barcode_rank,
     betti_at,
@@ -42,8 +47,10 @@ from pershom import (
     matching_at,
     morse_check,
     nu,
+    product_family,
     quadrant_count,
 )
+from pershom.io import FormatError, parse_diagram
 
 
 def test_library_holds_no_assert_statement():
@@ -226,6 +233,71 @@ def test_values_are_real_numbers_api_wide(name):
         with pytest.raises(ValueError, match=rf"^{word} must (not be NaN|be finite), got nan"):
             call(**{**values, word: math.nan})
         assert call(**{**values, word: np.float64(value)}) == call(**values)
+
+
+class _Built(Exception):
+    """The work of a bounded call was begun."""
+
+
+class _Work:
+    """A function or module that a bounded call works with, patched to fail
+    on any call or attribute."""
+
+    def __getattr__(self, name):
+        raise _Built(name)
+
+    def __call__(self, *args):
+        raise _Built()
+
+
+# Every entrance that bounds an integer, as a call of that integer, with its
+# least value and the refusal one below it, its most value (None for no
+# limit) and the refusal one over it, and the function or module that does
+# its work (None where a check is all it does).
+_CURVE = np.stack([np.cos(np.arange(8) * math.pi / 4), np.sin(np.arange(8) * math.pi / 4)], axis=1)
+BOUND_CALLS = {
+    "PrimeField": (lambda n: PrimeField(n), 2, (ValueError, "requires characteristic >= 2, got 1"),
+                   2**31 - 1, f"characteristic {2**31} is over {2**31 - 1}", (pershom.filtration, "math")),
+    "HawaiianSpec.d": (lambda d: HawaiianSpec(d, 1), 1, (ValueError, "requires sphere dimension d >= 1, got 0"),
+                       17, f"the earring truncation's simplex count {2**20 - 1} is over 1000000", None),
+    "HawaiianSpec.k": (lambda k: HawaiianSpec(1, k), 1, (ValueError, "requires truncation index k >= 1, got 0"),
+                       199_999, "the earring truncation's simplex count 1000002 is over 1000000", None),
+    "hawaiian_rank_sweep": (lambda k: hawaiian_rank_sweep(1, k), 1, (ValueError, "requires k_max >= 1, got 0"),
+                            631, "the earring sweep's simplex count 1001404 is over 1000000",
+                            (pershom.gallery, "hawaiian_complex")),
+    "product_family": (lambda n: product_family(n), 1, (ValueError, "requires n >= 1, got 0"),
+                       1_000_000, "n 1000001 is over 1000000", (pershom.gallery, "np")),
+    "DouglasInput": (lambda n: DouglasInput.identity(_CURVE, n), 8, (ValueError, "requires quadrature_n >= 8, got 7"),
+                     4096, "quadrature_n 4097 is over 4096", None),
+    "morse_check": (lambda n: morse_check(_DIAGRAM, 0.1, n), 0, (ValueError, "requires n_max >= 0, got -1"),
+                    10_000, "n_max 10001 is over 10000", (pershom.morse, "nu")),
+    "PersistenceDiagram": (lambda m: PersistenceDiagram({0: {(0.0, 1.0): m}}), 1,
+                           (ValueError, "requires multiplicity >= 1, got 0"), None, None, None),
+    "parse_diagram": (lambda m: parse_diagram(f"0 0 1 {m}\n"), 1,
+                      (FormatError, "<diagram>:1: requires multiplicity >= 1, got 0"), None, None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CALLS))
+def test_integer_bounds_refuse_one_past_each_end_before_any_work(name, monkeypatch):
+    call, least, (kind, below), most, above, work = BOUND_CALLS[name]
+    if work is not None:
+        monkeypatch.setattr(*work, _Work())
+    for value in (least, most):
+        if value is None:
+            continue
+        if work is None:
+            call(value)
+        else:
+            with pytest.raises(_Built):  # accepted, and at the work
+                call(value)
+    with pytest.raises(ValueError) as err:
+        call(least - 1)
+    assert type(err.value) is kind and str(err.value) == below
+    if most is not None:
+        with pytest.raises(TooLargeError) as err:
+            call(most + 1)
+        assert type(err.value) is TooLargeError and str(err.value) == above
 
 
 # Values inside a container: diagram points, vertex values, filtration
